@@ -8,7 +8,6 @@ values, certifies the result, and sweeps starting primes to regenerate
 the reference tables.
 """
 
-from ._kernels import backend_name, scan_masks
 from .correlation import CorrProfile, autocorr_mod, periodic_autocorr
 from .modsearch import (
     CandidateModulus,
@@ -50,6 +49,7 @@ from .verify import (
     check_rr,
     enumerate_binary_ideal,
     gram_check,
+    scan_masks,
 )
 
 __version__ = "0.1.0"
@@ -74,7 +74,6 @@ __all__ = [
     "SelectionPolicy",
     "SweepRow",
     "autocorr_mod",
-    "backend_name",
     "build_seed",
     "check_gram_equiv",
     "check_rr",

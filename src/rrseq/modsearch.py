@@ -115,7 +115,7 @@ def find_modulus(
             "every off-peak correlation is zero; the row is two-valued over "
             "the integers and the gcd step does not apply"
         )
-    g = gcd_many(offpeak)
+    g = gcd_many(abs(v) for v in offpeak)
     if g == 1:
         return ModulusSearchOutcome(
             gcd_value=1,

@@ -6,7 +6,8 @@ mathematically equivalent and `check_gram_equiv` asserts exactly that,
 which makes the pair a standing cross-check on both implementations.
 
 `enumerate_binary_ideal` exhaustively lists every binary row of a given
-length whose mod-2 correlation is two-valued (peak 1, off-peak 0).
+length whose mod-2 correlation is two-valued (peak 1, off-peak 0); the
+search itself is `scan_masks`, a popcount filter over all 2**n masks.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._kernels import scan_masks
 from .correlation import autocorr_mod, periodic_autocorr
 from .numtheory import is_prime
 from .sequence import SequenceLike, as_elements
@@ -118,8 +118,38 @@ def check_gram_equiv(seq: SequenceLike, n: int) -> bool:
     return gram_check(seq, n) == check_rr(seq, n).verified
 
 
+# Masks filtered per pass of scan_masks; bounds its temporary arrays.
+_SCAN_CHUNK = 1 << 20
+
+
 def _mask_to_bits(mask: int, n: int) -> tuple[int, ...]:
     return tuple((mask >> (n - 1 - i)) & 1 for i in range(n))
+
+
+def scan_masks(n: int) -> np.ndarray:
+    """All masks of length n (1 <= n <= 24) passing the mod-2 two-valued
+    test, as an ascending uint32 array.
+
+    Bit n-1-i of a mask holds element i of the row (see `_mask_to_bits`),
+    so ascending masks are rows in lexicographic order.  The test reduces
+    to popcount parity:
+
+        C(0) mod 2 == 1   <=>  popcount(mask) is odd
+        C(k) mod 2 == 0   <=>  popcount(mask & rot_k(mask)) is even
+    """
+    if not 1 <= n <= 24:
+        raise ValueError("mask scan supports lengths 1..24")
+    total = 1 << n
+    hits = []
+    for start in range(0, total, _SCAN_CHUNK):
+        m = np.arange(start, min(start + _SCAN_CHUNK, total), dtype=np.uint32)
+        m = m[(np.bitwise_count(m) & 1) == 1]
+        # lag n-k gives the same popcount as lag k, so lags above n/2 add nothing
+        for k in range(1, n // 2 + 1):
+            rot = ((m >> k) | (m << (n - k))) & (total - 1)
+            m = m[(np.bitwise_count(m & rot) & 1) == 0]
+        hits.append(m)
+    return np.concatenate(hits)
 
 
 def enumerate_binary_ideal(n: int) -> list[BinaryWitness]:
@@ -129,8 +159,6 @@ def enumerate_binary_ideal(n: int) -> list[BinaryWitness]:
     The n delta rows (a single 1) always qualify: their correlation is
     exactly the delta profile.
     """
-    if not 1 <= n <= 24:
-        raise ValueError("enumeration supports lengths 1..24")
     witnesses = []
     for mask in scan_masks(n):
         bits = _mask_to_bits(int(mask), n)

@@ -1,9 +1,9 @@
-"""Backend selection and agreement for the binary mask scan."""
+"""The binary mask scan against a brute-force oracle."""
 
 import numpy as np
 import pytest
 
-from rrseq._kernels import _HAVE_NUMBA, backend_name, scan_masks
+from rrseq import scan_masks, verify
 
 
 def popcount(x):
@@ -11,7 +11,7 @@ def popcount(x):
 
 
 def oracle_masks(n):
-    # brute force straight off the definition, independent of the kernels
+    # brute force straight off the definition, independent of the scan
     hits = []
     full = (1 << n) - 1
     for mask in range(1 << n):
@@ -28,33 +28,32 @@ def oracle_masks(n):
     return hits
 
 
-@pytest.mark.parametrize("n", range(1, 13))
+@pytest.mark.parametrize("n", range(1, 17))
 def test_numpy_backend_matches_oracle(n):
-    assert scan_masks(n, backend="numpy").tolist() == oracle_masks(n)
+    assert scan_masks(n).tolist() == oracle_masks(n)
 
 
-@pytest.mark.skipif(not _HAVE_NUMBA, reason="numba unavailable")
-@pytest.mark.parametrize("n", [1, 2, 3, 4, 7, 8, 11, 12, 14])
-def test_backends_agree(n):
-    a = scan_masks(n, backend="numba")
-    b = scan_masks(n, backend="numpy")
-    assert a.tolist() == b.tolist()
+def test_chunked_scan_matches_oracle(monkeypatch):
+    # the default chunk only splits lengths above 20; force splits here
+    monkeypatch.setattr(verify, "_SCAN_CHUNK", 64)
+    for n in range(1, 13):
+        assert scan_masks(n).tolist() == oracle_masks(n)
 
 
 def test_masks_ascending_and_typed():
-    out = scan_masks(10, backend="numpy")
+    out = scan_masks(10)
     assert out.dtype == np.uint32
     assert list(out) == sorted(out)
 
 
 def test_known_small_case():
     # length 4: the four deltas plus the four weight-3 rows
-    assert scan_masks(4, backend="numpy").tolist() == [1, 2, 4, 7, 8, 11, 13, 14]
+    assert scan_masks(4).tolist() == [1, 2, 4, 7, 8, 11, 13, 14]
 
 
 def test_delta_masks_always_present():
     for n in range(1, 15):
-        got = set(scan_masks(n, backend="numpy").tolist())
+        got = set(scan_masks(n).tolist())
         assert all((1 << j) in got for j in range(n))
 
 
@@ -62,13 +61,3 @@ def test_rejects_out_of_range_lengths():
     for n in (0, -1, 25):
         with pytest.raises(ValueError):
             scan_masks(n)
-
-
-def test_env_var_selects_backend(monkeypatch):
-    monkeypatch.setenv("RRSEQ_BACKEND", "numpy")
-    assert backend_name() == "numpy"
-    monkeypatch.delenv("RRSEQ_BACKEND")
-    assert backend_name() in ("numba", "numpy")
-    monkeypatch.setenv("RRSEQ_BACKEND", "pencil")
-    with pytest.raises(ValueError):
-        backend_name()

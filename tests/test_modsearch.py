@@ -11,6 +11,7 @@ from rrseq.modsearch import (
 )
 from rrseq.numtheory import FactorBudget
 from rrseq.sequence import ROW_POWERS, power_seed
+from rrseq.verify import check_rr, gram_check
 
 
 def test_hand_oracle_failure_case():
@@ -71,6 +72,17 @@ def test_found_beats_incomplete_factorization():
     assert not out.factorization.complete
     assert out.status is SearchStatus.FOUND
     assert out.canonical == 5
+
+
+def test_signed_row_uses_absolute_offpeak_values():
+    # [1, -2, 3]: C(0) = 14, C(1) = C(2) = -5, so the gcd is 5 and 5 keeps the peak
+    row = [1, -2, 3]
+    out = find_modulus(row)
+    assert out.status is SearchStatus.FOUND
+    assert out.gcd_value == 5
+    assert out.canonical == 5
+    assert check_rr(row, 5).verified
+    assert gram_check(row, 5)
 
 
 def test_rejects_degenerate_rows():
