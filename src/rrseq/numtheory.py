@@ -1,11 +1,17 @@
 """Exact integer utilities: list gcd, primality, budgeted factoring, prime sieve.
 
+`factorize` runs trial division, then a short Brent-rho, then Lenstra's
+elliptic-curve method (ECM) on whatever composite is left, and reports
+what no stage split as an explicit cofactor.
+
 Everything here works on arbitrary-precision Python ints and is purely
-functional, so concurrent use needs no locking.
+functional, so concurrent use needs no locking.  The ECM tables are
+built on the first ECM call and then only read.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -17,25 +23,43 @@ _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
+# ECM bounds: stage 1 multiplies by every prime power <= _ECM_B1, stage 2
+# catches one more prime in (_ECM_B1, _ECM_B2].  Sized for the 40-55-bit
+# factors that Brent-rho cannot reach within a short pass.
+_ECM_B1 = 2_000
+_ECM_B2 = 100_000
+# Stage-2 giant step; baby steps are the j < _ECM_D / 2 coprime to it.
+_ECM_D = 2310
+# Suyama parameter of the first curve; curve i uses sigma = _ECM_SIGMA0 + i.
+_ECM_SIGMA0 = 6
+
 
 @dataclass(frozen=True)
 class FactorBudget:
-    """Effort limits for `factorize`.
+    """Effort limits for `factorize`, counted in work, never in seconds,
+    so a budget gives the same result on any machine.
 
     trial_bound: largest divisor tried by trial division.
-    rho_rounds:  number of Brent-rho restarts (distinct polynomial offsets).
+    rho_rounds:  number of Brent-rho restarts (distinct polynomial offsets)
+                 per composite; the default is one short pass that takes
+                 the small factors trial division left.
     rho_iters:   iteration cap per rho round.
+    ecm_curves:  ECM curves tried in one `factorize` call, shared by every
+                 composite rho could not split (0 disables ECM).
     """
 
     trial_bound: int = 10**6
-    rho_rounds: int = 24
-    rho_iters: int = 1 << 17
+    rho_rounds: int = 1
+    rho_iters: int = 1 << 14
+    ecm_curves: int = 200
 
     def __post_init__(self) -> None:
         if self.trial_bound < 2:
             raise ValueError("trial_bound must be at least 2")
         if self.rho_rounds < 0 or self.rho_iters < 1:
             raise ValueError("rho budget must be non-negative")
+        if self.ecm_curves < 0:
+            raise ValueError("ecm_curves must be non-negative")
 
 
 DEFAULT_BUDGET = FactorBudget()
@@ -177,12 +201,159 @@ def _rho_factor(n: int, budget: FactorBudget) -> int:
     return 1
 
 
+@functools.cache
+def _ecm_tables() -> tuple[tuple[int, ...], int, tuple[tuple[int, tuple[int, ...]], ...]]:
+    """Stage-1 prime powers and their product, and the stage-2 plan.
+
+    Every prime r in (B1, B2] is m*D + j or m*D - j for one baby step j
+    (odd, below D/2, coprime to D), and both share the test
+    x(m*D*Q) == x(j*Q).  The plan lists each giant step m with the
+    positions, among the ascending baby steps, of the j it must test.
+    """
+    powers = []
+    for p in primes_up_to(_ECM_B1):
+        pe = p
+        while pe * p <= _ECM_B1:
+            pe *= p
+        powers.append(pe)
+    babies = [j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1]
+    position = {j: i for i, j in enumerate(babies)}
+    plan: dict[int, set[int]] = {}
+    for r in primes_up_to(_ECM_B2):
+        if r <= _ECM_B1:
+            continue
+        m, j = divmod(r, _ECM_D)
+        if j > _ECM_D // 2:
+            m, j = m + 1, _ECM_D - j
+        plan.setdefault(m, set()).add(position[j])
+    plan_steps = tuple((m, tuple(sorted(js))) for m, js in sorted(plan.items()))
+    return tuple(powers), math.prod(powers), plan_steps
+
+
+def _xadd(p: tuple[int, int], q: tuple[int, int], diff: tuple[int, int], n: int) -> tuple[int, int]:
+    """x-only P + Q on a Montgomery curve, given P - Q (projective X:Z)."""
+    u = (p[0] - p[1]) * (q[0] + q[1]) % n
+    v = (p[0] + p[1]) * (q[0] - q[1]) % n
+    return diff[1] * (u + v) ** 2 % n, diff[0] * (u - v) ** 2 % n
+
+
+def _xdbl(p: tuple[int, int], a24: int, n: int) -> tuple[int, int]:
+    """x-only 2P on By^2 = x^3 + Ax^2 + x, with a24 = (A + 2) / 4."""
+    s = (p[0] + p[1]) ** 2 % n
+    d = (p[0] - p[1]) ** 2 % n
+    t = s - d
+    return s * d % n, t * (d + a24 * t) % n
+
+
+def _ladder(k: int, x: int, a24: int, n: int) -> tuple[int, int]:
+    """x-only k*P for the affine point x(P) = x, k >= 1 (Montgomery ladder).
+
+    The two steps are written out inline: this loop is the ECM hot path.
+    """
+    xa, za = x, 1
+    s = (x + 1) ** 2 % n
+    d = (x - 1) ** 2 % n
+    t = s - d
+    xb, zb = s * d % n, t * (d + a24 * t) % n
+    for bit in bin(k)[3:]:
+        u = (xa - za) * (xb + zb) % n
+        v = (xa + za) * (xb - zb) % n
+        xs, zs = (u + v) ** 2 % n, x * (u - v) ** 2 % n
+        if bit == "1":
+            s = (xb + zb) ** 2 % n
+            d = (xb - zb) ** 2 % n
+            t = s - d
+            xa, za, xb, zb = xs, zs, s * d % n, t * (d + a24 * t) % n
+        else:
+            s = (xa + za) ** 2 % n
+            d = (xa - za) ** 2 % n
+            t = s - d
+            xa, za, xb, zb = s * d % n, t * (d + a24 * t) % n, xs, zs
+    return xa, za
+
+
+def _ecm_curve(n: int, sigma: int) -> int:
+    """One ECM curve (Suyama parameter sigma) on n coprime to 6.
+
+    Returns a divisor of n found by the curve, 1 when the curve finds
+    nothing, or n when it finds every prime at once.
+    """
+    powers, k, plan = _ecm_tables()
+    u = (sigma * sigma - 5) % n
+    v = 4 * sigma % n
+    den = 16 * pow(u, 3, n) * pow(v, 3, n) * v % n
+    g = math.gcd(den, n)
+    if g != 1:
+        return g
+    inv = pow(den, -1, n)
+    # Suyama: x0 = u^3 / v^3 and a24 = (v - u)^3 (3u + v) / (16 u^3 v).
+    x0 = 16 * pow(u, 6, n) * v * inv % n
+    a24 = pow(v - u, 3, n) * (3 * u + v) * pow(v, 3, n) * inv % n
+
+    # Stage 1: Q = k * P, with k the product of all prime powers <= B1.
+    q = _ladder(k, x0, a24, n)
+    g = math.gcd(q[1], n)
+    if g == n:
+        # Every prime of n at once (likely when they are all small): redo
+        # stage 1 one prime power at a time to catch them apart.
+        x = x0
+        for pe in powers:
+            xz = _ladder(pe, x, a24, n)
+            g = math.gcd(xz[1], n)
+            if g != 1:
+                return g
+            x = xz[0] * pow(xz[1], -1, n) % n
+    if g != 1:
+        return g
+
+    # Stage 2: catch one more prime r = m*D -/+ j in (B1, B2].  Then r*Q is
+    # the identity mod some p | n, so x(m*D*Q) == x(j*Q) mod p.
+    q2 = _xdbl(q, a24, n)
+    points = []  # the baby steps j*Q, then the giant steps m*D*Q of the plan
+    prev, cur = q, q  # (j - 2) * Q and j * Q; x(-Q) = x(Q) starts the chain
+    for j in range(1, _ECM_D // 2, 2):
+        if math.gcd(j, _ECM_D) == 1:
+            points.append(cur)
+        prev, cur = cur, _xadd(cur, q2, prev, n)
+    step = _xdbl(cur, a24, n)  # cur is (D/2) * Q here
+    giant, after, m = step, _xdbl(step, a24, n), 1
+    for mi, _ in plan:
+        while m < mi:
+            giant, after = after, _xadd(after, step, giant, n)
+            m += 1
+        points.append(giant)
+
+    # Affine x of every point from one inversion (Montgomery's trick); a Z
+    # that shares a factor with n means a point is the identity mod p.
+    prefix = [1]
+    for _, z in points:
+        prefix.append(prefix[-1] * z % n)
+    g = math.gcd(prefix[-1], n)
+    if g != 1:
+        return g
+    inv = pow(prefix[-1], -1, n)
+    xs = [0] * len(points)
+    for i in range(len(points) - 1, -1, -1):
+        xs[i] = points[i][0] * prefix[i] % n * inv % n
+        inv = inv * points[i][1] % n
+
+    giant_xs = xs[len(xs) - len(plan) :]
+    acc = 1
+    for gx, (_, js) in zip(giant_xs, plan):
+        for b in js:
+            acc = acc * (gx - xs[b]) % n
+    return math.gcd(acc, n)
+
+
 def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     """Factor n within the given budget.
 
-    All prime factors reachable by trial division up to budget.trial_bound
-    and by the bounded rho stage are extracted; whatever remains is
-    reported as `cofactor` rather than dropped.
+    Trial division up to budget.trial_bound comes first.  Every composite
+    left then gets a short Brent-rho pass and, if rho cannot split it,
+    ECM curves (sigma = 6, 7, 8, ...) from one curve budget for the whole
+    call.  Whatever no stage splits is reported as `cofactor` rather than
+    dropped.  A complete factorization is unique, so it does not depend
+    on which stage found which prime.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -204,9 +375,10 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
                 rem //= cand
         d += 6
 
-    # Second stage: split the remainder with bounded Brent-rho.
+    # Second stage: rho, then ECM, on each composite trial division left.
     pending = [rem] if rem > 1 else []
     cofactor = 1
+    curves = 0
     while pending:
         m = pending.pop()
         if m == 1:
@@ -215,6 +387,11 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
             counts[m] = counts.get(m, 0) + 1
             continue
         f = _rho_factor(m, budget)
+        while f == 1 and curves < budget.ecm_curves:
+            g = _ecm_curve(m, _ECM_SIGMA0 + curves)
+            curves += 1
+            if 1 < g < m and m % g == 0:
+                f = g
         if f == 1:
             cofactor *= m
             continue

@@ -12,11 +12,12 @@ search itself is `scan_masks`, a popcount filter over all 2**n masks.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
 
-from .correlation import autocorr_mod, periodic_autocorr
+from .correlation import autocorr_mod
 from .numtheory import is_prime
 from .sequence import SequenceLike, as_elements
 
@@ -81,13 +82,9 @@ def _gram_ok_exact(residues: tuple[int, ...], n: int, peak: int) -> bool:
     size = len(residues)
     rows = [residues[i:] + residues[:i] for i in range(size)]
     for i in range(size):
+        ri = rows[i]
         for j in range(i, size):
-            acc = 0
-            ri, rj = rows[i], rows[j]
-            for t in range(size):
-                acc = (acc + ri[t] * rj[t]) % n
-            want = peak if i == j else 0
-            if acc != want:
+            if sum(map(operator.mul, ri, rows[j])) % n != (peak if i == j else 0):
                 return False
     return True
 
@@ -105,7 +102,7 @@ def gram_check(seq: SequenceLike, n: int) -> bool:
     elems = as_elements(seq)
     size = len(elems)
     residues = tuple(e % n for e in elems)
-    peak = periodic_autocorr(elems).peak % n
+    peak = sum(e * e for e in elems) % n  # C(0)
     if peak == 0:
         return False
     if size * (n - 1) ** 2 < 2**63:
@@ -122,17 +119,17 @@ def check_gram_equiv(seq: SequenceLike, n: int) -> bool:
 _SCAN_CHUNK = 1 << 20
 
 
-def _mask_to_bits(mask: int, n: int) -> tuple[int, ...]:
-    return tuple((mask >> (n - 1 - i)) & 1 for i in range(n))
+def _rot(m: np.ndarray, k: int, n: int) -> np.ndarray:
+    """Rotate n-bit masks by k places."""
+    return ((m >> k) | (m << (n - k))) & ((1 << n) - 1)
 
 
 def scan_masks(n: int) -> np.ndarray:
     """All masks of length n (1 <= n <= 24) passing the mod-2 two-valued
     test, as an ascending uint32 array.
 
-    Bit n-1-i of a mask holds element i of the row (see `_mask_to_bits`),
-    so ascending masks are rows in lexicographic order.  The test reduces
-    to popcount parity:
+    Bit n-1-i of a mask holds element i of the row, so ascending masks
+    are rows in lexicographic order.  The test reduces to popcount parity:
 
         C(0) mod 2 == 1   <=>  popcount(mask) is odd
         C(k) mod 2 == 0   <=>  popcount(mask & rot_k(mask)) is even
@@ -146,8 +143,7 @@ def scan_masks(n: int) -> np.ndarray:
         m = m[(np.bitwise_count(m) & 1) == 1]
         # lag n-k gives the same popcount as lag k, so lags above n/2 add nothing
         for k in range(1, n // 2 + 1):
-            rot = ((m >> k) | (m << (n - k))) & (total - 1)
-            m = m[(np.bitwise_count(m & rot) & 1) == 0]
+            m = m[(np.bitwise_count(m & _rot(m, k, n)) & 1) == 0]
         hits.append(m)
     return np.concatenate(hits)
 
@@ -157,14 +153,14 @@ def enumerate_binary_ideal(n: int) -> list[BinaryWitness]:
     autocorrelation mod 2 is two-valued, in lexicographic order.
 
     The n delta rows (a single 1) always qualify: their correlation is
-    exactly the delta profile.
+    exactly the delta profile.  Each witness carries its mod-2 profile
+    over all n lags, computed from its mask as the parity of
+    popcount(mask & rot_k(mask)), which is C(k) mod 2.
     """
-    witnesses = []
-    for mask in scan_masks(n):
-        bits = _mask_to_bits(int(mask), n)
-        if n == 1:
-            profile = (bits[0],)
-        else:
-            profile = tuple(v % 2 for v in periodic_autocorr(bits).values)
-        witnesses.append(BinaryWitness(bits=bits, profile_mod2=profile))
-    return witnesses
+    masks = scan_masks(n)
+    lags = [np.bitwise_count(masks & _rot(masks, k, n)) & 1 for k in range(n)]
+    bits = (masks[:, None] >> np.arange(n - 1, -1, -1, dtype=np.uint32)) & 1
+    return [
+        BinaryWitness(bits=tuple(b), profile_mod2=tuple(p))
+        for b, p in zip(bits.tolist(), np.stack(lags, axis=1).tolist())
+    ]

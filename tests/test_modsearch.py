@@ -53,7 +53,7 @@ def test_incomplete_factorization_status():
     # constant row (2018, 2018): off-peak gcd 2^3 * 1009^2; with the rho
     # stage disabled and trial division stopping at 2, only the prime 2
     # comes out, it fails the peak test, and 1009^2 is left unfactored.
-    budget = FactorBudget(trial_bound=2, rho_rounds=0, rho_iters=1)
+    budget = FactorBudget(trial_bound=2, rho_rounds=0, rho_iters=1, ecm_curves=0)
     out = find_modulus([2018, 2018], budget=budget)
     assert out.gcd_value == 8 * 1009**2
     assert not out.factorization.complete
@@ -66,7 +66,7 @@ def test_found_beats_incomplete_factorization():
     # gcd = 5 * 1009^2; trial division extracts the valid prime 5, the
     # 1009^2 part stays unfactored.  A usable modulus exists, so the
     # status is Found even though the factorization is partial.
-    budget = FactorBudget(trial_bound=5, rho_rounds=0, rho_iters=1)
+    budget = FactorBudget(trial_bound=5, rho_rounds=0, rho_iters=1, ecm_curves=0)
     out = find_modulus([1, 2, 1696801], budget=budget)
     assert out.gcd_value == 5 * 1009**2
     assert not out.factorization.complete
@@ -125,6 +125,14 @@ def test_sweep_rejects_bad_bounds():
         sweep(1)
     with pytest.raises(ValueError):
         sweep(8, prime_bound=1)
+
+
+def test_n128_sweep_factors_every_row():
+    # rows 13 and 19 need ECM: rho alone leaves them 107- and 105-bit cofactors
+    rows = sweep(128, prime_bound=60)
+    assert len(rows) == 17
+    assert all(r.outcome.factorization.complete for r in rows)
+    assert all(r.outcome.status is SearchStatus.FOUND for r in rows)
 
 
 def test_efficient_flag():

@@ -96,7 +96,7 @@ def test_rho_splits_large_semiprime():
 
 
 def test_budget_exhaustion_reports_cofactor():
-    budget = FactorBudget(trial_bound=2, rho_rounds=0, rho_iters=1)
+    budget = FactorBudget(trial_bound=2, rho_rounds=0, rho_iters=1, ecm_curves=0)
     n = 8 * 1009**2
     f = factorize(n, budget)
     assert f.factors == ((2, 3),)
@@ -112,6 +112,49 @@ def test_budget_validation():
         FactorBudget(rho_iters=0)
     with pytest.raises(ValueError):
         FactorBudget(rho_rounds=-1)
+
+
+def test_ecm_budget_validation():
+    with pytest.raises(ValueError):
+        FactorBudget(ecm_curves=-1)
+    assert FactorBudget(ecm_curves=0).ecm_curves == 0
+
+
+# Semiprimes whose smaller factor (30-52 bits) is out of reach of the short
+# rho pass, so ECM has to split them.  The last two are the cofactors the
+# N = 128 doubling rows for p = 13 and p = 19 kept under the old 24 x 2**17
+# rho budget (44 x 63 and 52 x 54 bits).
+ECM_SEMIPRIMES = (
+    668835611 * 1009807734787610564681,
+    716142411377 * 149193945349607,
+    91993890975761195886141889730773,
+    37950415978514965926319136089991,
+)
+
+
+def test_ecm_matches_sympy_factorint():
+    sympy = pytest.importorskip("sympy")
+    for n in ECM_SEMIPRIMES:
+        f = factorize(n)
+        assert f.complete, n
+        assert dict(f.factors) == sympy.factorint(n), n
+
+
+def test_ecm_separates_small_primes_found_together():
+    # Curve orders near 10**4 are all B1-smooth, so stage 1 catches every
+    # prime of n at once; ECM must still split n.
+    n = 10007 * 10009 * 10037
+    f = factorize(n, FactorBudget(trial_bound=2, rho_rounds=0))
+    assert f.factors == ((10007, 1), (10009, 1), (10037, 1))
+
+
+def test_factorize_is_deterministic():
+    # two curves split none of these, so the partial results must repeat too
+    short = FactorBudget(trial_bound=2, rho_rounds=0, ecm_curves=2)
+    for n in ECM_SEMIPRIMES:
+        assert factorize(n, short) == factorize(n, short)
+        assert not factorize(n, short).complete
+    assert factorize(ECM_SEMIPRIMES[0]) == factorize(ECM_SEMIPRIMES[0])
 
 
 def test_primes_up_to():

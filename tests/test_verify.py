@@ -6,8 +6,11 @@ from pathlib import Path
 
 import pytest
 
+from rrseq.modsearch import find_modulus
 from rrseq.sequence import build_seed, doubling_seed, power_seed
 from rrseq.verify import (
+    _gram_ok_exact,
+    _gram_ok_numpy,
     check_gram_equiv,
     check_rr,
     enumerate_binary_ideal,
@@ -81,6 +84,30 @@ def test_verified_rows_pass_gram():
         row = build_seed(p, n)
         assert check_rr(row, m).verified
         assert gram_check(row, m)
+
+
+def test_exact_gram_matches_numpy_gram():
+    rng = random.Random(7)
+    for p, n, m in ((2, 16, 331), (11, 16, 47), (29, 15, 19), (31, 16, 7)):
+        residues = tuple(e % m for e in build_seed(p, n))
+        peak = sum(r * r for r in residues) % m
+        assert _gram_ok_exact(residues, m, peak) and _gram_ok_numpy(residues, m, peak)
+        for _ in range(20):
+            bumped = list(residues)
+            i = rng.randrange(n)
+            bumped[i] = (bumped[i] + rng.randrange(1, m)) % m
+            bumped = tuple(bumped)
+            bpeak = sum(r * r for r in bumped) % m
+            assert _gram_ok_exact(bumped, m, bpeak) == _gram_ok_numpy(bumped, m, bpeak)
+
+
+def test_exact_gram_path_on_n128_row():
+    row = build_seed(2, 128)
+    m = find_modulus(row).canonical
+    assert len(row) * (m - 1) ** 2 >= 2**63  # too big for the int64 path
+    assert gram_check(row, m)
+    bumped = (row[0] + 1,) + row[1:]
+    assert not gram_check(bumped, m)
 
 
 # --- binary witness enumeration -------------------------------------------
