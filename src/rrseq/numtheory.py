@@ -349,11 +349,12 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     """Factor n within the given budget.
 
     Trial division up to budget.trial_bound comes first.  Every composite
-    left then gets a short Brent-rho pass and, if rho cannot split it,
-    ECM curves (sigma = 6, 7, 8, ...) from one curve budget for the whole
-    call.  Whatever no stage splits is reported as `cofactor` rather than
-    dropped.  A complete factorization is unique, so it does not depend
-    on which stage found which prime.
+    left then gets a short Brent-rho pass and, if rho cannot split it and
+    ECM is enabled, a perfect-square test and then ECM curves (sigma = 6,
+    7, 8, ...) from one curve budget for the whole call.  Whatever no
+    stage splits is reported as `cofactor` rather than dropped.  A
+    complete factorization is unique, so it does not depend on which
+    stage found which prime.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -387,6 +388,13 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
             counts[m] = counts.get(m, 0) + 1
             continue
         f = _rho_factor(m, budget)
+        if f == 1 and budget.ecm_curves:
+            # ECM never splits p**2 for a prime p <= _ECM_B1: stage 1
+            # multiplies by p, and a point that reaches the identity mod p
+            # then has Z = 0 mod p**2, so every gcd it takes is m.
+            r = math.isqrt(m)
+            if r * r == m:
+                f = r
         while f == 1 and curves < budget.ecm_curves:
             g = _ecm_curve(m, _ECM_SIGMA0 + curves)
             curves += 1

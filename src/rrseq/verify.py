@@ -5,6 +5,14 @@
 mathematically equivalent and `check_gram_equiv` asserts exactly that,
 which makes the pair a standing cross-check on both implementations.
 
+`gram_check` forms all N**2 entries of the Gram product exactly, for a
+modulus of any size, with float64 matmuls: a product of integers is exact
+while every partial sum stays below 2**53.  Residues too large for one
+such product are split into 16-bit limbs; each limb pair's product then
+stays below N * (2**16 - 1)**2 < 2**53, which holds for every N < 2**21,
+and the products are summed into base-2**16 digits with int64 carries.
+Rows of 2**21 or more elements are refused with ValueError.
+
 `enumerate_binary_ideal` exhaustively lists every binary row of a given
 length whose mod-2 correlation is two-valued (peak 1, off-peak 0); the
 search itself is `scan_masks`, a popcount filter over all 2**n masks.
@@ -12,8 +20,8 @@ search itself is `scan_masks`, a popcount filter over all 2**n masks.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
+from itertools import repeat
 
 import numpy as np
 
@@ -68,24 +76,63 @@ def check_rr(seq: SequenceLike, n: int) -> RRCertificate:
     )
 
 
-def _gram_ok_numpy(residues: tuple[int, ...], n: int, peak: int) -> bool:
+# float64 sums of integers are exact while every partial sum is below 2**53.
+_FLOAT_EXACT = 2**53
+_LIMB_BITS = 16
+_LIMB_MASK = (1 << _LIMB_BITS) - 1
+# size * (2**16 - 1)**2 < 2**53 holds for every size below this.
+_MAX_GRAM_SIZE = 2**21
+
+
+def _limb_count(size: int, n: int) -> int:
+    """Limbs per residue in the Gram product of a size-element row mod n:
+    1 (the residue itself) while size * (n - 1)**2 < 2**53, otherwise
+    ceil(bitlen(n - 1) / 16)."""
+    if size * (n - 1) ** 2 < _FLOAT_EXACT:
+        return 1
+    return -(-(n - 1).bit_length() // _LIMB_BITS)
+
+
+def _gram_ok(residues: tuple[int, ...], n: int, peak: int) -> bool:
+    """True iff circ(residues) @ circ(residues).T is peak * I mod n, with
+    every one of the size**2 entries formed as an exact integer."""
     size = len(residues)
-    r = np.array(residues, dtype=np.int64)
     idx = (np.arange(size)[:, None] + np.arange(size)[None, :]) % size
-    circ = r[idx]
-    gram = (circ @ circ.T) % n
-    expect = np.where(np.eye(size, dtype=bool), peak, 0)
-    return bool((gram == expect).all())
+    limbs = _limb_count(size, n)
+    if limbs == 1:
+        # The float64 product of the residues is the exact Gram matrix.
+        circ = np.array(residues, dtype=np.float64)[idx]
+        gram = (circ @ circ.T).astype(np.int64) % n
+        return bool((gram == np.where(np.eye(size, dtype=bool), peak, 0)).all())
 
+    raw = b"".join(r.to_bytes(2 * limbs, "little") for r in residues)
+    limb_rows = np.frombuffer(raw, dtype="<u2").reshape(size, limbs)
+    circs = [limb_rows[:, a].astype(np.float64)[idx] for a in range(limbs)]
+    # Entries are below size * n**2 < 2**(32 * limbs + 21): 2 * limbs + 2 digits.
+    ndigits = 2 * limbs + 2
+    digits = np.empty((size, size, ndigits), dtype="<u2")
+    carry = np.zeros((size, size), dtype=np.int64)
+    for s in range(ndigits):
+        # Digit s gathers the limb pairs a + b = s.  Each product (below
+        # 2**53) is split into its low 16 bits, added here, and the rest,
+        # carried into digit s + 1, so the int64 sums stay near
+        # limbs * 2**37 however large n is.
+        acc, carry = carry, np.zeros((size, size), dtype=np.int64)
+        for a in range(max(0, s - limbs + 1), min(s, limbs - 1) + 1):
+            prod = (circs[a] @ circs[s - a].T).astype(np.int64)
+            acc += prod & _LIMB_MASK
+            carry += prod >> _LIMB_BITS
+        digits[:, :, s] = acc & _LIMB_MASK
+        carry += acc >> _LIMB_BITS
 
-def _gram_ok_exact(residues: tuple[int, ...], n: int, peak: int) -> bool:
-    size = len(residues)
-    rows = [residues[i:] + residues[:i] for i in range(size)]
+    # One Gram row at a time: each entry's little-endian digits become one
+    # Python int; the row passes iff its diagonal entry is peak and all of
+    # its other entries are 0, mod n.
+    entries = digits.view(f"V{2 * ndigits}").reshape(size, size)
     for i in range(size):
-        ri = rows[i]
-        for j in range(i, size):
-            if sum(map(operator.mul, ri, rows[j])) % n != (peak if i == j else 0):
-                return False
+        row = [v % n for v in map(int.from_bytes, entries[i].tolist(), repeat("little"))]
+        if row[i] != peak or row.count(0) != size - 1:
+            return False
     return True
 
 
@@ -93,21 +140,29 @@ def gram_check(seq: SequenceLike, n: int) -> bool:
     """True iff the circulant of seq times its transpose, mod n, equals
     a nonzero scalar (the peak correlation mod n) times the identity.
 
-    Exact modular arithmetic throughout; a vectorized int64 path is used
-    whenever the accumulated products cannot overflow, with an
-    arbitrary-precision fallback for large moduli.
+    Every one of the N**2 Gram entries is formed as an exact integer and
+    reduced mod n; nothing is sampled, and no float tolerance is used.
+    The product runs as float64 matmuls, which are exact while every
+    partial sum is an integer below 2**53.  When N * (n - 1)**2 < 2**53 a
+    single product of the residues is the Gram matrix.  Otherwise each
+    residue is split into L = ceil(bitlen(n - 1) / 16) limbs of 16 bits,
+    every limb pair (a, b) gives one product whose partial sums stay below
+    N * (2**16 - 1)**2 < 2**53, the products are added into base-2**16
+    digits a + b with carries in int64, and each entry is rebuilt from its
+    digits as a Python int.  That bound needs N < 2**21, so longer rows
+    raise ValueError instead of returning an unchecked answer.
     """
     if not is_prime(n):
         raise ValueError(f"modulus {n} is not prime")
     elems = as_elements(seq)
     size = len(elems)
+    if size >= _MAX_GRAM_SIZE:
+        raise ValueError(f"gram_check needs fewer than {_MAX_GRAM_SIZE} elements, got {size}")
     residues = tuple(e % n for e in elems)
     peak = sum(e * e for e in elems) % n  # C(0)
     if peak == 0:
         return False
-    if size * (n - 1) ** 2 < 2**63:
-        return _gram_ok_numpy(residues, n, peak)
-    return _gram_ok_exact(residues, n, peak)
+    return _gram_ok(residues, n, peak)
 
 
 def check_gram_equiv(seq: SequenceLike, n: int) -> bool:

@@ -126,6 +126,22 @@ def test_verify_failure(capsys):
     assert row["verified"] == "false"
 
 
+def test_verify_multi_limb_modulus(capsys):
+    # the canonical modulus of the N = 128 row for p = 3 has 125 bits
+    m = "37809151880104273718152734159085356829"
+    code, out, _ = run(["verify", "-p", "3", "-n", "128", "-m", m], capsys)
+    assert code == 0
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["verified"] == "true"
+    assert row["gram_ok"] == "true"
+    # 2**61 - 1 does not divide that row's off-peak gcd
+    code, out, _ = run(["verify", "-p", "3", "-n", "128", "-m", str(2**61 - 1)], capsys)
+    assert code == 1
+    row = next(csv.DictReader(io.StringIO(out)))
+    assert row["verified"] == "false"
+    assert row["gram_ok"] == "false"
+
+
 def test_verify_nonprime_modulus(capsys):
     code, _, err = run(["verify", "-p", "2", "-n", "16", "-m", "332"], capsys)
     assert code == 2

@@ -148,6 +148,18 @@ def test_ecm_separates_small_primes_found_together():
     assert f.factors == ((10007, 1), (10009, 1), (10037, 1))
 
 
+def test_ecm_stage_splits_prime_squares():
+    # Squares of primes below the ECM stage-1 bound, which no curve splits;
+    # in the second case ECM takes 7919 out and leaves 1999**2.
+    budget = FactorBudget(trial_bound=2, rho_rounds=0)
+    f = factorize(1009**2, budget)
+    assert f.complete
+    assert f.factors == ((1009, 2),)
+    f = factorize(1999**2 * 7919, budget)
+    assert f.complete
+    assert f.factors == ((1999, 2), (7919, 1))
+
+
 def test_factorize_is_deterministic():
     # two curves split none of these, so the partial results must repeat too
     short = FactorBudget(trial_bound=2, rho_rounds=0, ecm_curves=2)

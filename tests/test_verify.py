@@ -1,6 +1,7 @@
 """Certification: modular profile check, Gram cross-check, binary witnesses."""
 
 import csv
+import operator
 import random
 from pathlib import Path
 
@@ -9,8 +10,8 @@ import pytest
 from rrseq.modsearch import find_modulus
 from rrseq.sequence import build_seed, doubling_seed, power_seed
 from rrseq.verify import (
-    _gram_ok_exact,
-    _gram_ok_numpy,
+    _gram_ok,
+    _limb_count,
     check_gram_equiv,
     check_rr,
     enumerate_binary_ideal,
@@ -18,6 +19,44 @@ from rrseq.verify import (
 )
 
 DATA = Path(__file__).parent / "data"
+
+
+def _gram_ok_exact(residues: tuple[int, ...], n: int, peak: int) -> bool:
+    """Oracle for `_gram_ok`: every entry of the upper triangle of the
+    circulant Gram product as a plain Python sum, one reduction each."""
+    size = len(residues)
+    rows = [residues[i:] + residues[:i] for i in range(size)]
+    for i in range(size):
+        ri = rows[i]
+        for j in range(i, size):
+            if sum(map(operator.mul, ri, rows[j])) % n != (peak if i == j else 0):
+                return False
+    return True
+
+
+def _agree_with_oracle(residues, n, rng):
+    """_gram_ok and the oracle agree on residues, on one bumped copy and
+    against a wrong peak; returns the verdict on the unbumped residues."""
+    residues = tuple(residues)
+    peak = sum(r * r for r in residues) % n
+    verdict = _gram_ok_exact(residues, n, peak)
+    assert _gram_ok(residues, n, peak) == verdict, (n, residues)
+    assert not _gram_ok(residues, n, (peak + 1) % n)
+    bumped = list(residues)
+    i = rng.randrange(len(bumped))
+    bumped[i] = (bumped[i] + rng.randrange(1, n)) % n
+    bumped = tuple(bumped)
+    bpeak = sum(r * r for r in bumped) % n
+    assert _gram_ok(bumped, n, bpeak) == _gram_ok_exact(bumped, n, bpeak), (n, bumped)
+    return verdict
+
+
+def _max_residue_row(size, n):
+    """All residues n - 1 but the first, (size / 2 - 1) mod n.  Off-peak it
+    correlates to size - 2 * (size / 2) = 0 mod n, and its peak is
+    size**2 / 4 mod n, so it passes whenever n > size; its entries, nearly
+    size * (n - 1)**2, are the largest a row mod n can give."""
+    return [(size * (n + 1) // 2 - 1) % n] + [n - 1] * (size - 1)
 
 
 def test_certificate_for_reference_row():
@@ -60,9 +99,10 @@ def test_nonprime_modulus_rejected():
 
 
 def test_gram_exact_path_large_modulus():
-    # modulus big enough that the int64 fast path would overflow,
-    # forcing the arbitrary-precision branch
+    # 2 * (n - 1)**2 >= 2**53, so the product runs on four 16-bit limbs
     n = 2**61 - 1
+    assert _limb_count(2, n) == 4
+    assert _limb_count(3, n) == 4
     assert gram_check([1, n], n)
     assert check_rr([1, n], n).verified
     assert not gram_check([1, 2, n], n)
@@ -87,27 +127,62 @@ def test_verified_rows_pass_gram():
 
 
 def test_exact_gram_matches_numpy_gram():
+    # The one-limb/multi-limb boundary for N = 16 sits at 16 * (n - 1)**2 = 2**53:
+    # 23726561 is the largest prime below it and 23726569 the smallest above.
+    below, above = 23726561, 23726569
+    assert 16 * (below - 1) ** 2 < 2**53 <= 16 * (above - 1) ** 2
+    assert _limb_count(16, below) == 1
+    assert _limb_count(16, above) == 2
     rng = random.Random(7)
-    for p, n, m in ((2, 16, 331), (11, 16, 47), (29, 15, 19), (31, 16, 7)):
-        residues = tuple(e % m for e in build_seed(p, n))
-        peak = sum(r * r for r in residues) % m
-        assert _gram_ok_exact(residues, m, peak) and _gram_ok_numpy(residues, m, peak)
+    for n in (below, above):
+        assert _agree_with_oracle(_max_residue_row(16, n), n, rng)
+        assert gram_check(_max_residue_row(16, n), n)
+    for p, size, m in ((2, 16, 331), (11, 16, 47), (29, 15, 19), (31, 16, 7)):
+        assert _limb_count(size, m) == 1
         for _ in range(20):
-            bumped = list(residues)
-            i = rng.randrange(n)
-            bumped[i] = (bumped[i] + rng.randrange(1, m)) % m
-            bumped = tuple(bumped)
-            bpeak = sum(r * r for r in bumped) % m
-            assert _gram_ok_exact(bumped, m, bpeak) == _gram_ok_numpy(bumped, m, bpeak)
+            assert _agree_with_oracle([e % m for e in build_seed(p, size)], m, rng)
 
 
 def test_exact_gram_path_on_n128_row():
     row = build_seed(2, 128)
     m = find_modulus(row).canonical
-    assert len(row) * (m - 1) ** 2 >= 2**63  # too big for the int64 path
+    assert 128 * (m - 1) ** 2 >= 2**53  # past the one-limb bound
+    assert _limb_count(128, m) == 8  # a 126-bit modulus
     assert gram_check(row, m)
     bumped = (row[0] + 1,) + row[1:]
     assert not gram_check(bumped, m)
+
+
+# Fixed primes for 1, 2, 4, 6, 7 and 8 limbs, and the canonical moduli of
+# N = 128 doubling rows for 3 (p = 5), 5 (p = 37) and 8 (p = 2) limbs.
+GRAM_MODULI = (331, 2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+N128_ROWS = (5, 37, 2)
+
+
+def test_gram_matches_exact_oracle():
+    rng = random.Random(5)
+    canonical = {p: find_modulus(build_seed(p, 128)).canonical for p in N128_ROWS}
+    limbs_seen = set()
+    for k, n in enumerate(GRAM_MODULI + tuple(canonical.values())):
+        # the oracle takes ~0.2 s per passing row of 128 elements, so each
+        # modulus gets one of the three large sizes
+        for size in (2, 3, 16, (127, 128, 130)[k % 3]):
+            limbs_seen.add(_limb_count(size, n))
+            c = rng.randrange(1, n)
+            assert _agree_with_oracle([c] + [0] * (size - 1), n, rng)
+            assert _agree_with_oracle(_max_residue_row(size, n), n, rng)
+            # every entry is size * (n - 1)**2 = size mod n, so only n | size passes
+            assert not _agree_with_oracle([n - 1] * size, n, rng)
+            _agree_with_oracle([rng.randrange(n) for _ in range(size)], n, rng)
+    for p, n in canonical.items():
+        c = rng.randrange(1, n)
+        assert _agree_with_oracle([c * e % n for e in build_seed(p, 128)], n, rng)
+    assert limbs_seen == set(range(1, 9))
+
+
+def test_gram_check_refuses_rows_past_exactness_bound():
+    with pytest.raises(ValueError, match="fewer than"):
+        gram_check([1] + [0] * (2**21 - 1), 331)
 
 
 # --- binary witness enumeration -------------------------------------------
