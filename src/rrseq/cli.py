@@ -27,7 +27,7 @@ from .modsearch import (
     search_prime,
     sweep,
 )
-from .numtheory import FactorBudget
+from .numtheory import SIEVE_LIMIT, FactorBudget
 from .sequence import ROW_DOUBLING, ROW_KINDS, build_seed
 from .correlation import periodic_autocorr
 from .verify import check_rr, gram_check
@@ -251,6 +251,9 @@ def _cmd_plotdata(args: argparse.Namespace) -> tuple[int, str]:
     return 0, "\n".join(lines) + "\n"
 
 
+_PRIMES_UP_TO_HELP = f"search every starting prime up to B, at most {SIEVE_LIMIT}"
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument(
@@ -268,7 +271,8 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=10**6,
         metavar="B",
-        help="trial-division bound for the factorization stage",
+        help="trial-division bound for the factorization stage, at most "
+        f"{SIEVE_LIMIT} (trial division sieves its primes up to B)",
     )
     common.add_argument(
         "--row",
@@ -308,7 +312,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "sweep", parents=[common], help="search every starting prime up to a bound"
     )
     p_sweep.add_argument("-n", "--length", type=int, required=True)
-    p_sweep.add_argument("--primes-up-to", type=int, default=100, metavar="B")
+    p_sweep.add_argument("--primes-up-to", type=int, default=100, metavar="B", help=_PRIMES_UP_TO_HELP)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser(
@@ -323,7 +327,7 @@ def _build_parser() -> argparse.ArgumentParser:
         "plotdata", parents=[common], help="(starting prime, modulus) pairs for Found rows"
     )
     p_plot.add_argument("-n", "--length", type=int, required=True)
-    p_plot.add_argument("--primes-up-to", type=int, default=100, metavar="B")
+    p_plot.add_argument("--primes-up-to", type=int, default=100, metavar="B", help=_PRIMES_UP_TO_HELP)
     p_plot.set_defaults(func=_cmd_plotdata)
 
     return parser

@@ -4,14 +4,28 @@
 elliptic-curve method (ECM) on whatever composite is left, and reports
 what no stage split as an explicit cofactor.
 
+Trial division tries 2, 3, then d and d + 2 for every d = 5, 11, 17, ...
+up to the bound B, so its last candidate is 6*floor((B - 5) / 6) + 7.  It
+stops early once the remainder is below the square of the next candidate,
+and picks its method by the size of the remainder.  Up to 2**14 it
+divides by each candidate in turn, which every remainder below ~2**28
+finishes.  Past that it takes the primes in chunks of 512 and computes
+one gcd of the remainder with each chunk's product, looking inside a
+chunk only when that gcd is above 1.  Both remove exactly the same primes.
+
+Every sieve, and so every trial bound, is capped at SIEVE_LIMIT (10**7),
+because a sieve to B takes B bytes.
+
 Everything here works on arbitrary-precision Python ints and is purely
-functional, so concurrent use needs no locking.  The ECM tables are
-built on the first ECM call and then only read.
+functional, so concurrent use needs no locking.  The ECM tables and the
+chunk products of each trial bound are built on the first call that
+needs them and then only read.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -22,6 +36,19 @@ _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 _MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+# Trial division divides by each wheel candidate in turn up to
+# _WHEEL_CUTOFF, which is where every remainder below ~2**28 stops (at
+# d*d > rem), so rows at the paper's lengths never leave the loop.  Larger
+# remainders take the primes above it _CHUNK_PRIMES at a time, by one gcd
+# with the chunk's product.  Both sizes were chosen by timing.
+_WHEEL_CUTOFF = 1 << 14
+_CHUNK_PRIMES = 512
+
+# Largest bound of any sieve, so also of trial division: a sieve to B
+# takes B bytes.  A trial bound B sieves to _last_candidate(B), which is
+# at most 10**7 too for every B <= 10**7.
+SIEVE_LIMIT = 10**7
 
 # ECM bounds: stage 1 multiplies by every prime power <= _ECM_B1, stage 2
 # catches one more prime in (_ECM_B1, _ECM_B2].  Sized for the 40-55-bit
@@ -39,7 +66,11 @@ class FactorBudget:
     """Effort limits for `factorize`, counted in work, never in seconds,
     so a budget gives the same result on any machine.
 
-    trial_bound: largest divisor tried by trial division.
+    trial_bound: bound B of trial division, 2 <= B <= SIEVE_LIMIT.  The
+                 divisors tried are 2, 3 and every 6k -/+ 1 up to
+                 6*floor((B - 5) / 6) + 7, so B = 5 still tries 7.  Above
+                 2**14 they are tried through chunk products built once
+                 per bound.
     rho_rounds:  number of Brent-rho restarts (distinct polynomial offsets)
                  per composite; the default is one short pass that takes
                  the small factors trial division left.
@@ -56,6 +87,8 @@ class FactorBudget:
     def __post_init__(self) -> None:
         if self.trial_bound < 2:
             raise ValueError("trial_bound must be at least 2")
+        if self.trial_bound > SIEVE_LIMIT:
+            raise ValueError(f"trial_bound must be at most {SIEVE_LIMIT} (its primes come from a sieve)")
         if self.rho_rounds < 0 or self.rho_iters < 1:
             raise ValueError("rho budget must be non-negative")
         if self.ecm_curves < 0:
@@ -345,16 +378,71 @@ def _ecm_curve(n: int, sigma: int) -> int:
     return math.gcd(acc, n)
 
 
+def _last_candidate(bound: int) -> int:
+    """Largest trial divisor for a bound >= 5: the wheel tries d and d + 2
+    for every d = 5 (mod 6) up to the bound, so this may exceed it by 2."""
+    return 6 * ((bound - 5) // 6) + 7
+
+
+@functools.cache
+def _trial_chunks(last: int) -> tuple[tuple[int, int, int], ...]:
+    """(product, first prime, last prime) of each run of _CHUNK_PRIMES
+    consecutive primes in (_last_candidate(_WHEEL_CUTOFF), last].
+
+    Only the products are kept, never the primes: they are recovered from
+    a chunk's gcd with the remainder, which is rarely > 1.
+    """
+    start = _last_candidate(_WHEEL_CUTOFF) + 2  # odd, like every prime here
+    primes = itertools.compress(range(start, last + 1, 2), _sieve(last)[start::2])
+    chunks = []
+    while run := list(itertools.islice(primes, _CHUNK_PRIMES)):
+        chunks.append((math.prod(run), run[0], run[-1]))
+    return tuple(chunks)
+
+
+def _chunk_trial(rem: int, last: int, counts: dict[int, int]) -> int:
+    """Divide every prime in (_last_candidate(_WHEEL_CUTOFF), last] out of
+    rem, counting each in counts, and return what is left.
+
+    rem must have no prime factor the wheel loop tried.  One gcd with a
+    chunk's product tells whether any of its primes divides rem.
+    """
+    for product, first, _ in _trial_chunks(last):
+        if first * first > rem:
+            break  # rem is 1 or a prime, as when the wheel stops at d*d > rem
+        g = math.gcd(product, rem)
+        if g == 1:
+            continue
+        # g is squarefree with no prime below first, so its smallest
+        # divisor above 1 is always one of its primes.
+        c = first
+        while c * c <= g:
+            if g % c == 0:
+                g //= c
+                while rem % c == 0:
+                    counts[c] = counts.get(c, 0) + 1
+                    rem //= c
+            c += 2
+        if g > 1:
+            while rem % g == 0:
+                counts[g] = counts.get(g, 0) + 1
+                rem //= g
+    return rem
+
+
 def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     """Factor n within the given budget.
 
-    Trial division up to budget.trial_bound comes first.  Every composite
-    left then gets a short Brent-rho pass and, if rho cannot split it and
-    ECM is enabled, a perfect-square test and then ECM curves (sigma = 6,
-    7, 8, ...) from one curve budget for the whole call.  Whatever no
-    stage splits is reported as `cofactor` rather than dropped.  A
-    complete factorization is unique, so it does not depend on which
-    stage found which prime.
+    Trial division up to budget.trial_bound comes first: 2, 3, then every
+    6k -/+ 1 up to `_last_candidate(trial_bound)`, one by one up to 2**14
+    and by gcds with cached products of 512 primes above it, stopping
+    once the remainder is 1 or below the square of the next candidate.
+    Every composite left then gets a short Brent-rho pass and, if rho
+    cannot split it and ECM is enabled, a perfect-square test and then ECM
+    curves (sigma = 6, 7, 8, ...) from one curve budget for the whole
+    call.  Whatever no stage splits is reported as `cofactor` rather than
+    dropped.  A complete factorization is unique, so it does not depend
+    on which stage found which prime.
     """
     if n < 1:
         raise ValueError("factorize requires n >= 1")
@@ -369,12 +457,15 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
             rem //= d
     d = 5
     limit = budget.trial_bound
-    while d <= limit and d * d <= rem:
+    wheel_end = min(limit, _WHEEL_CUTOFF)
+    while d <= wheel_end and d * d <= rem:
         for cand in (d, d + 2):
             while rem % cand == 0:
                 counts[cand] = counts.get(cand, 0) + 1
                 rem //= cand
         d += 6
+    if d <= limit and d * d <= rem:
+        rem = _chunk_trial(rem, _last_candidate(limit), counts)
 
     # Second stage: rho, then ECM, on each composite trial division left.
     pending = [rem] if rem > 1 else []
@@ -410,15 +501,25 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     return Factorization(input=n, factors=factors, cofactor=cofactor)
 
 
-def primes_up_to(bound: int) -> list[int]:
-    """Ascending list of all primes <= bound (empty for bound < 2)."""
-    if bound < 0:
-        raise ValueError("bound must be non-negative")
-    if bound < 2:
-        return []
+def _sieve(bound: int) -> bytearray:
+    """Sieve of Eratosthenes: flag i is 1 iff i is prime, for 0 <= i <= bound."""
     sieve = bytearray([1]) * (bound + 1)
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
             sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [i for i, flag in enumerate(sieve) if flag]
+    return sieve
+
+
+def primes_up_to(bound: int) -> list[int]:
+    """Ascending list of all primes <= bound (empty for bound < 2).
+
+    Raises ValueError above SIEVE_LIMIT, before any sieve is allocated.
+    """
+    if bound < 0:
+        raise ValueError("bound must be non-negative")
+    if bound > SIEVE_LIMIT:
+        raise ValueError(f"prime bound must be at most {SIEVE_LIMIT} (the sieve takes one byte per integer)")
+    if bound < 2:
+        return []
+    return list(itertools.compress(range(bound + 1), _sieve(bound)))

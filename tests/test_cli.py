@@ -250,3 +250,19 @@ def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["sweep", "-n", "16", "--format", "yaml"])
     assert exc.value.code == 2
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["search", "-p", "3", "-n", "16", "--trial-bound", str(10**10)],
+        ["sweep", "-n", "16", "--primes-up-to", str(10**10)],
+        ["plotdata", "-n", "16", "--primes-up-to", str(10**7 + 1)],
+    ],
+)
+def test_sieve_bounds_past_limit_exit_2(argv, capsys):
+    # refused before any sieve is allocated
+    code, out, err = run(argv, capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "at most 10000000" in err

@@ -4,8 +4,14 @@ import random
 
 import pytest
 
+from rrseq import build_seed, find_modulus, sweep
 from rrseq.numtheory import (
+    _WHEEL_CUTOFF,
+    SIEVE_LIMIT,
     FactorBudget,
+    Factorization,
+    _last_candidate,
+    _trial_chunks,
     factorize,
     gcd_many,
     is_prime,
@@ -108,6 +114,11 @@ def test_budget_exhaustion_reports_cofactor():
 def test_budget_validation():
     with pytest.raises(ValueError):
         FactorBudget(trial_bound=1)
+    with pytest.raises(ValueError, match="at most"):
+        FactorBudget(trial_bound=SIEVE_LIMIT + 1)
+    with pytest.raises(ValueError, match="at most"):
+        FactorBudget(trial_bound=10**10)
+    assert FactorBudget(trial_bound=SIEVE_LIMIT).trial_bound == SIEVE_LIMIT
     with pytest.raises(ValueError):
         FactorBudget(rho_iters=0)
     with pytest.raises(ValueError):
@@ -175,3 +186,83 @@ def test_primes_up_to():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_up_to(100)) == 25
     assert len(primes_up_to(10**4)) == 1229
+
+
+def test_primes_up_to_rejects_bounds_past_sieve_limit():
+    # checked before the sieve is allocated, so this allocates nothing
+    for bound in (SIEVE_LIMIT + 1, 10**10):
+        with pytest.raises(ValueError, match="at most"):
+            primes_up_to(bound)
+    with pytest.raises(ValueError):
+        primes_up_to(-1)
+
+
+def _trial_oracle(n: int, budget: FactorBudget) -> Factorization:
+    """The one-candidate-at-a-time wheel over the whole trial range, then
+    the prime test on what is left (no rho, no ECM)."""
+    counts: dict[int, int] = {}
+    rem = n
+    for d in (2, 3):
+        while rem % d == 0:
+            counts[d] = counts.get(d, 0) + 1
+            rem //= d
+    d = 5
+    limit = budget.trial_bound
+    while d <= limit and d * d <= rem:
+        for cand in (d, d + 2):
+            while rem % cand == 0:
+                counts[cand] = counts.get(cand, 0) + 1
+                rem //= cand
+        d += 6
+
+    cofactor = 1
+    if rem > 1:
+        if is_prime(rem):
+            counts[rem] = counts.get(rem, 0) + 1
+        else:
+            cofactor = rem
+    return Factorization(input=n, factors=tuple(sorted(counts.items())), cofactor=cofactor)
+
+
+def _chunk_edges() -> list[tuple[int, int]]:
+    """(first, last) prime of each chunk of the default trial bound."""
+    return [(first, last) for _, first, last in _trial_chunks(_last_candidate(10**6))]
+
+
+def test_trial_stage_matches_wheel_oracle():
+    edges = _chunk_edges()
+    (_, end0), (first1, end1), (first2, _) = edges[:3]
+    mid = primes_up_to(end1)
+    in_chunk1 = [p for p in mid if first1 <= p <= end1]
+    # a bound of r - 2 still tries r, two past it
+    r = next(p for p in in_chunk1 if p % 6 == 1)
+    big = 2**61 - 1  # keeps the remainder large, so the chunk stage runs
+    bounds = sorted(
+        {2, 5, 6, 7, 11, 12, 13, 1000, 1001, 1002, 1003}
+        | {_WHEEL_CUTOFF - 1, _WHEEL_CUTOFF, _WHEEL_CUTOFF + 1}
+        | {first1, first1 + 1, end1, end1 + 1, r - 2, 10**6}
+    )
+    hand = [
+        edges[0][0] ** 2, r * big, end0**2 * big, first1**2 * big, end0**3, first1**3, end1**2 * first2**3 * big,
+        in_chunk1[3] ** 2 * in_chunk1[-4] * big, in_chunk1[0] * in_chunk1[1],
+        in_chunk1[5] * 999_983, 8 * 999_983, 999_983**2 * 3, 999_983 * 1_000_003,
+        2**10 * 3**5 * 5**3 * 7 * 16_381 * 16_411 * big, 997 * 1009 * big, 13 * big,
+    ]
+    rng = random.Random(2004)
+    randoms = [rng.getrandbits(rng.randrange(20, 513)) | 1 for _ in range(40)]
+    for bound in bounds:
+        budget = FactorBudget(trial_bound=bound, rho_rounds=0, ecm_curves=0)
+        # the oracle's full wheel to 10**6 costs ~0.1 s on a large remainder
+        values = hand + (randoms[:6] if bound == 10**6 else randoms)
+        for n in values:
+            assert factorize(n, budget) == _trial_oracle(n, budget), (n, bound)
+
+
+def test_small_rows_build_no_chunk_table():
+    # Rows at the paper's lengths finish trial division in the wheel loop,
+    # so one-shot runs pay for no chunk products.
+    _trial_chunks.cache_clear()
+    find_modulus(build_seed(3, 16))
+    sweep(16, 2000)
+    sweep(24, 200)
+    assert _trial_chunks.cache_info().currsize == 0
