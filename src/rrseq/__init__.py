@@ -32,20 +32,13 @@ from .sequence import (
     ROW_DOUBLING,
     ROW_KINDS,
     ROW_POWERS,
-    DegenerateSequenceError,
-    ResidueSequence,
-    SeedOrigin,
-    SeedSequence,
     build_seed,
-    cyclic_shift,
     doubling_seed,
     power_seed,
-    rr_residues,
 )
 from .verify import (
     BinaryWitness,
     RRCertificate,
-    check_gram_equiv,
     check_rr,
     enumerate_binary_ideal,
     gram_check,
@@ -59,25 +52,19 @@ __all__ = [
     "CandidateModulus",
     "CorrProfile",
     "DEFAULT_BUDGET",
-    "DegenerateSequenceError",
     "FactorBudget",
     "Factorization",
     "ModulusSearchOutcome",
-    "ResidueSequence",
     "RRCertificate",
     "ROW_DOUBLING",
     "ROW_KINDS",
     "ROW_POWERS",
     "SearchStatus",
-    "SeedOrigin",
-    "SeedSequence",
     "SelectionPolicy",
     "SweepRow",
     "autocorr_mod",
     "build_seed",
-    "check_gram_equiv",
     "check_rr",
-    "cyclic_shift",
     "doubling_seed",
     "enumerate_binary_ideal",
     "factorize",
@@ -88,7 +75,6 @@ __all__ = [
     "periodic_autocorr",
     "power_seed",
     "primes_up_to",
-    "rr_residues",
     "scan_masks",
     "search_prime",
     "sweep",

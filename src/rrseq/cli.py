@@ -28,7 +28,7 @@ from .modsearch import (
     sweep,
 )
 from .numtheory import SIEVE_LIMIT, FactorBudget
-from .sequence import ROW_DOUBLING, ROW_KINDS, build_seed
+from .sequence import MAX_LENGTH, ROW_DOUBLING, ROW_KINDS, build_seed
 from .correlation import periodic_autocorr
 from .verify import check_rr, gram_check
 
@@ -124,12 +124,9 @@ def _cmd_seed(args: argparse.Namespace) -> tuple[int, str]:
 
 def _parse_seq(text: str) -> tuple[int, ...]:
     try:
-        elems = tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return tuple(int(tok) for tok in text.split(",") if tok.strip())
     except ValueError:
         raise ValueError(f"cannot parse sequence {text!r}; expected comma-separated integers")
-    if not elems:
-        raise ValueError("empty sequence")
-    return elems
 
 
 def _cmd_autocorr(args: argparse.Namespace) -> tuple[int, str]:
@@ -252,6 +249,7 @@ def _cmd_plotdata(args: argparse.Namespace) -> tuple[int, str]:
 
 
 _PRIMES_UP_TO_HELP = f"search every starting prime up to B, at most {SIEVE_LIMIT}"
+_LENGTH_HELP = f"row length N, 2 <= N <= {MAX_LENGTH}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -290,14 +288,14 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p_seed = sub.add_parser("seed", parents=[common], help="print a seed row")
     p_seed.add_argument("-p", "--prime", type=int, required=True)
-    p_seed.add_argument("-n", "--length", type=int, required=True)
+    p_seed.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
     p_seed.set_defaults(func=_cmd_seed)
 
     p_auto = sub.add_parser(
         "autocorr", parents=[common], help="exact periodic autocorrelation profile"
     )
     p_auto.add_argument("-p", "--prime", type=int)
-    p_auto.add_argument("-n", "--length", type=int)
+    p_auto.add_argument("-n", "--length", type=int, help=_LENGTH_HELP)
     p_auto.add_argument("--seq", help="explicit comma-separated row instead of -p/-n")
     p_auto.set_defaults(func=_cmd_autocorr)
 
@@ -305,13 +303,13 @@ def _build_parser() -> argparse.ArgumentParser:
         "search", parents=[common], help="find prime moduli for one starting prime"
     )
     p_search.add_argument("-p", "--prime", type=int, required=True)
-    p_search.add_argument("-n", "--length", type=int, required=True)
+    p_search.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
     p_search.set_defaults(func=_cmd_search)
 
     p_sweep = sub.add_parser(
         "sweep", parents=[common], help="search every starting prime up to a bound"
     )
-    p_sweep.add_argument("-n", "--length", type=int, required=True)
+    p_sweep.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
     p_sweep.add_argument("--primes-up-to", type=int, default=100, metavar="B", help=_PRIMES_UP_TO_HELP)
     p_sweep.set_defaults(func=_cmd_sweep)
 
@@ -319,14 +317,14 @@ def _build_parser() -> argparse.ArgumentParser:
         "verify", parents=[common], help="certify the two-valued property"
     )
     p_verify.add_argument("-p", "--prime", type=int, required=True)
-    p_verify.add_argument("-n", "--length", type=int, required=True)
+    p_verify.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
     p_verify.add_argument("-m", "--modulus", type=int, required=True)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_plot = sub.add_parser(
         "plotdata", parents=[common], help="(starting prime, modulus) pairs for Found rows"
     )
-    p_plot.add_argument("-n", "--length", type=int, required=True)
+    p_plot.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
     p_plot.add_argument("--primes-up-to", type=int, default=100, metavar="B", help=_PRIMES_UP_TO_HELP)
     p_plot.set_defaults(func=_cmd_plotdata)
 

@@ -8,8 +8,9 @@ prefactor is ever applied.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
-from .sequence import SequenceLike, as_elements
+from .sequence import as_elements
 
 
 @dataclass(frozen=True)
@@ -35,12 +36,9 @@ class CorrProfile:
         return self.values[1:]
 
 
-def periodic_autocorr(seq: SequenceLike) -> CorrProfile:
-    """C(k) = sum_j a(j) * a(j+k mod N), exact integers, k = 0..N-1."""
-    a = as_elements(seq)
+def profile_values(a: tuple[int, ...]) -> tuple[int, ...]:
+    """C(0..N-1) of a row `as_elements` has already normalised."""
     n = len(a)
-    if n < 2:
-        raise ValueError("autocorrelation needs at least 2 points")
     half = n // 2
     values = [0] * n
     values[0] = sum(x * x for x in a)
@@ -49,12 +47,16 @@ def periodic_autocorr(seq: SequenceLike) -> CorrProfile:
         values[k] = sum(a[j] * a[(j + k) % n] for j in range(n))
     for k in range(half + 1, n):
         values[k] = values[n - k]
-    return CorrProfile(tuple(values))
+    return tuple(values)
 
 
-def autocorr_mod(seq: SequenceLike, n: int) -> CorrProfile:
+def periodic_autocorr(seq: Sequence[int]) -> CorrProfile:
+    """C(k) = sum_j a(j) * a(j+k mod N), exact integers, k = 0..N-1."""
+    return CorrProfile(profile_values(as_elements(seq)))
+
+
+def autocorr_mod(seq: Sequence[int], n: int) -> CorrProfile:
     """The periodic autocorrelation reduced element-wise modulo n."""
     if n < 2:
         raise ValueError("modulus must be at least 2")
-    profile = periodic_autocorr(seq)
-    return CorrProfile(tuple(v % n for v in profile.values))
+    return CorrProfile(tuple(v % n for v in profile_values(as_elements(seq))))

@@ -12,10 +12,11 @@ from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from typing import Sequence
 
-from .correlation import periodic_autocorr
+from .correlation import profile_values
 from .numtheory import DEFAULT_BUDGET, FactorBudget, Factorization, factorize, gcd_many, primes_up_to
-from .sequence import ROW_DOUBLING, SequenceLike, as_elements, build_seed
+from .sequence import ROW_DOUBLING, as_elements, build_seed, check_length
 
 
 class SelectionPolicy(enum.Enum):
@@ -85,7 +86,7 @@ def _select_canonical(valid: tuple[int, ...], policy: SelectionPolicy) -> int | 
 
 
 def find_modulus(
-    seq: SequenceLike,
+    seq: Sequence[int],
     policy: SelectionPolicy = SelectionPolicy.LARGEST,
     budget: FactorBudget = DEFAULT_BUDGET,
 ) -> ModulusSearchOutcome:
@@ -105,11 +106,8 @@ def find_modulus(
 
     Deterministic for fixed inputs.
     """
-    elems = as_elements(seq)
-    if len(elems) < 2:
-        raise ValueError("modulus search needs a row of length at least 2")
-    profile = periodic_autocorr(elems)
-    offpeak = [v for v in profile.offpeak() if v != 0]
+    values = profile_values(as_elements(seq))
+    offpeak = [v for v in values[1:] if v != 0]
     if not offpeak:
         raise ValueError(
             "every off-peak correlation is zero; the row is two-valued over "
@@ -124,7 +122,7 @@ def find_modulus(
             status=SearchStatus.NO_SEQUENCE,
         )
     fact = factorize(g, budget)
-    peak = profile.peak
+    peak = values[0]
     candidates = tuple(
         CandidateModulus(q=q, peak_residue=peak % q) for q in fact.distinct_primes()
     )
@@ -166,8 +164,7 @@ def sweep(
 
     Rows with a negative status are kept, never dropped.
     """
-    if n < 2:
-        raise ValueError("row length must be at least 2")
+    check_length(n)
     if prime_bound < 2:
         raise ValueError("prime bound must be at least 2")
     rows = []

@@ -50,6 +50,9 @@ _CHUNK_PRIMES = 512
 # at most 10**7 too for every B <= 10**7.
 SIEVE_LIMIT = 10**7
 
+# Iteration cap of one Brent-rho round.
+_RHO_ITERS = 1 << 14
+
 # ECM bounds: stage 1 multiplies by every prime power <= _ECM_B1, stage 2
 # catches one more prime in (_ECM_B1, _ECM_B2].  Sized for the 40-55-bit
 # factors that Brent-rho cannot reach within a short pass.
@@ -73,15 +76,14 @@ class FactorBudget:
                  per bound.
     rho_rounds:  number of Brent-rho restarts (distinct polynomial offsets)
                  per composite; the default is one short pass that takes
-                 the small factors trial division left.
-    rho_iters:   iteration cap per rho round.
+                 the small factors trial division left.  Each round
+                 runs at most 2**14 iterations.
     ecm_curves:  ECM curves tried in one `factorize` call, shared by every
                  composite rho could not split (0 disables ECM).
     """
 
     trial_bound: int = 10**6
     rho_rounds: int = 1
-    rho_iters: int = 1 << 14
     ecm_curves: int = 200
 
     def __post_init__(self) -> None:
@@ -89,8 +91,8 @@ class FactorBudget:
             raise ValueError("trial_bound must be at least 2")
         if self.trial_bound > SIEVE_LIMIT:
             raise ValueError(f"trial_bound must be at most {SIEVE_LIMIT} (its primes come from a sieve)")
-        if self.rho_rounds < 0 or self.rho_iters < 1:
-            raise ValueError("rho budget must be non-negative")
+        if self.rho_rounds < 0:
+            raise ValueError("rho_rounds must be non-negative")
         if self.ecm_curves < 0:
             raise ValueError("ecm_curves must be non-negative")
 
@@ -228,7 +230,7 @@ def _brent_rho(n: int, c: int, max_iters: int) -> int:
 
 def _rho_factor(n: int, budget: FactorBudget) -> int:
     for c in range(1, budget.rho_rounds + 1):
-        f = _brent_rho(n, c, budget.rho_iters)
+        f = _brent_rho(n, c, _RHO_ITERS)
         if 1 < f < n:
             return f
     return 1

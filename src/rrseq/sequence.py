@@ -1,21 +1,26 @@
-"""Seed rows and their residue reductions.
+"""Seed rows and the normaliser every entry point runs on its input.
 
-Two row constructions are supported:
+A row is a plain ``tuple[int, ...]``.  Two constructions are supported:
 
 * ``doubling_seed(p, n)`` -- the starting prime followed by successive
-  powers of two: ``[p, 2, 4, ..., 2**(n-1)]``.  This is the row the
+  powers of two: ``(p, 2, 4, ..., 2**(n-1))``.  This is the row the
   modulus search consumes by default.
 * ``power_seed(p, n)`` -- consecutive powers of the starting prime:
-  ``[p, p**2, ..., p**n]``.
+  ``(p, p**2, ..., p**n)``.
 
 Rows are exact integer sequences; no element ever overflows because all
-arithmetic is arbitrary precision.
+arithmetic is arbitrary precision.  Constructed rows are at most
+``MAX_LENGTH`` long: the elements grow to about N bits and the
+autocorrelation takes about N**2 / 2 products of them, so building and
+correlating a doubling row takes 0.47 s at N = 1024 and 4.9 s at
+N = 2048 (one core of a 2-vCPU Xeon VM, Python 3.11), about ten times
+more with each doubling of N.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+import operator
+from typing import Sequence
 
 from .numtheory import is_prime
 
@@ -23,114 +28,53 @@ ROW_DOUBLING = "doubling"
 ROW_POWERS = "powers"
 ROW_KINDS = (ROW_DOUBLING, ROW_POWERS)
 
-
-class DegenerateSequenceError(ValueError):
-    """Raised when a residue reduction leaves nothing but zeros."""
-
-
-@dataclass(frozen=True)
-class SeedOrigin:
-    start_prime: int
-    length: int
-    kind: str
+# Longest row the constructors build (see the module docstring).
+MAX_LENGTH = 2048
 
 
-@dataclass(frozen=True)
-class SeedSequence:
-    """An integer row, optionally tagged with how it was constructed."""
+def as_elements(seq: Sequence[int]) -> tuple[int, ...]:
+    """The row as a tuple of Python ints, at least 2 long.
 
-    elements: tuple[int, ...]
-    origin: SeedOrigin | None = None
-
-    def __post_init__(self) -> None:
-        if len(self.elements) < 1:
-            raise ValueError("sequence must be non-empty")
-
-    def __len__(self) -> int:
-        return len(self.elements)
-
-    def __iter__(self):
-        return iter(self.elements)
-
-    def __getitem__(self, idx):
-        return self.elements[idx]
+    Elements convert with operator.index, so ints, bools and numpy
+    integers pass, while floats and strings raise TypeError instead of
+    being truncated.  A row shorter than 2 raises ValueError.
+    """
+    elems = tuple(map(operator.index, seq))
+    if len(elems) < 2:
+        raise ValueError(f"a row needs at least 2 elements, got {len(elems)}")
+    return elems
 
 
-SequenceLike = Union[SeedSequence, Sequence[int]]
-
-
-def as_elements(seq: SequenceLike) -> tuple[int, ...]:
-    """Normalize a SeedSequence or plain iterable of ints to a tuple."""
-    if isinstance(seq, SeedSequence):
-        return seq.elements
-    return tuple(int(x) for x in seq)
-
-
-@dataclass(frozen=True)
-class ResidueSequence:
-    """A row reduced element-wise modulo a prime."""
-
-    residues: tuple[int, ...]
-    modulus: int
-
-    def __post_init__(self) -> None:
-        if any(not (0 <= r < self.modulus) for r in self.residues):
-            raise ValueError("residues must lie in [0, modulus)")
-        if all(r == 0 for r in self.residues):
-            raise DegenerateSequenceError(
-                "all residues are zero; the reduced row carries no information"
-            )
-
-    def __len__(self) -> int:
-        return len(self.residues)
+def check_length(n: int) -> None:
+    """Raise ValueError unless 2 <= n <= MAX_LENGTH."""
+    if n < 2:
+        raise ValueError(f"row length must be at least 2, got {n}")
+    if n > MAX_LENGTH:
+        raise ValueError(f"row length must be at most {MAX_LENGTH}, got {n}")
 
 
 def _check_seed_args(p: int, n: int) -> None:
-    if n < 2:
-        raise ValueError(f"row length must be at least 2, got {n}")
+    check_length(n)
     if not is_prime(p):
         raise ValueError(f"starting value {p} is not prime")
 
 
-def doubling_seed(p: int, n: int) -> SeedSequence:
+def doubling_seed(p: int, n: int) -> tuple[int, ...]:
     """Row of length n: the prime p followed by 2, 4, ..., 2**(n-1)."""
     _check_seed_args(p, n)
-    elems = (p,) + tuple(1 << j for j in range(1, n))
-    return SeedSequence(elems, SeedOrigin(p, n, ROW_DOUBLING))
+    return (p,) + tuple(1 << j for j in range(1, n))
 
 
-def power_seed(p: int, n: int) -> SeedSequence:
+def power_seed(p: int, n: int) -> tuple[int, ...]:
     """Row of length n: consecutive powers p, p**2, ..., p**n."""
     _check_seed_args(p, n)
-    elems = tuple(p**j for j in range(1, n + 1))
-    return SeedSequence(elems, SeedOrigin(p, n, ROW_POWERS))
+    return tuple(p**j for j in range(1, n + 1))
 
 
-def build_seed(p: int, n: int, kind: str = ROW_DOUBLING) -> SeedSequence:
+def build_seed(p: int, n: int, kind: str = ROW_DOUBLING) -> tuple[int, ...]:
     """Construct a seed row of the given kind ("doubling" or "powers")."""
     if kind == ROW_DOUBLING:
         return doubling_seed(p, n)
     if kind == ROW_POWERS:
         return power_seed(p, n)
     raise ValueError(f"unknown row kind {kind!r}; expected one of {ROW_KINDS}")
-
-
-def rr_residues(seq: SequenceLike, n: int) -> ResidueSequence:
-    """Element-wise reduction of the row modulo n.
-
-    Raises DegenerateSequenceError when every residue is zero (for a
-    constructed row this happens exactly when n equals the row's prime
-    and the row is a pure power row, or n divides every element).
-    """
-    if n < 2:
-        raise ValueError("modulus must be at least 2")
-    elems = as_elements(seq)
-    return ResidueSequence(tuple(e % n for e in elems), n)
-
-
-def cyclic_shift(seq: SequenceLike, k: int) -> SeedSequence:
-    """Rotate the row left by k positions (k taken mod the length)."""
-    elems = as_elements(seq)
-    n = len(elems)
-    k %= n
-    return SeedSequence(elems[k:] + elems[:k])

@@ -63,6 +63,10 @@ def test_autocorr_bad_seq(capsys):
     code, _, err = run(["autocorr", "--seq", "1,x,3"], capsys)
     assert code == 2
     assert "cannot parse" in err
+    for seq in ("5", ","):
+        code, _, err = run(["autocorr", "--seq", seq], capsys)
+        assert code == 2
+        assert "at least 2" in err
 
 
 def test_search_found(capsys):
@@ -266,3 +270,23 @@ def test_sieve_bounds_past_limit_exit_2(argv, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "at most 10000000" in err
+
+
+@pytest.mark.parametrize("length", [2049, 10**9])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seed", "-p", "3"],
+        ["autocorr", "-p", "3"],
+        ["search", "-p", "3"],
+        ["sweep", "--primes-up-to", "100"],
+        ["verify", "-p", "3", "-m", "7"],
+        ["plotdata", "--primes-up-to", "100"],
+    ],
+)
+def test_length_past_limit_exit_2(argv, length, capsys):
+    # refused before any row is built
+    code, out, err = run(argv + ["-n", str(length)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "at most 2048" in err

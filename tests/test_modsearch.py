@@ -53,7 +53,7 @@ def test_incomplete_factorization_status():
     # constant row (2018, 2018): off-peak gcd 2^3 * 1009^2; with the rho
     # stage disabled and trial division stopping at 2, only the prime 2
     # comes out, it fails the peak test, and 1009^2 is left unfactored.
-    budget = FactorBudget(trial_bound=2, rho_rounds=0, rho_iters=1, ecm_curves=0)
+    budget = FactorBudget(trial_bound=2, rho_rounds=0, ecm_curves=0)
     out = find_modulus([2018, 2018], budget=budget)
     assert out.gcd_value == 8 * 1009**2
     assert not out.factorization.complete
@@ -66,7 +66,7 @@ def test_found_beats_incomplete_factorization():
     # gcd = 5 * 1009^2; trial division extracts the valid prime 5, the
     # 1009^2 part stays unfactored.  A usable modulus exists, so the
     # status is Found even though the factorization is partial.
-    budget = FactorBudget(trial_bound=5, rho_rounds=0, rho_iters=1, ecm_curves=0)
+    budget = FactorBudget(trial_bound=5, rho_rounds=0, ecm_curves=0)
     out = find_modulus([1, 2, 1696801], budget=budget)
     assert out.gcd_value == 5 * 1009**2
     assert not out.factorization.complete

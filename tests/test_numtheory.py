@@ -102,7 +102,7 @@ def test_rho_splits_large_semiprime():
 
 
 def test_budget_exhaustion_reports_cofactor():
-    budget = FactorBudget(trial_bound=2, rho_rounds=0, rho_iters=1, ecm_curves=0)
+    budget = FactorBudget(trial_bound=2, rho_rounds=0, ecm_curves=0)
     n = 8 * 1009**2
     f = factorize(n, budget)
     assert f.factors == ((2, 3),)
@@ -119,8 +119,6 @@ def test_budget_validation():
     with pytest.raises(ValueError, match="at most"):
         FactorBudget(trial_bound=10**10)
     assert FactorBudget(trial_bound=SIEVE_LIMIT).trial_bound == SIEVE_LIMIT
-    with pytest.raises(ValueError):
-        FactorBudget(rho_iters=0)
     with pytest.raises(ValueError):
         FactorBudget(rho_rounds=-1)
 

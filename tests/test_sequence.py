@@ -1,36 +1,37 @@
-"""Seed row constructors, residue reduction, cyclic shifts."""
+"""Seed row constructors and the row normaliser."""
 
+import numpy as np
 import pytest
 
+from rrseq.correlation import autocorr_mod
+from rrseq.modsearch import find_modulus, sweep
 from rrseq.sequence import (
+    MAX_LENGTH,
     ROW_DOUBLING,
     ROW_POWERS,
-    DegenerateSequenceError,
-    SeedSequence,
     as_elements,
     build_seed,
-    cyclic_shift,
     doubling_seed,
     power_seed,
-    rr_residues,
 )
+from rrseq.verify import check_rr, gram_check
 
 
 def test_power_seed_elements():
-    assert power_seed(2, 4).elements == (2, 4, 8, 16)
-    assert power_seed(3, 3).elements == (3, 9, 27)
+    assert power_seed(2, 4) == (2, 4, 8, 16)
+    assert power_seed(3, 3) == (3, 9, 27)
 
 
 def test_doubling_seed_elements():
-    assert doubling_seed(2, 4).elements == (2, 2, 4, 8)
-    assert doubling_seed(29, 5).elements == (29, 2, 4, 8, 16)
-    assert doubling_seed(7, 16).elements == (7,) + tuple(2**j for j in range(1, 16))
+    assert doubling_seed(2, 4) == (2, 2, 4, 8)
+    assert doubling_seed(29, 5) == (29, 2, 4, 8, 16)
+    assert doubling_seed(7, 16) == (7,) + tuple(2**j for j in range(1, 16))
 
 
 def test_build_seed_dispatch():
-    assert build_seed(5, 3).elements == doubling_seed(5, 3).elements
-    assert build_seed(5, 3, ROW_POWERS).elements == power_seed(5, 3).elements
-    assert build_seed(5, 3).origin.kind == ROW_DOUBLING
+    assert build_seed(5, 3) == doubling_seed(5, 3)
+    assert build_seed(5, 3, ROW_POWERS) == power_seed(5, 3)
+    assert build_seed(5, 3, ROW_DOUBLING) == (5, 2, 4)
     with pytest.raises(ValueError):
         build_seed(5, 3, "fibonacci")
 
@@ -49,48 +50,43 @@ def test_constructors_reject_short_rows(n):
         doubling_seed(2, n)
 
 
-def test_seed_sequence_container_protocol():
-    s = power_seed(2, 4)
-    assert len(s) == 4
-    assert list(s) == [2, 4, 8, 16]
-    assert s[0] == 2 and s[-1] == 16
-    assert s.origin.start_prime == 2 and s.origin.length == 4
-
-
 def test_as_elements_accepts_plain_sequences():
     assert as_elements([1, 2, 3]) == (1, 2, 3)
     assert as_elements((4, 5)) == (4, 5)
     assert as_elements(power_seed(2, 3)) == (2, 4, 8)
 
 
-def test_rr_residues():
-    r = rr_residues(power_seed(2, 4), 5)
-    assert r.residues == (2, 4, 3, 1)
-    assert r.modulus == 5
-    assert len(r) == 4
+@pytest.mark.parametrize("n", [MAX_LENGTH + 1, 10**9])
+def test_constructors_reject_long_rows(n):
+    # refused before anything is built; never build a row this long
+    for kind in (ROW_DOUBLING, ROW_POWERS):
+        with pytest.raises(ValueError, match=f"at most {MAX_LENGTH}"):
+            build_seed(3, n, kind)
+    with pytest.raises(ValueError, match=f"at most {MAX_LENGTH}"):
+        sweep(n, 10)
 
 
-def test_rr_residues_degenerate():
-    # every element divisible by the modulus
-    with pytest.raises(DegenerateSequenceError):
-        rr_residues([5, 25, 125], 5)
-    with pytest.raises(ValueError):
-        rr_residues([1, 2], 1)
+def test_as_elements_refuses_non_integers():
+    assert as_elements(np.array([3, 2, 1], dtype=np.int64)) == (3, 2, 1)
+    assert all(type(x) is int for x in as_elements(np.arange(4, dtype=np.uint64)))
+    assert as_elements([True, 2]) == (1, 2)
+    for row in (["3", 2, 1], [3, 2.9, 1], np.array([1.0, 2.0])):
+        with pytest.raises(TypeError):
+            as_elements(row)
+    with pytest.raises(TypeError):
+        find_modulus([1.5, 2, 3])
 
 
-def test_cyclic_shift_basics():
-    s = SeedSequence((1, 2, 3, 4))
-    assert cyclic_shift(s, 0).elements == (1, 2, 3, 4)
-    assert cyclic_shift(s, 1).elements == (2, 3, 4, 1)
-    assert cyclic_shift(s, 4).elements == (1, 2, 3, 4)
-    assert cyclic_shift(s, -1).elements == (4, 1, 2, 3)
-
-
-def test_cyclic_shift_composes_additively():
-    s = (3, 1, 4, 1, 5, 9, 2, 6)
-    n = len(s)
-    for k1 in range(-3, 10):
-        for k2 in range(-3, 10):
-            once = cyclic_shift(cyclic_shift(s, k1), k2)
-            combined = cyclic_shift(s, (k1 + k2) % n)
-            assert once.elements == combined.elements
+@pytest.mark.parametrize(
+    "entry",
+    [
+        as_elements,
+        lambda row: autocorr_mod(row, 7),
+        lambda row: check_rr(row, 7),
+        lambda row: gram_check(row, 7),
+    ],
+)
+def test_every_entry_point_refuses_rows_shorter_than_2(entry):
+    for row in ([5], []):
+        with pytest.raises(ValueError, match="at least 2"):
+            entry(row)

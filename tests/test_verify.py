@@ -12,7 +12,6 @@ from rrseq.sequence import build_seed, doubling_seed, power_seed
 from rrseq.verify import (
     _gram_ok,
     _limb_count,
-    check_gram_equiv,
     check_rr,
     enumerate_binary_ideal,
     gram_check,
@@ -106,7 +105,7 @@ def test_gram_exact_path_large_modulus():
     assert gram_check([1, n], n)
     assert check_rr([1, n], n).verified
     assert not gram_check([1, 2, n], n)
-    assert check_gram_equiv([1, 2, n], n)
+    assert gram_check([1, 2, n], n) == check_rr([1, 2, n], n).verified
 
 
 def test_gram_agrees_with_profile_check():
@@ -116,7 +115,7 @@ def test_gram_agrees_with_profile_check():
         size = rng.randrange(2, 8)
         row = [rng.randrange(0, 60) for _ in range(size)]
         n = moduli[rng.randrange(len(moduli))]
-        assert check_gram_equiv(row, n), (row, n)
+        assert gram_check(row, n) == check_rr(row, n).verified, (row, n)
 
 
 def test_verified_rows_pass_gram():
