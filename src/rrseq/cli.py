@@ -28,7 +28,7 @@ from .modsearch import (
     sweep,
 )
 from .numtheory import SIEVE_LIMIT, FactorBudget
-from .sequence import MAX_LENGTH, ROW_DOUBLING, ROW_KINDS, build_seed
+from .sequence import MAX_LENGTH, ROW_DOUBLING, ROW_KINDS, build_seed, check_length
 from .correlation import periodic_autocorr
 from .verify import check_rr, gram_check
 
@@ -123,8 +123,10 @@ def _cmd_seed(args: argparse.Namespace) -> tuple[int, str]:
 
 
 def _parse_seq(text: str) -> tuple[int, ...]:
+    tokens = [tok for tok in text.split(",") if tok.strip()]
+    check_length(len(tokens))  # refused before any entry is converted
     try:
-        return tuple(int(tok) for tok in text.split(",") if tok.strip())
+        return tuple(map(int, tokens))
     except ValueError:
         raise ValueError(f"cannot parse sequence {text!r}; expected comma-separated integers")
 
@@ -296,7 +298,9 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_auto.add_argument("-p", "--prime", type=int)
     p_auto.add_argument("-n", "--length", type=int, help=_LENGTH_HELP)
-    p_auto.add_argument("--seq", help="explicit comma-separated row instead of -p/-n")
+    p_auto.add_argument(
+        "--seq", help=f"explicit comma-separated row instead of -p/-n, at most {MAX_LENGTH} entries"
+    )
     p_auto.set_defaults(func=_cmd_autocorr)
 
     p_search = sub.add_parser(

@@ -7,6 +7,7 @@ prefactor is ever applied.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -37,17 +38,16 @@ class CorrProfile:
 
 
 def profile_values(a: tuple[int, ...]) -> tuple[int, ...]:
-    """C(0..N-1) of a row `as_elements` has already normalised."""
+    """C(0..N-1) of a row `as_elements` has already normalised.
+
+    Lag k pairs the row with its rotation a[k:] + a[:k], so C(k) is
+    sum(map(operator.mul, a, a[k:] + a[:k])): one elementwise product of
+    two tuples, with no per-term index arithmetic.  Only lags 0..N/2 are
+    computed; C(N-k) == C(k) fills in the rest.
+    """
     n = len(a)
-    half = n // 2
-    values = [0] * n
-    values[0] = sum(x * x for x in a)
-    # C(k) == C(n-k): compute the first half, mirror the rest.
-    for k in range(1, half + 1):
-        values[k] = sum(a[j] * a[(j + k) % n] for j in range(n))
-    for k in range(half + 1, n):
-        values[k] = values[n - k]
-    return tuple(values)
+    values = [sum(map(operator.mul, a, a[k:] + a[:k])) for k in range(n // 2 + 1)]
+    return tuple(values + values[(n - 1) // 2 : 0 : -1])
 
 
 def periodic_autocorr(seq: Sequence[int]) -> CorrProfile:

@@ -1,5 +1,13 @@
 """Exact integer utilities: list gcd, primality, budgeted factoring, prime sieve.
 
+`is_prime` is exact below psi_13 ~ 3.3e24.  There it runs Miller-Rabin
+on only as many of the bases 2, 3, 5, ..., 41 as the size of n needs:
+the first k are exact below psi_k, the smallest strong pseudoprime to
+all of them, and `_MR_PREFIXES` lists each bound with its k (Jaeschke,
+Math. Comp. 61, 1993; Jiang & Deng, Math. Comp. 83, 2014; Sorenson &
+Webster, Math. Comp. 86, 2017).  So a prime near 10**5 is tested to 2
+bases instead of all 13.
+
 `factorize` runs trial division, then a short Brent-rho, then Lenstra's
 elliptic-curve method (ECM) on whatever composite is left, and reports
 what no stage split as an explicit cofactor.
@@ -30,10 +38,25 @@ import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-# Deterministic Miller-Rabin witness set: correct for every n below
-# 3,317,044,064,679,887,385,961,981 (> 2^64), per the known verified bounds.
+# Deterministic Miller-Rabin: the first k of these bases are exact for
+# every n below psi_k, the smallest strong pseudoprime to all of them
+# (Jaeschke 1993 up to psi_8; Jiang & Deng 2014 for psi_9 to psi_11;
+# Sorenson & Webster 2017 for psi_12 and psi_13).
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-_MR_DETERMINISTIC_BOUND = 3_317_044_064_679_887_385_961_981
+# (psi_k, k), ascending; a prefix is only listed where it is the shortest
+# one exact below its bound, so psi_8, psi_10 and psi_11 do not appear.
+_MR_PREFIXES = (
+    (2_047, 1),  # psi_1 = 23 * 89
+    (1_373_653, 2),  # psi_2 = 829 * 1657
+    (25_326_001, 3),  # psi_3 = 2251 * 11251
+    (3_215_031_751, 4),  # psi_4 = 151 * 751 * 28351
+    (2_152_302_898_747, 5),  # psi_5 = 6763 * 10627 * 29947
+    (3_474_749_660_383, 6),  # psi_6 = 1303 * 16927 * 157543
+    (341_550_071_728_321, 7),  # psi_7 = psi_8 = 10670053 * 32010157
+    (3_825_123_056_546_413_051, 9),  # psi_9 = psi_10 = psi_11 = 149491 * 747451 * 34233211
+    (318_665_857_834_031_151_167_461, 12),  # psi_12 = 399165290221 * 798330580441
+    (3_317_044_064_679_887_385_961_981, 13),  # psi_13 = 1287836182261 * 2575672364521
+)
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
@@ -179,9 +202,17 @@ def _derived_bases(n: int, count: int) -> list[int]:
 def is_prime(n: int) -> bool:
     """Primality test.
 
-    Deterministic (exact) for all n below ~3.3e24, which covers the full
-    64-bit range.  Above that it falls back to Miller-Rabin with 64
-    rounds of bases derived deterministically from n; the error
+    Deterministic (exact) for all n below psi_13 ~ 3.3e24, which covers
+    the full 64-bit range.  There it runs Miller-Rabin on the shortest
+    prefix of the bases 2, 3, 5, ..., 41 that no composite below the next
+    bound of `_MR_PREFIXES` passes: one base below 2047, four below
+    3.2e9, seven below 3.4e14, nine below 3.8e18.  Each bound psi_k is
+    the smallest strong pseudoprime to the first k prime bases (Jaeschke,
+    *On strong pseudoprimes to several bases*, Math. Comp. 61, 1993;
+    Jiang & Deng, *Strong pseudoprimes to the first eight prime bases*,
+    Math. Comp. 83, 2014; Sorenson & Webster, *Strong pseudoprimes to
+    twelve prime bases*, Math. Comp. 86, 2017).  Above psi_13 it falls back to Miller-Rabin
+    with 64 rounds of bases derived deterministically from n; the error
     probability is below 4**-64 = 2**-128 and identical inputs always
     give identical answers.
     """
@@ -192,8 +223,9 @@ def is_prime(n: int) -> bool:
             return True
         if n % p == 0:
             return False
-    if n < _MR_DETERMINISTIC_BOUND:
-        return _miller_rabin(n, _MR_BASES_64)
+    for bound, k in _MR_PREFIXES:
+        if n < bound:
+            return _miller_rabin(n, _MR_BASES_64[:k])
     return _miller_rabin(n, _derived_bases(n, 64))
 
 

@@ -12,9 +12,9 @@ Rows are exact integer sequences; no element ever overflows because all
 arithmetic is arbitrary precision.  Constructed rows are at most
 ``MAX_LENGTH`` long: the elements grow to about N bits and the
 autocorrelation takes about N**2 / 2 products of them, so building and
-correlating a doubling row takes 0.47 s at N = 1024 and 4.9 s at
-N = 2048 (one core of a 2-vCPU Xeon VM, Python 3.11), about ten times
-more with each doubling of N.
+correlating a doubling row takes 0.31 s at N = 1024 and 4.5 s at
+N = 2048 (best of 3, one core of a 2-vCPU Xeon VM, Python 3.11), more
+than ten times more with each doubling of N.
 """
 
 from __future__ import annotations

@@ -69,6 +69,18 @@ def test_autocorr_bad_seq(capsys):
         assert "at least 2" in err
 
 
+def test_autocorr_seq_past_limit_exit_2(monkeypatch, capsys):
+    # refused before any profile is computed
+    def no_profile(seq):
+        raise AssertionError("profile computed for an over-long --seq row")
+
+    monkeypatch.setattr("rrseq.cli.periodic_autocorr", no_profile)
+    code, out, err = run(["autocorr", "--seq", ",".join(["1"] * 2049)], capsys)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error:") and "at most 2048" in err
+
+
 def test_search_found(capsys):
     code, out, _ = run(["search", "-p", "2", "-n", "16"], capsys)
     assert code == 0

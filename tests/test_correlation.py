@@ -2,10 +2,11 @@
 
 import random
 
+import numpy as np
 import pytest
 
 from rrseq.correlation import autocorr_mod, periodic_autocorr
-from rrseq.sequence import power_seed
+from rrseq.sequence import doubling_seed, power_seed
 
 
 def oracle_autocorr(a):
@@ -40,6 +41,22 @@ def test_matches_oracle_on_random_rows():
         size = rng.randrange(2, 7)
         row = [rng.randrange(-20, 21) for _ in range(size)]
         assert list(periodic_autocorr(row).values) == oracle_autocorr(row), row
+
+
+@pytest.mark.parametrize("size", [2, 3, 15, 16, 24, 128])
+def test_matches_oracle_at_paper_and_bench_lengths(size):
+    rng = random.Random(size)
+    rows = [
+        doubling_seed(3, size),
+        power_seed(5, size),
+        [rng.randrange(-(2**70), 2**70) for _ in range(size)],
+        np.array([rng.randrange(-1000, 1000) for _ in range(size)], dtype=np.int64),
+    ]
+    for row in rows:
+        expected = oracle_autocorr([int(x) for x in row])
+        values = periodic_autocorr(row).values
+        assert list(values) == expected
+        assert all(type(v) is int for v in values)
 
 
 def test_symmetry():

@@ -6,11 +6,15 @@ import pytest
 
 from rrseq import build_seed, find_modulus, sweep
 from rrseq.numtheory import (
+    _MR_BASES_64,
+    _MR_PREFIXES,
+    _SMALL_PRIMES,
     _WHEEL_CUTOFF,
     SIEVE_LIMIT,
     FactorBudget,
     Factorization,
     _last_candidate,
+    _miller_rabin,
     _trial_chunks,
     factorize,
     gcd_many,
@@ -43,9 +47,46 @@ def test_gcd_divides_every_value():
 
 
 def test_is_prime_matches_sieve():
-    sieve = set(primes_up_to(2000))
-    for n in range(-5, 2001):
+    sieve = set(primes_up_to(10**5))
+    for n in range(-5, 10**5 + 1):
         assert is_prime(n) == (n in sieve), n
+
+
+def _mr_sample(lo, hi, count, rng):
+    """count random odd n in [lo, hi) with no factor among _SMALL_PRIMES,
+    so each reaches Miller-Rabin."""
+    out = []
+    while len(out) < count:
+        n = rng.randrange(lo, hi) | 1
+        if lo <= n < hi and all(n % p for p in _SMALL_PRIMES):
+            out.append(n)
+    return out
+
+
+MR_IDS = [f"k={k}" for _, k in _MR_PREFIXES]
+# Every bound psi_k between the previous bound and the next, which is
+# 4 * psi_13 above the last: the prefix's range and the range after it.
+_MR_EDGES = (_SMALL_PRIMES[-1] + 1,) + tuple(b for b, _ in _MR_PREFIXES) + (4 * _MR_PREFIXES[-1][0],)
+MR_RANGES = [_MR_EDGES[i : i + 3] for i in range(len(_MR_PREFIXES))]
+
+
+@pytest.mark.parametrize("bound,k", _MR_PREFIXES, ids=MR_IDS)
+def test_mr_base_table_bound_is_strong_pseudoprime(bound, k):
+    # psi_k fools its own prefix, so the prefix is cut off there.
+    assert _miller_rabin(bound, _MR_BASES_64[:k])
+    assert not is_prime(bound)
+
+
+@pytest.mark.parametrize("lo,bound,hi", MR_RANGES, ids=MR_IDS)
+def test_mr_base_table_matches_all_bases(lo, bound, hi):
+    rng = random.Random(bound)
+    sample = _mr_sample(lo, bound, 1000, rng) + _mr_sample(bound, hi, 1000, rng)
+    for n in sample:
+        assert is_prime(n) == _miller_rabin(n, _MR_BASES_64), n
+    assert any(map(is_prime, sample))
+    sympy = pytest.importorskip("sympy")
+    for n in sample:
+        assert is_prime(n) == sympy.isprime(n), n
 
 
 @pytest.mark.parametrize("n", [561, 1105, 1729, 41041, 825265, 321197185])
@@ -141,6 +182,7 @@ ECM_SEMIPRIMES = (
 )
 
 
+@pytest.mark.slow
 def test_ecm_matches_sympy_factorint():
     sympy = pytest.importorskip("sympy")
     for n in ECM_SEMIPRIMES:

@@ -10,6 +10,7 @@ import pytest
 from rrseq.modsearch import find_modulus
 from rrseq.sequence import build_seed, doubling_seed, power_seed
 from rrseq.verify import (
+    _circulant_index,
     _gram_ok,
     _limb_count,
     check_rr,
@@ -177,6 +178,40 @@ def test_gram_matches_exact_oracle():
         c = rng.randrange(1, n)
         assert _agree_with_oracle([c * e % n for e in build_seed(p, 128)], n, rng)
     assert limbs_seen == set(range(1, 9))
+
+
+def test_gram_check_returns_python_bool():
+    # callers may test `gram_check(...) is True`, so never a numpy bool
+    row = build_seed(2, 16)
+    multi = build_seed(2, 128)
+    m = find_modulus(multi).canonical
+    assert _limb_count(16, 331) == 1 and _limb_count(128, m) > 1
+    for seq, n, expected in ((row, 331, True), (row, 7, False), (multi, m, True), (multi, 2**61 - 1, False)):
+        verdict = gram_check(seq, n)
+        assert type(verdict) is bool and verdict is expected
+    assert type(gram_check([7, 7], 7)) is bool  # zero peak
+
+
+def test_circulant_index_is_cached_read_only():
+    idx = _circulant_index(5)
+    assert idx is _circulant_index(5)
+    assert idx.tolist()[1] == [1, 2, 3, 4, 0]
+    with pytest.raises(ValueError):
+        idx[0, 0] = 1
+    assert _circulant_index(5).tolist()[0] == [0, 1, 2, 3, 4]
+
+
+def test_gram_matches_exact_oracle_at_odd_sizes():
+    rng = random.Random(11)
+    for size in (3, 5, 7, 15, 17, 31):
+        for n in (3, 19, 331, 2**31 - 1, 2**61 - 1):
+            c = rng.randrange(1, n)
+            assert _agree_with_oracle([c] + [0] * (size - 1), n, rng)
+            for _ in range(5):
+                _agree_with_oracle([rng.randrange(n) for _ in range(size)], n, rng)
+    # doubling rows of length 15 that pass, from the reference table
+    for p, m in ((29, 19), (2, 113), (7, 83)):
+        assert _agree_with_oracle([e % m for e in build_seed(p, 15)], m, rng)
 
 
 def test_gram_check_refuses_rows_past_exactness_bound():
