@@ -124,7 +124,8 @@ def _cmd_seed(args: argparse.Namespace) -> tuple[int, str]:
 
 def _parse_seq(text: str) -> tuple[int, ...]:
     tokens = [tok for tok in text.split(",") if tok.strip()]
-    check_length(len(tokens))  # refused before any entry is converted
+    if len(tokens) > MAX_LENGTH:
+        check_length(len(tokens))  # refused before any entry is converted
     try:
         return tuple(map(int, tokens))
     except ValueError:

@@ -11,10 +11,9 @@ while every partial sum stays below 2**53.  Residues too large for one
 such product are split into 16-bit limbs; each limb pair's product then
 stays below N * (2**16 - 1)**2 < 2**53, which holds for every N < 2**21,
 and the products are summed into base-2**16 digits with int64 carries.
-Rows of 2**21 or more elements are refused with ValueError.  The
-(i + j) % N index that gathers a row into its circulant depends on N
-alone, so it is built once per length and kept, read-only, in a small
-cache of the last 4 lengths; no row's result is ever cached.
+Rows of 2**21 or more elements are refused with ValueError.  Each
+circulant is read out of the row written twice over, as a strided view
+copied into one contiguous array; nothing outlives the call.
 
 `enumerate_binary_ideal` exhaustively lists every binary row of a given
 length whose mod-2 correlation is two-valued (peak 1, off-peak 0); the
@@ -23,7 +22,6 @@ search itself is `scan_masks`, a popcount filter over all 2**n masks.
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 from itertools import repeat
 from typing import Sequence
@@ -97,33 +95,30 @@ def _limb_count(size: int, n: int) -> int:
     return -(-(n - 1).bit_length() // _LIMB_BITS)
 
 
-@functools.lru_cache(maxsize=4)
-def _circulant_index(size: int) -> np.ndarray:
-    """The (i + j) % size index that gathers a row into its circulant.
-
-    Shared by every call at this size, so it is read-only.
-    """
-    idx = (np.arange(size)[:, None] + np.arange(size)[None, :]) % size
-    idx.flags.writeable = False
-    return idx
+def _circulant(col: np.ndarray) -> np.ndarray:
+    """The size x size circulant of a 1-D float64 array: entry (i, j) is
+    col[(i + j) % size].  Row i is the length-size window at offset i of
+    col followed by col[:-1]; the copy makes it contiguous for BLAS."""
+    size = len(col)
+    ext = np.concatenate((col, col[:-1]))
+    return np.ndarray((size, size), np.float64, ext, 0, (ext.itemsize, ext.itemsize)).copy()
 
 
 def _gram_ok(residues: tuple[int, ...], n: int, peak: int) -> bool:
     """True iff circ(residues) @ circ(residues).T is peak * I mod n, with
     every one of the size**2 entries formed as an exact integer."""
     size = len(residues)
-    idx = _circulant_index(size)
     limbs = _limb_count(size, n)
     if limbs == 1:
         # The float64 product of the residues is the exact Gram matrix.
-        circ = np.array(residues, dtype=np.float64)[idx]
+        circ = _circulant(np.array(residues, dtype=np.float64))
         gram = (circ @ circ.T).astype(np.int64) % n
         # peak * I: every diagonal entry is peak and nothing else is nonzero.
         return bool((gram.diagonal() == peak).all() and np.count_nonzero(gram) == (size if peak else 0))
 
     raw = b"".join(r.to_bytes(2 * limbs, "little") for r in residues)
     limb_rows = np.frombuffer(raw, dtype="<u2").reshape(size, limbs)
-    circs = [limb_rows[:, a].astype(np.float64)[idx] for a in range(limbs)]
+    circs = [_circulant(limb_rows[:, a].astype(np.float64)) for a in range(limbs)]
     # Entries are below size * n**2 < 2**(32 * limbs + 21): 2 * limbs + 2 digits.
     ndigits = 2 * limbs + 2
     digits = np.empty((size, size, ndigits), dtype="<u2")

@@ -60,9 +60,10 @@ def test_autocorr_needs_exactly_one_source(capsys):
 
 
 def test_autocorr_bad_seq(capsys):
-    code, _, err = run(["autocorr", "--seq", "1,x,3"], capsys)
-    assert code == 2
-    assert "cannot parse" in err
+    for seq in ("1,x,3", "abc"):
+        code, _, err = run(["autocorr", "--seq", seq], capsys)
+        assert code == 2
+        assert "cannot parse" in err
     for seq in ("5", ","):
         code, _, err = run(["autocorr", "--seq", seq], capsys)
         assert code == 2

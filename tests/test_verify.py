@@ -10,7 +10,6 @@ import pytest
 from rrseq.modsearch import find_modulus
 from rrseq.sequence import build_seed, doubling_seed, power_seed
 from rrseq.verify import (
-    _circulant_index,
     _gram_ok,
     _limb_count,
     check_rr,
@@ -190,15 +189,6 @@ def test_gram_check_returns_python_bool():
         verdict = gram_check(seq, n)
         assert type(verdict) is bool and verdict is expected
     assert type(gram_check([7, 7], 7)) is bool  # zero peak
-
-
-def test_circulant_index_is_cached_read_only():
-    idx = _circulant_index(5)
-    assert idx is _circulant_index(5)
-    assert idx.tolist()[1] == [1, 2, 3, 4, 0]
-    with pytest.raises(ValueError):
-        idx[0, 0] = 1
-    assert _circulant_index(5).tolist()[0] == [0, 1, 2, 3, 4]
 
 
 def test_gram_matches_exact_oracle_at_odd_sizes():
