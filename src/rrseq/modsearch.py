@@ -1,22 +1,47 @@
 """Prime modulus search for seed rows.
 
-Pipeline per row: compute the exact off-peak autocorrelation values,
-take their gcd, factor it within budget, and keep the prime factors
-whose peak residue C(0) mod q is nonzero.  Those primes are exactly the
-moduli that make the row's correlation two-valued: q dividing the gcd
-forces every off-peak value to 0 mod q, and the peak condition keeps
-the sequence itself from vanishing.
+Pipeline per row: find the peak C(0) and the gcd of the off-peak
+autocorrelation values, factor the gcd within budget, and keep the
+prime factors whose peak residue C(0) mod q is nonzero.  Those primes
+are exactly the moduli that make the row's correlation two-valued: q
+dividing the gcd forces every off-peak value to 0 mod q, and the peak
+condition keeps the sequence itself from vanishing.
+
+A doubling row (p, 2, 4, ..., 2**(N-1)) needs no profile.  For
+1 <= k <= N - 1 its off-peak value is
+
+    C(k) = (2**k + 2**(N-k)) * M / 3,    M = 3p + 2**N - 4.
+
+Proof: the two products that hold p are p * a(k) = p * 2**k and
+a(N-k) * p = 2**(N-k) * p.  The rest are two geometric series, the pairs
+2**j * 2**(j+k) for 1 <= j < N - k and the wrapped pairs
+2**j * 2**(j+k-N) for N - k < j < N; they sum to
+(2**(2N-k) - 2**(k+2) + 2**(N+k) - 2**(N-k+2)) / 3, which is
+(2**k + 2**(N-k)) * (2**N - 4) / 3.  In the same way the peak is
+C(0) = p**2 + (4**N - 4) / 3.
+
+So the off-peak gcd is |M| * h_N / 3, with h_N the gcd of
+2**k + 2**(N-k) over 1 <= k <= N/2: 4 at N = 2, 6 for odd N and 2 for
+even N >= 4.  (For N >= 3 the k = 1 term 2 + 2**(N-1) has exactly one
+factor 2.  For N >= 5 an odd common divisor of the k = 1 and k = 2
+terms divides (1 + 2**(N-2)) - (1 + 2**(N-4)) = 3 * 2**(N-4), so it is
+1 or 3, and 3 divides every term iff k and N - k differ in parity, that
+is iff N is odd; N = 3 and N = 4 give 6 and 2 directly.)  The gcd is an
+integer because 3 | M for even N, and M = 0 makes every off-peak value
+zero.  So a doubling row's search front end is O(N) integer operations
+instead of the N**2 / 2 products of the profile.
 """
 
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from typing import Sequence
 
 from .correlation import profile_values
-from .numtheory import DEFAULT_BUDGET, FactorBudget, Factorization, factorize, gcd_many, primes_up_to
-from .sequence import ROW_DOUBLING, as_elements, build_seed, check_length
+from .numtheory import DEFAULT_BUDGET, FactorBudget, Factorization, factorize, primes_up_to
+from .sequence import ROW_DOUBLING, _is_doubling, as_elements, build_seed, check_length
 
 
 class SelectionPolicy(enum.Enum):
@@ -85,6 +110,15 @@ def _select_canonical(valid: tuple[int, ...], policy: SelectionPolicy) -> int | 
     return None  # ALL: report the full set, no single pick
 
 
+def _doubling_peak_gcd(p: int, n: int) -> tuple[int, int]:
+    """C(0) and the off-peak gcd of the doubling row (p, 2, ..., 2**(n-1)),
+    from the identities in the module docstring; the gcd is 0 iff every
+    off-peak value is."""
+    m = 3 * p + (1 << n) - 4
+    h = 4 if n == 2 else 6 if n % 2 else 2
+    return p * p + ((1 << 2 * n) - 4) // 3, abs(m) * h // 3
+
+
 def find_modulus(
     seq: Sequence[int],
     policy: SelectionPolicy = SelectionPolicy.LARGEST,
@@ -104,16 +138,28 @@ def find_modulus(
       NO_VALID_MODULUS          -- complete factorization, every prime
                                    factor kills the peak.
 
+    A doubling row (p, 2, 4, ..., 2**(N-1)), of any integer p, is told
+    from the row itself.  Its peak is C(0) = p**2 + (4**N - 4) / 3 and its
+    off-peak gcd is |3p + 2**N - 4| * h_N / 3 (h_N = 4 at N = 2, 6 for odd
+    N, 2 otherwise), because C(k) = (2**k + 2**(N-k)) * (3p + 2**N - 4) / 3:
+    the p terms give p * (2**k + 2**(N-k)), and the rest are two geometric
+    series summing to (2**k + 2**(N-k)) * (2**N - 4) / 3.  Every other row
+    gets its exact profile, and the gcd of C(1..N/2), which repeat as
+    C(N-k) == C(k).  Both give the same outcome.
+
     Deterministic for fixed inputs.
     """
-    values = profile_values(as_elements(seq))
-    offpeak = [v for v in values[1:] if v != 0]
-    if not offpeak:
+    elems = as_elements(seq)
+    if _is_doubling(elems):
+        peak, g = _doubling_peak_gcd(elems[0], len(elems))
+    else:
+        values = profile_values(elems)
+        peak, g = values[0], math.gcd(*values[1 : len(elems) // 2 + 1])
+    if g == 0:
         raise ValueError(
             "every off-peak correlation is zero; the row is two-valued over "
             "the integers and the gcd step does not apply"
         )
-    g = gcd_many(abs(v) for v in offpeak)
     if g == 1:
         return ModulusSearchOutcome(
             gcd_value=1,
@@ -122,7 +168,6 @@ def find_modulus(
             status=SearchStatus.NO_SEQUENCE,
         )
     fact = factorize(g, budget)
-    peak = values[0]
     candidates = tuple(
         CandidateModulus(q=q, peak_residue=peak % q) for q in fact.distinct_primes()
     )

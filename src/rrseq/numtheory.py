@@ -27,7 +27,10 @@ because a sieve to B takes B bytes.
 Everything here works on arbitrary-precision Python ints and is purely
 functional, so concurrent use needs no locking.  The ECM tables and the
 chunk products of each trial bound are built on the first call that
-needs them and then only read.
+needs them and then only read.  `is_prime` remembers its last
+_PRIME_MEMO_SIZE answers in a thread-safe LRU cache, enough to carry a
+modulus from the search that found it to the two certificates that
+re-check it.
 """
 
 from __future__ import annotations
@@ -59,6 +62,10 @@ _MR_PREFIXES = (
 )
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
+
+# Answers `is_prime` keeps, least recently used out first: one row's
+# starting prime, the pieces its factoring tests and its modulus.
+_PRIME_MEMO_SIZE = 8
 
 # Trial division divides by each wheel candidate in turn up to
 # _WHEEL_CUTOFF, which is where every remainder below ~2**28 stops (at
@@ -199,6 +206,7 @@ def _derived_bases(n: int, count: int) -> list[int]:
     return bases
 
 
+@functools.lru_cache(maxsize=_PRIME_MEMO_SIZE, typed=True)
 def is_prime(n: int) -> bool:
     """Primality test.
 
@@ -214,7 +222,8 @@ def is_prime(n: int) -> bool:
     twelve prime bases*, Math. Comp. 86, 2017).  Above psi_13 it falls back to Miller-Rabin
     with 64 rounds of bases derived deterministically from n; the error
     probability is below 4**-64 = 2**-128 and identical inputs always
-    give identical answers.
+    give identical answers.  The last _PRIME_MEMO_SIZE (8) answers are
+    remembered, keyed by value and type (`is_prime.cache_info()`).
     """
     if n < 2:
         return False

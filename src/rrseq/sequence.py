@@ -10,15 +10,22 @@ A row is a plain ``tuple[int, ...]``.  Two constructions are supported:
 
 Rows are exact integer sequences; no element ever overflows because all
 arithmetic is arbitrary precision.  Constructed rows are at most
-``MAX_LENGTH`` long: the elements grow to about N bits and the
-autocorrelation takes about N**2 / 2 products of them, so building and
-correlating a doubling row takes 0.31 s at N = 1024 and 4.5 s at
-N = 2048 (best of 3, one core of a 2-vCPU Xeon VM, Python 3.11), more
-than ten times more with each doubling of N.
+``MAX_LENGTH`` long: the elements grow to about N bits and the full
+autocorrelation takes about N**2 / 2 products of them, so `autocorr`,
+`check_rr` and `gram_check` on a doubling row take 0.31 s at N = 1024
+and 4.5 s at N = 2048 (best of 3, one core of a 2-vCPU Xeon VM,
+Python 3.11), more than ten times more with each doubling of N.  The
+modulus search does not pay that: it recognises a doubling row and
+reads its peak and off-peak gcd from a closed form in O(N).
+
+Every length-N doubling row shares the tail ``(2, 4, ..., 2**(N-1))``.
+`doubling_seed` and the recogniser take it from one cache of the last
+few lengths used, so a sweep builds it once.
 """
 
 from __future__ import annotations
 
+import functools
 import operator
 from typing import Sequence
 
@@ -30,6 +37,9 @@ ROW_KINDS = (ROW_DOUBLING, ROW_POWERS)
 
 # Longest row the constructors build (see the module docstring).
 MAX_LENGTH = 2048
+
+# Lengths whose doubling tail is cached; a sweep uses one length.
+_TAIL_CACHE_SIZE = 4
 
 
 def as_elements(seq: Sequence[int]) -> tuple[int, ...]:
@@ -59,10 +69,27 @@ def _check_seed_args(p: int, n: int) -> None:
         raise ValueError(f"starting value {p} is not prime")
 
 
+@functools.lru_cache(maxsize=_TAIL_CACHE_SIZE)
+def _doubling_tail(n: int) -> tuple[int, ...]:
+    """(2, 4, ..., 2**(n-1)): a length-n doubling row after its first element."""
+    return tuple(1 << j for j in range(1, n))
+
+
+def _is_doubling(elems: tuple[int, ...]) -> bool:
+    """True iff a normalised row is (x, 2, 4, ..., 2**(N-1)) for some x.
+
+    The first element is not checked, so it may be any integer.  Rows
+    longer than MAX_LENGTH are never recognised, so no caller can make
+    the cache hold a tail of more than MAX_LENGTH elements.
+    """
+    n = len(elems)
+    return elems[1] == 2 and n <= MAX_LENGTH and elems[1:] == _doubling_tail(n)
+
+
 def doubling_seed(p: int, n: int) -> tuple[int, ...]:
     """Row of length n: the prime p followed by 2, 4, ..., 2**(n-1)."""
     _check_seed_args(p, n)
-    return (p,) + tuple(1 << j for j in range(1, n))
+    return (p,) + _doubling_tail(n)
 
 
 def power_seed(p: int, n: int) -> tuple[int, ...]:

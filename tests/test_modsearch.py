@@ -1,17 +1,114 @@
 """Modulus search pipeline: gcd, factor, peak test, policy, statuses."""
 
+import math
+
+import numpy as np
 import pytest
 
+import rrseq.modsearch
 from rrseq.modsearch import (
+    CandidateModulus,
+    ModulusSearchOutcome,
     SearchStatus,
     SelectionPolicy,
     find_modulus,
     search_prime,
     sweep,
 )
-from rrseq.numtheory import FactorBudget
+from rrseq.numtheory import DEFAULT_BUDGET, FactorBudget, Factorization, factorize
 from rrseq.sequence import ROW_POWERS, power_seed
 from rrseq.verify import check_rr, gram_check
+
+# Trial division only: the front end is what these tests compare, and
+# rows past N = 40 would otherwise spend seconds in rho and ECM.
+TRIAL_ONLY = FactorBudget(trial_bound=10**4, rho_rounds=0, ecm_curves=0)
+
+
+def oracle_outcome(row, budget):
+    """The search outcome from a brute-force profile and the gcd of all
+    N - 1 off-peak values; None when every off-peak value is zero."""
+    size = len(row)
+    values = [sum(row[j] * row[(j + k) % size] for j in range(size)) for k in range(size)]
+    g = math.gcd(*(abs(v) for v in values[1:]))
+    if g == 0:
+        return None
+    if g == 1:
+        return ModulusSearchOutcome(1, Factorization(1, ()), (), SearchStatus.NO_SEQUENCE)
+    fact = factorize(g, budget)
+    candidates = tuple(CandidateModulus(q, values[0] % q) for q in fact.distinct_primes())
+    valid = [c.q for c in candidates if c.peak_residue]
+    if valid:
+        return ModulusSearchOutcome(g, fact, candidates, SearchStatus.FOUND, max(valid))
+    status = SearchStatus.NO_VALID_MODULUS if fact.complete else SearchStatus.INCOMPLETE_FACTORIZATION
+    return ModulusSearchOutcome(g, fact, candidates, status)
+
+
+def doubling_row(p, n):
+    return (p,) + tuple(2**j for j in range(1, n))
+
+
+@pytest.fixture
+def profile_calls(monkeypatch):
+    """Count find_modulus's calls of the exact profile."""
+    calls = []
+    real = rrseq.modsearch.profile_values
+
+    def spy(elems):
+        calls.append(len(elems))
+        return real(elems)
+
+    monkeypatch.setattr(rrseq.modsearch, "profile_values", spy)
+    return calls
+
+
+def _starting_values(n):
+    """Primes, 1, 0 and negatives; for even N also the p with
+    3p + 2**N - 4 = 0, whose off-peak values all vanish."""
+    ps = [2, 3, 50021, 1, 0, -1, -2, -50021]
+    if n % 2 == 0:
+        ps.append((4 - 2**n) // 3)
+    return ps
+
+
+@pytest.mark.parametrize("n", [*range(2, 41), 64, 128])
+def test_doubling_closed_form_matches_oracle(n, profile_calls):
+    budget = DEFAULT_BUDGET if n <= 40 else TRIAL_ONLY
+    for p in _starting_values(n):
+        row = doubling_row(p, n)
+        want = oracle_outcome(row, budget)
+        if want is None:
+            with pytest.raises(ValueError, match="every off-peak correlation is zero"):
+                find_modulus(row, budget=budget)
+        else:
+            assert find_modulus(row, budget=budget) == want, (n, p)
+    assert profile_calls == []  # every row took the closed form
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("n", [256, 512])
+def test_doubling_closed_form_matches_oracle_long_rows(n, profile_calls):
+    for p in (3, 1, -7):
+        row = doubling_row(p, n)
+        assert find_modulus(row, budget=TRIAL_ONLY) == oracle_outcome(row, TRIAL_ONLY), (n, p)
+    assert profile_calls == []
+
+
+def test_numpy_int64_doubling_row_takes_closed_form(profile_calls):
+    for n in (16, 40):
+        row = np.array(doubling_row(50021, n), dtype=np.int64)
+        out = find_modulus(row)
+        assert out == oracle_outcome(doubling_row(50021, n), DEFAULT_BUDGET)
+        assert out == find_modulus(doubling_row(50021, n))
+    assert profile_calls == []
+
+
+@pytest.mark.parametrize("n", [2, 3, 4, 16, 17, 64])
+def test_changed_tail_takes_generic_path(n, profile_calls):
+    for j in range(1, n):
+        row = list(doubling_row(50021, n))
+        row[j] += 1
+        assert find_modulus(row, budget=TRIAL_ONLY) == oracle_outcome(row, TRIAL_ONLY), (n, j)
+    assert profile_calls == [n] * (n - 1)
 
 
 def test_hand_oracle_failure_case():

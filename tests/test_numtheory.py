@@ -4,7 +4,7 @@ import random
 
 import pytest
 
-from rrseq import build_seed, find_modulus, sweep
+from rrseq import build_seed, check_rr, find_modulus, gram_check, sweep
 from rrseq.numtheory import (
     _MR_BASES_64,
     _MR_PREFIXES,
@@ -50,6 +50,24 @@ def test_is_prime_matches_sieve():
     sieve = set(primes_up_to(10**5))
     for n in range(-5, 10**5 + 1):
         assert is_prime(n) == (n in sieve), n
+
+
+def test_is_prime_memo_is_bounded():
+    maxsize = is_prime.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 16
+    for n in range(10**4, 10**4 + 200):
+        is_prime(n)
+    assert is_prime.cache_info().currsize <= maxsize
+
+
+def test_is_prime_memo_carries_the_modulus_into_both_certificates():
+    # factorize tests q when it is what trial division leaves, and then
+    # check_rr and gram_check each find it in the memo.
+    row = build_seed(50021, 16)
+    q = find_modulus(row).canonical
+    hits = is_prime.cache_info().hits
+    assert check_rr(row, q).verified and gram_check(row, q)
+    assert is_prime.cache_info().hits - hits == 2
 
 
 def _mr_sample(lo, hi, count, rng):

@@ -9,6 +9,8 @@ from rrseq.sequence import (
     MAX_LENGTH,
     ROW_DOUBLING,
     ROW_POWERS,
+    _doubling_tail,
+    _is_doubling,
     as_elements,
     build_seed,
     doubling_seed,
@@ -26,6 +28,27 @@ def test_doubling_seed_elements():
     assert doubling_seed(2, 4) == (2, 2, 4, 8)
     assert doubling_seed(29, 5) == (29, 2, 4, 8, 16)
     assert doubling_seed(7, 16) == (7,) + tuple(2**j for j in range(1, 16))
+
+
+def test_doubling_tail_cache_is_bounded():
+    maxsize = _doubling_tail.cache_info().maxsize
+    assert maxsize is not None and maxsize <= 8
+    for n in range(2, 40):
+        row = doubling_seed(3, n)
+        assert row == (3,) + tuple(2**j for j in range(1, n))
+        assert _is_doubling(row)
+    assert _doubling_tail.cache_info().currsize <= maxsize
+
+
+def test_recogniser_reads_only_the_tail():
+    assert _is_doubling((-5, 2)) and _is_doubling((0, 2, 4, 8))
+    assert not _is_doubling((3, 4, 8, 16)) and not _is_doubling((3, 2, 4, 9))
+    # Past MAX_LENGTH the row is not recognised and no tail is built.
+    row = (3,) + tuple(2**j for j in range(1, MAX_LENGTH + 1))
+    before = _doubling_tail.cache_info()
+    assert not _is_doubling(row)
+    assert _doubling_tail.cache_info() == before
+    assert _is_doubling(row[:MAX_LENGTH])
 
 
 def test_build_seed_dispatch():
