@@ -63,9 +63,12 @@ _MR_PREFIXES = (
 
 _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
-# Answers `is_prime` keeps, least recently used out first: one row's
-# starting prime, the pieces its factoring tests and its modulus.
-_PRIME_MEMO_SIZE = 8
+# Answers `is_prime` keeps, least recently used out first.  A certified
+# row's modulus is found again by both certificates when `factorize` tested
+# at most this many distinct pieces from the modulus on: 1 for every
+# doubling row at N = 16 (p <= 3000) and N = 24 (p <= 1000), at most 2 at
+# N = 64 (p <= 200) and at most 4 at N = 128 (p <= 400).
+_PRIME_MEMO_SIZE = 4
 
 # Trial division divides by each wheel candidate in turn up to
 # _WHEEL_CUTOFF, which is where every remainder below ~2**28 stops (at
@@ -222,7 +225,7 @@ def is_prime(n: int) -> bool:
     twelve prime bases*, Math. Comp. 86, 2017).  Above psi_13 it falls back to Miller-Rabin
     with 64 rounds of bases derived deterministically from n; the error
     probability is below 4**-64 = 2**-128 and identical inputs always
-    give identical answers.  The last _PRIME_MEMO_SIZE (8) answers are
+    give identical answers.  The last _PRIME_MEMO_SIZE (4) answers are
     remembered, keyed by value and type (`is_prime.cache_info()`).
     """
     if n < 2:

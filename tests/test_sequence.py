@@ -43,6 +43,7 @@ def test_doubling_tail_cache_is_bounded():
 def test_recogniser_reads_only_the_tail():
     assert _is_doubling((-5, 2)) and _is_doubling((0, 2, 4, 8))
     assert not _is_doubling((3, 4, 8, 16)) and not _is_doubling((3, 2, 4, 9))
+    assert not _is_doubling((3, 2, 4, 8, 16, 31))
     # Past MAX_LENGTH the row is not recognised and no tail is built.
     row = (3,) + tuple(2**j for j in range(1, MAX_LENGTH + 1))
     before = _doubling_tail.cache_info()
