@@ -1,11 +1,17 @@
 """Command-line driver.
 
-Subcommands: seed, autocorr, search, sweep, verify, plotdata.  Output is
-CSV (default) or JSON, to stdout or --out, and is byte-identical across
-runs for a fixed invocation: rows are emitted in ascending prime order,
-integers as exact decimals (JSON carries them as strings to survive
-tools that parse numbers as doubles), lines end with "\\n", and nothing
-time- or host-dependent is written.
+Subcommands: seed, autocorr, search, sweep, verify, plotdata.  Each takes
+--format, --out and --row; search, sweep and plotdata, which factor,
+also take --policy and --trial-bound.
+
+Each subcommand returns an exit code and its records, dicts (or, for
+seed and autocorr, a bare value list) holding only JSON-typed values,
+and `_render` alone turns them into CSV (default) or JSON, to stdout or
+--out.  Output is byte-identical across runs for a fixed invocation:
+rows are emitted in ascending prime order, integers as exact decimals
+(JSON carries them as strings to survive tools that parse numbers as
+doubles), lines end with "\\n", and nothing time- or host-dependent is
+written.
 
 Exit codes: 0 success/Found; 1 negative result (no valid modulus, or
 verification failed); 2 usage or domain error; 3 incomplete
@@ -19,14 +25,7 @@ import json
 import sys
 from pathlib import Path
 
-from .modsearch import (
-    ModulusSearchOutcome,
-    SearchStatus,
-    SelectionPolicy,
-    SweepRow,
-    search_prime,
-    sweep,
-)
+from .modsearch import SearchStatus, SelectionPolicy, SweepRow, search_prime, sweep
 from .numtheory import SIEVE_LIMIT, FactorBudget
 from .sequence import MAX_LENGTH, ROW_DOUBLING, ROW_KINDS, build_seed, check_length
 from .correlation import periodic_autocorr
@@ -39,59 +38,52 @@ _STATUS_EXIT = {
     SearchStatus.INCOMPLETE_FACTORIZATION: 3,
 }
 
-SWEEP_HEADER = (
-    "index,start_prime,length,gcd,status,"
-    "canonical_modulus,valid_candidates,all_candidates,efficient"
+_SWEEP_FIELDS = (
+    "index", "start_prime", "length", "gcd", "status",
+    "canonical_modulus", "valid_candidates", "all_candidates", "efficient",
 )
+_SEARCH_FIELDS = (
+    "start_prime", "length", "gcd", "factorization", "cofactor", "status",
+    "canonical_modulus", "valid_candidates", "all_candidates", "efficient",
+)
+_SEARCH_KEYS = (
+    "start_prime", "length", "row", "gcd", "factors", "cofactor", "status",
+    "canonical_modulus", "candidates", "efficient",
+)
+_VERIFY_FIELDS = ("start_prime", "length", "modulus", "peak", "offpeak_ok", "verified", "gram_ok")
+_PLOT_FIELDS = ("start_prime", "canonical_modulus")
 
 
-def _bool_text(flag: bool) -> str:
-    return "true" if flag else "false"
+def _cell(value) -> str:
+    """One CSV cell: true/false for a bool, empty for None, a list of
+    strings joined with ';'."""
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    if value is None:
+        return ""
+    if isinstance(value, list):
+        return ";".join(value)
+    return str(value)
 
 
-def _join(values) -> str:
-    return ";".join(str(v) for v in values)
+def _render(records, fmt: str, fields: tuple[str, ...] | None, keys: tuple[str, ...] | None) -> str:
+    """The text of a subcommand's records in the chosen format.
 
-
-def _factor_text(outcome: ModulusSearchOutcome) -> str:
-    return _join(f"{p}^{e}" for p, e in outcome.factorization.factors)
-
-
-def _sweep_csv_line(row: SweepRow) -> str:
-    o = row.outcome
-    canonical = "" if o.canonical is None else str(o.canonical)
-    return ",".join(
-        (
-            str(row.index),
-            str(row.start_prime),
-            str(row.length),
-            str(o.gcd_value),
-            o.status.value,
-            canonical,
-            _join(o.valid_moduli()),
-            _join(o.all_moduli()),
-            _bool_text(row.efficient),
-        )
-    )
-
-
-def _sweep_json_obj(row: SweepRow) -> dict:
-    o = row.outcome
-    return {
-        "index": row.index,
-        "start_prime": str(row.start_prime),
-        "length": row.length,
-        "gcd": str(o.gcd_value),
-        "status": o.status.value,
-        "canonical_modulus": None if o.canonical is None else str(o.canonical),
-        "valid_candidates": [str(q) for q in o.valid_moduli()],
-        "all_candidates": [str(q) for q in o.all_moduli()],
-        "efficient": row.efficient,
-    }
-
-
-def _json_text(payload) -> str:
-    return json.dumps(payload, indent=2) + "\n"
+    JSON writes the records as they are, or, when keys is given, the one
+    record cut down to those keys in that order.  CSV writes a bare value
+    list (fields None) as one line; otherwise a header of the fields, then
+    one line per record, or for a single dict its one line.
+    """
+    if fmt == "json":
+        if keys is not None:
+            records = {k: records[k] for k in keys}
+        return json.dumps(records, indent=2) + "\n"
+    if fields is None:
+        return ",".join(records) + "\n"
+    if isinstance(records, dict):
+        records = [records]
+    lines = [",".join(fields)] + [",".join(_cell(rec[f]) for f in fields) for rec in records]
+    return "\n".join(lines) + "\n"
 
 
 def _emit(text: str, out: Path | None) -> int:
@@ -107,19 +99,33 @@ def _emit(text: str, out: Path | None) -> int:
     return 0
 
 
-def _budget(args: argparse.Namespace) -> FactorBudget:
-    return FactorBudget(trial_bound=args.trial_bound)
+def _factoring(args: argparse.Namespace) -> tuple[SelectionPolicy, FactorBudget]:
+    """The selection policy and factoring budget of search, sweep or plotdata."""
+    return SelectionPolicy(args.policy), FactorBudget(trial_bound=args.trial_bound)
 
 
-def _policy(args: argparse.Namespace) -> SelectionPolicy:
-    return SelectionPolicy(args.policy)
+def _values(values) -> tuple[int, list[str]]:
+    """Exit 0 with a bare list of integers, as decimal strings."""
+    return 0, [str(v) for v in values]
 
 
-def _cmd_seed(args: argparse.Namespace) -> tuple[int, str]:
-    elems = build_seed(args.prime, args.length, args.row)
-    if args.format == "json":
-        return 0, _json_text([str(e) for e in elems])
-    return 0, ",".join(str(e) for e in elems) + "\n"
+def _row_record(row: SweepRow) -> dict:
+    o = row.outcome
+    return {
+        "index": row.index,
+        "start_prime": str(row.start_prime),
+        "length": row.length,
+        "gcd": str(o.gcd_value),
+        "status": o.status.value,
+        "canonical_modulus": None if o.canonical is None else str(o.canonical),
+        "valid_candidates": [str(q) for q in o.valid_moduli()],
+        "all_candidates": [str(q) for q in o.all_moduli()],
+        "efficient": row.efficient,
+    }
+
+
+def _cmd_seed(args: argparse.Namespace) -> tuple[int, list[str]]:
+    return _values(build_seed(args.prime, args.length, args.row))
 
 
 def _parse_seq(text: str) -> tuple[int, ...]:
@@ -132,123 +138,66 @@ def _parse_seq(text: str) -> tuple[int, ...]:
         raise ValueError(f"cannot parse sequence {text!r}; expected comma-separated integers")
 
 
-def _cmd_autocorr(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_autocorr(args: argparse.Namespace) -> tuple[int, list[str]]:
     if (args.seq is None) == (args.prime is None or args.length is None):
         raise ValueError("give either --seq or both -p and -n")
     if args.seq is not None:
         elems = _parse_seq(args.seq)
     else:
         elems = build_seed(args.prime, args.length, args.row)
-    values = periodic_autocorr(elems).values
-    if args.format == "json":
-        return 0, _json_text([str(v) for v in values])
-    return 0, ",".join(str(v) for v in values) + "\n"
+    return _values(periodic_autocorr(elems).values)
 
 
-def _cmd_search(args: argparse.Namespace) -> tuple[int, str]:
-    outcome = search_prime(
-        args.prime, args.length, _policy(args), _budget(args), args.row
-    )
-    code = _STATUS_EXIT[outcome.status]
-    canonical = outcome.canonical
-    efficient = canonical is not None and canonical <= args.length
-    if args.format == "json":
-        payload = {
-            "start_prime": str(args.prime),
-            "length": args.length,
-            "row": args.row,
-            "gcd": str(outcome.gcd_value),
-            "factors": [
-                {"prime": str(p), "exp": e} for p, e in outcome.factorization.factors
-            ],
-            "cofactor": str(outcome.factorization.cofactor),
-            "status": outcome.status.value,
-            "canonical_modulus": None if canonical is None else str(canonical),
-            "candidates": [
-                {"q": str(c.q), "peak_residue": str(c.peak_residue), "valid": c.valid}
-                for c in outcome.candidates
-            ],
-            "efficient": efficient,
-        }
-        return code, _json_text(payload)
-    header = (
-        "start_prime,length,gcd,factorization,cofactor,status,"
-        "canonical_modulus,valid_candidates,all_candidates,efficient"
-    )
-    line = ",".join(
-        (
-            str(args.prime),
-            str(args.length),
-            str(outcome.gcd_value),
-            _factor_text(outcome),
-            str(outcome.factorization.cofactor),
-            outcome.status.value,
-            "" if canonical is None else str(canonical),
-            _join(outcome.valid_moduli()),
-            _join(outcome.all_moduli()),
-            _bool_text(efficient),
-        )
-    )
-    return code, header + "\n" + line + "\n"
+def _cmd_search(args: argparse.Namespace) -> tuple[int, dict]:
+    outcome = search_prime(args.prime, args.length, *_factoring(args), args.row)
+    fact = outcome.factorization
+    record = {
+        **_row_record(SweepRow(index=1, start_prime=args.prime, length=args.length, outcome=outcome)),
+        "row": args.row,
+        "factors": [{"prime": str(p), "exp": e} for p, e in fact.factors],
+        "factorization": [f"{p}^{e}" for p, e in fact.factors],
+        "cofactor": str(fact.cofactor),
+        "candidates": [
+            {"q": str(c.q), "peak_residue": str(c.peak_residue), "valid": c.valid}
+            for c in outcome.candidates
+        ],
+    }
+    return _STATUS_EXIT[outcome.status], record
 
 
-def _cmd_sweep(args: argparse.Namespace) -> tuple[int, str]:
-    rows = sweep(args.length, args.primes_up_to, _policy(args), _budget(args), args.row)
-    if args.format == "json":
-        return 0, _json_text([_sweep_json_obj(r) for r in rows])
-    lines = [SWEEP_HEADER] + [_sweep_csv_line(r) for r in rows]
-    return 0, "\n".join(lines) + "\n"
+def _cmd_sweep(args: argparse.Namespace) -> tuple[int, list[dict]]:
+    rows = sweep(args.length, args.primes_up_to, *_factoring(args), args.row)
+    return 0, [_row_record(r) for r in rows]
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[int, str]:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     elems = build_seed(args.prime, args.length, args.row)
     cert = check_rr(elems, args.modulus)
     gram_ok = gram_check(elems, args.modulus)
-    ok = cert.verified and gram_ok
-    if args.format == "json":
-        payload = {
-            "start_prime": str(args.prime),
-            "length": args.length,
-            "row": args.row,
-            "modulus": str(args.modulus),
-            "peak": str(cert.peak),
-            "offpeak_ok": cert.offpeak_ok,
-            "verified": cert.verified,
-            "gram_ok": gram_ok,
-            "residues": [str(r) for r in cert.residues],
-        }
-        return (0 if ok else 1), _json_text(payload)
-    header = "start_prime,length,modulus,peak,offpeak_ok,verified,gram_ok"
-    line = ",".join(
-        (
-            str(args.prime),
-            str(args.length),
-            str(args.modulus),
-            str(cert.peak),
-            _bool_text(cert.offpeak_ok),
-            _bool_text(cert.verified),
-            _bool_text(gram_ok),
-        )
-    )
-    return (0 if ok else 1), header + "\n" + line + "\n"
+    record = {
+        "start_prime": str(args.prime),
+        "length": args.length,
+        "row": args.row,
+        "modulus": str(args.modulus),
+        "peak": str(cert.peak),
+        "offpeak_ok": cert.offpeak_ok,
+        "verified": cert.verified,
+        "gram_ok": gram_ok,
+        "residues": [str(r) for r in cert.residues],
+    }
+    return (0 if cert.verified and gram_ok else 1), record
 
 
-def _cmd_plotdata(args: argparse.Namespace) -> tuple[int, str]:
-    policy = _policy(args)
+def _cmd_plotdata(args: argparse.Namespace) -> tuple[int, list[dict]]:
+    policy, budget = _factoring(args)
     if policy is SelectionPolicy.ALL:
         raise ValueError("plotdata needs a single canonical modulus per prime; use --policy smallest or largest")
-    rows = sweep(args.length, args.primes_up_to, policy, _budget(args), args.row)
-    found = [r for r in rows if r.outcome.canonical is not None]
-    if args.format == "json":
-        payload = [
-            {"start_prime": str(r.start_prime), "canonical_modulus": str(r.outcome.canonical)}
-            for r in found
-        ]
-        return 0, _json_text(payload)
-    lines = ["start_prime,canonical_modulus"] + [
-        f"{r.start_prime},{r.outcome.canonical}" for r in found
+    rows = sweep(args.length, args.primes_up_to, policy, budget, args.row)
+    return 0, [
+        {"start_prime": str(r.start_prime), "canonical_modulus": str(r.outcome.canonical)}
+        for r in rows
+        if r.outcome.canonical is not None
     ]
-    return 0, "\n".join(lines) + "\n"
 
 
 _PRIMES_UP_TO_HELP = f"search every starting prime up to B, at most {SIEVE_LIMIT}"
@@ -256,18 +205,21 @@ _LENGTH_HELP = f"row length N, 2 <= N <= {MAX_LENGTH}"
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument(
+    output = argparse.ArgumentParser(add_help=False)
+    output.add_argument(
         "--format", choices=("csv", "json"), default="csv", help="output format"
     )
-    common.add_argument("--out", type=Path, default=None, help="write output to this path")
-    common.add_argument(
+    output.add_argument("--out", type=Path, default=None, help="write output to this path")
+    output.set_defaults(fields=None, keys=None)
+    # Only the subcommands that factor take a selection policy and a budget.
+    factoring = argparse.ArgumentParser(add_help=False)
+    factoring.add_argument(
         "--policy",
         choices=tuple(p.value for p in SelectionPolicy),
         default=SelectionPolicy.LARGEST.value,
         help="how to pick the canonical modulus from the valid candidates",
     )
-    common.add_argument(
+    factoring.add_argument(
         "--trial-bound",
         type=int,
         default=10**6,
@@ -275,12 +227,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="trial-division bound for the factorization stage, at most "
         f"{SIEVE_LIMIT} (trial division sieves its primes up to B)",
     )
-    common.add_argument(
+    row = argparse.ArgumentParser(add_help=False)
+    row.add_argument(
         "--row",
         choices=ROW_KINDS,
         default=ROW_DOUBLING,
         help="seed row construction",
     )
+    # Three parents, so every usage line lists output, factoring, row.
+    plain, factored = [output, row], [output, factoring, row]
 
     parser = argparse.ArgumentParser(
         prog="rrseq",
@@ -289,13 +244,13 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    p_seed = sub.add_parser("seed", parents=[common], help="print a seed row")
+    p_seed = sub.add_parser("seed", parents=plain, help="print a seed row")
     p_seed.add_argument("-p", "--prime", type=int, required=True)
     p_seed.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
     p_seed.set_defaults(func=_cmd_seed)
 
     p_auto = sub.add_parser(
-        "autocorr", parents=[common], help="exact periodic autocorrelation profile"
+        "autocorr", parents=plain, help="exact periodic autocorrelation profile"
     )
     p_auto.add_argument("-p", "--prime", type=int)
     p_auto.add_argument("-n", "--length", type=int, help=_LENGTH_HELP)
@@ -305,33 +260,33 @@ def _build_parser() -> argparse.ArgumentParser:
     p_auto.set_defaults(func=_cmd_autocorr)
 
     p_search = sub.add_parser(
-        "search", parents=[common], help="find prime moduli for one starting prime"
+        "search", parents=factored, help="find prime moduli for one starting prime"
     )
     p_search.add_argument("-p", "--prime", type=int, required=True)
     p_search.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
-    p_search.set_defaults(func=_cmd_search)
+    p_search.set_defaults(func=_cmd_search, fields=_SEARCH_FIELDS, keys=_SEARCH_KEYS)
 
     p_sweep = sub.add_parser(
-        "sweep", parents=[common], help="search every starting prime up to a bound"
+        "sweep", parents=factored, help="search every starting prime up to a bound"
     )
     p_sweep.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
     p_sweep.add_argument("--primes-up-to", type=int, default=100, metavar="B", help=_PRIMES_UP_TO_HELP)
-    p_sweep.set_defaults(func=_cmd_sweep)
+    p_sweep.set_defaults(func=_cmd_sweep, fields=_SWEEP_FIELDS)
 
     p_verify = sub.add_parser(
-        "verify", parents=[common], help="certify the two-valued property"
+        "verify", parents=plain, help="certify the two-valued property"
     )
     p_verify.add_argument("-p", "--prime", type=int, required=True)
     p_verify.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
     p_verify.add_argument("-m", "--modulus", type=int, required=True)
-    p_verify.set_defaults(func=_cmd_verify)
+    p_verify.set_defaults(func=_cmd_verify, fields=_VERIFY_FIELDS)
 
     p_plot = sub.add_parser(
-        "plotdata", parents=[common], help="(starting prime, modulus) pairs for Found rows"
+        "plotdata", parents=factored, help="(starting prime, modulus) pairs for Found rows"
     )
     p_plot.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
     p_plot.add_argument("--primes-up-to", type=int, default=100, metavar="B", help=_PRIMES_UP_TO_HELP)
-    p_plot.set_defaults(func=_cmd_plotdata)
+    p_plot.set_defaults(func=_cmd_plotdata, fields=_PLOT_FIELDS)
 
     return parser
 
@@ -340,11 +295,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code, text = args.func(args)
+        code, records = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emit_code = _emit(text, args.out)
+    emit_code = _emit(_render(records, args.format, args.fields, args.keys), args.out)
     return emit_code if emit_code else code
 
 

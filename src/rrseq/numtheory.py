@@ -25,12 +25,12 @@ Every sieve, and so every trial bound, is capped at SIEVE_LIMIT (10**7),
 because a sieve to B takes B bytes.
 
 Everything here works on arbitrary-precision Python ints and is purely
-functional, so concurrent use needs no locking.  The ECM tables and the
-chunk products of each trial bound are built on the first call that
-needs them and then only read.  `is_prime` remembers its last
-_PRIME_MEMO_SIZE answers in a thread-safe LRU cache, enough to carry a
-modulus from the search that found it to the two certificates that
-re-check it.
+functional, so concurrent use needs no locking.  The ECM tables are
+built on the first call that needs them and then only read; the chunk
+products are built per trial bound, and only the last bound's are kept.
+`is_prime` remembers its last _PRIME_MEMO_SIZE answers in a thread-safe
+LRU cache, enough to carry a modulus from the search that found it to
+the two certificates that re-check it.
 """
 
 from __future__ import annotations
@@ -105,8 +105,8 @@ class FactorBudget:
     trial_bound: bound B of trial division, 2 <= B <= SIEVE_LIMIT.  The
                  divisors tried are 2, 3 and every 6k -/+ 1 up to
                  6*floor((B - 5) / 6) + 7, so B = 5 still tries 7.  Above
-                 2**14 they are tried through chunk products built once
-                 per bound.
+                 2**14 they are tried through chunk products, kept for
+                 the last bound used.
     rho_rounds:  number of Brent-rho restarts (distinct polynomial offsets)
                  per composite; the default is one short pass that takes
                  the small factors trial division left.  Each round
@@ -243,8 +243,6 @@ def is_prime(n: int) -> bool:
 
 def _brent_rho(n: int, c: int, max_iters: int) -> int:
     """One Brent-rho round on composite odd n; returns a nontrivial factor or 1."""
-    if n % 2 == 0:
-        return 2
     y, m = 2, 128
     g = r = q = 1
     iters = 0
@@ -430,7 +428,9 @@ def _last_candidate(bound: int) -> int:
     return 6 * ((bound - 5) // 6) + 7
 
 
-@functools.cache
+# Chunk tables kept: one, as every CLI process and benchmark workload
+# factors under one trial bound; each table near 10**7 holds ~2 MB.
+@functools.lru_cache(maxsize=1)
 def _trial_chunks(last: int) -> tuple[tuple[int, int, int], ...]:
     """(product, first prime, last prime) of each run of _CHUNK_PRIMES
     consecutive primes in (_last_candidate(_WHEEL_CUTOFF), last].
@@ -519,8 +519,6 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     curves = 0
     while pending:
         m = pending.pop()
-        if m == 1:
-            continue
         if is_prime(m):
             counts[m] = counts.get(m, 0) + 1
             continue

@@ -9,14 +9,16 @@ A row is a plain ``tuple[int, ...]``.  Two constructions are supported:
   ``(p, p**2, ..., p**n)``.
 
 Rows are exact integer sequences; no element ever overflows because all
-arithmetic is arbitrary precision.  Constructed rows are at most
-``MAX_LENGTH`` long: the elements grow to about N bits and the full
-autocorrelation takes about N**2 / 2 products of them, so `autocorr`,
-`check_rr` and `gram_check` on a doubling row take 0.31 s at N = 1024
-and 4.5 s at N = 2048 (best of 3, one core of a 2-vCPU Xeon VM,
-Python 3.11), more than ten times more with each doubling of N.  The
-modulus search does not pay that: it recognises a doubling row and
-reads its peak and off-peak gcd from a closed form in O(N).
+arithmetic is arbitrary precision.  Every row, constructed or passed in,
+has 2 to ``MAX_LENGTH`` elements: `as_elements` refuses any other length
+for every library entry point.  The elements of a constructed row grow
+to about N bits and the full autocorrelation takes about N**2 / 2
+products of them, so `autocorr`, `check_rr` and `gram_check` on a
+doubling row take 0.31 s at N = 1024 and 4.5 s at N = 2048 (best of 3,
+one core of a 2-vCPU Xeon VM, Python 3.11), more than ten times more
+with each doubling of N.  The modulus search does not pay that: it
+recognises a doubling row and reads its peak and off-peak gcd from a
+closed form in O(N).
 
 Every length-N doubling row shares the tail ``(2, 4, ..., 2**(N-1))``.
 `doubling_seed` and the recogniser take it from a cache of the last
@@ -35,7 +37,8 @@ ROW_DOUBLING = "doubling"
 ROW_POWERS = "powers"
 ROW_KINDS = (ROW_DOUBLING, ROW_POWERS)
 
-# Longest row the constructors build (see the module docstring).
+# Longest row the constructors build and `as_elements` accepts (see the
+# module docstring).
 MAX_LENGTH = 2048
 
 # Lengths whose doubling tail is cached: one, as every sweep, CLI process
@@ -47,15 +50,18 @@ _TAIL_CACHE_SIZE = 1
 
 
 def as_elements(seq: Sequence[int]) -> tuple[int, ...]:
-    """The row as a tuple of Python ints, at least 2 long.
+    """The row as a tuple of Python ints, 2 to MAX_LENGTH long.
 
     Elements convert with operator.index, so ints, bools and numpy
     integers pass, while floats and strings raise TypeError instead of
-    being truncated.  A row shorter than 2 raises ValueError.
+    being truncated.  A row shorter than 2 or longer than MAX_LENGTH
+    raises ValueError.
     """
     elems = tuple(map(operator.index, seq))
     if len(elems) < 2:
         raise ValueError(f"a row needs at least 2 elements, got {len(elems)}")
+    if len(elems) > MAX_LENGTH:
+        check_length(len(elems))
     return elems
 
 
@@ -82,12 +88,11 @@ def _doubling_tail(n: int) -> tuple[int, ...]:
 def _is_doubling(elems: tuple[int, ...]) -> bool:
     """True iff a normalised row is (x, 2, 4, ..., 2**(N-1)) for some x.
 
-    The first element is not checked, so it may be any integer.  Rows
-    longer than MAX_LENGTH are never recognised, so no caller can make
-    the cache hold a tail of more than MAX_LENGTH elements.
+    The first element is not checked, so it may be any integer.  As
+    `as_elements` refuses rows longer than MAX_LENGTH, the cache never
+    holds a tail of more than MAX_LENGTH elements.
     """
-    n = len(elems)
-    return elems[1] == 2 and n <= MAX_LENGTH and elems[1:] == _doubling_tail(n)
+    return elems[1] == 2 and elems[1:] == _doubling_tail(len(elems))
 
 
 def doubling_seed(p: int, n: int) -> tuple[int, ...]:

@@ -9,11 +9,12 @@ which makes the pair a standing cross-check on both implementations.
 modulus of any size, with float64 matmuls: a product of integers is exact
 while every partial sum stays below 2**53.  Residues too large for one
 such product are split into 16-bit limbs; each limb pair's product then
-stays below N * (2**16 - 1)**2 < 2**53, which holds for every N < 2**21,
-and the products are summed into base-2**16 digits with int64 carries.
-Rows of 2**21 or more elements are refused with ValueError.  Each
-circulant is read out of the row written twice over, as a strided view
-copied into one contiguous array; nothing outlives the call.
+stays below N * (2**16 - 1)**2, and the products are summed into
+base-2**16 digits with int64 carries.  `as_elements` caps every row at
+MAX_LENGTH = 2048 elements, and MAX_LENGTH < 2**21 keeps every limb
+product below 2**53.  Each circulant is read out of the row written
+twice over, as a strided view copied into one contiguous array; nothing
+outlives the call.
 
 `enumerate_binary_ideal` exhaustively lists every binary row of a given
 length whose mod-2 correlation is two-valued (peak 1, off-peak 0); the
@@ -82,8 +83,6 @@ def check_rr(seq: Sequence[int], n: int) -> RRCertificate:
 _FLOAT_EXACT = 2**53
 _LIMB_BITS = 16
 _LIMB_MASK = (1 << _LIMB_BITS) - 1
-# size * (2**16 - 1)**2 < 2**53 holds for every size below this.
-_MAX_GRAM_SIZE = 2**21
 
 
 def _limb_count(size: int, n: int) -> int:
@@ -160,15 +159,13 @@ def gram_check(seq: Sequence[int], n: int) -> bool:
     every limb pair (a, b) gives one product whose partial sums stay below
     N * (2**16 - 1)**2 < 2**53, the products are added into base-2**16
     digits a + b with carries in int64, and each entry is rebuilt from its
-    digits as a Python int.  That bound needs N < 2**21, so longer rows
-    raise ValueError instead of returning an unchecked answer.
+    digits as a Python int.  That bound needs N < 2**21, which every row
+    meets: `as_elements` refuses rows longer than MAX_LENGTH = 2048 with
+    ValueError.
     """
     if not is_prime(n):
         raise ValueError(f"modulus {n} is not prime")
     elems = as_elements(seq)
-    size = len(elems)
-    if size >= _MAX_GRAM_SIZE:
-        raise ValueError(f"gram_check needs fewer than {_MAX_GRAM_SIZE} elements, got {size}")
     residues = tuple(e % n for e in elems)
     peak = sum(e * e for e in elems) % n  # C(0)
     if peak == 0:

@@ -1,12 +1,13 @@
 """Command-line surface: arguments, exit codes, output formats."""
 
+import argparse
 import csv
 import io
 import json
 
 import pytest
 
-from rrseq.cli import _STATUS_EXIT, main
+from rrseq.cli import _STATUS_EXIT, _build_parser, main
 from rrseq.modsearch import SearchStatus, sweep
 
 
@@ -303,3 +304,42 @@ def test_length_past_limit_exit_2(argv, length, capsys):
     assert code == 2
     assert out == ""
     assert err.startswith("error:") and "at most 2048" in err
+
+
+_OUTPUT = ["-h", "--help", "--format", "--out"]
+_FACTORING = ["--policy", "--trial-bound"]
+_ROW = ["--row"]
+_ONE_ROW = ["-p", "--prime", "-n", "--length"]
+_TABLE = ["-n", "--length", "--primes-up-to"]
+
+
+def test_each_subcommand_takes_only_the_options_it_uses():
+    parser = _build_parser()
+    (sub,) = [a for a in parser._actions if isinstance(a, argparse._SubParsersAction)]
+    options = {
+        name: [opt for action in p._actions for opt in action.option_strings]
+        for name, p in sub.choices.items()
+    }
+    assert options == {
+        "seed": _OUTPUT + _ROW + _ONE_ROW,
+        "autocorr": _OUTPUT + _ROW + _ONE_ROW + ["--seq"],
+        "search": _OUTPUT + _FACTORING + _ROW + _ONE_ROW,
+        "sweep": _OUTPUT + _FACTORING + _ROW + _TABLE,
+        "verify": _OUTPUT + _ROW + _ONE_ROW + ["-m", "--modulus"],
+        "plotdata": _OUTPUT + _FACTORING + _ROW + _TABLE,
+    }
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["seed", "-p", "3", "-n", "4", "--policy", "all"],
+        ["autocorr", "-p", "3", "-n", "4", "--trial-bound", "5"],
+        ["verify", "-p", "2", "-n", "16", "-m", "331", "--policy", "smallest"],
+    ],
+)
+def test_options_a_subcommand_does_not_use_exit_2(argv, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(argv)
+    assert exc.value.code == 2
+    assert capsys.readouterr().out == ""

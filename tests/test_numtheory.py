@@ -154,6 +154,9 @@ def test_rho_stage_splits_semiprime():
     f = factorize(1009 * 1013, budget)
     assert f.complete
     assert f.factors == ((1009, 1), (1013, 1))
+    # rho's batched gcd reaches 77 itself, so Brent's one-step backtrack
+    # has to recover the factor
+    assert factorize(77, FactorBudget(trial_bound=2)).factors == ((7, 1), (11, 1))
 
 
 def test_rho_splits_large_semiprime():
@@ -327,3 +330,12 @@ def test_small_rows_build_no_chunk_table():
     sweep(16, 2000)
     sweep(24, 200)
     assert _trial_chunks.cache_info().currsize == 0
+
+
+def test_chunk_table_cache_keeps_one_bound():
+    # each trial bound has its own table, so only the last one is kept
+    assert _trial_chunks.cache_info().maxsize == 1
+    big = (2**61 - 1) * (2**31 - 1)
+    for bound in (2 * _WHEEL_CUTOFF, 3 * _WHEEL_CUTOFF):
+        factorize(big, FactorBudget(trial_bound=bound, rho_rounds=0, ecm_curves=0))
+        assert _trial_chunks.cache_info().currsize <= 1

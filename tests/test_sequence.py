@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from rrseq.correlation import autocorr_mod
+from rrseq.correlation import autocorr_mod, periodic_autocorr
 from rrseq.modsearch import find_modulus, sweep
 from rrseq.sequence import (
     MAX_LENGTH,
@@ -44,10 +44,12 @@ def test_recogniser_reads_only_the_tail():
     assert _is_doubling((-5, 2)) and _is_doubling((0, 2, 4, 8))
     assert not _is_doubling((3, 4, 8, 16)) and not _is_doubling((3, 2, 4, 9))
     assert not _is_doubling((3, 2, 4, 8, 16, 31))
-    # Past MAX_LENGTH the row is not recognised and no tail is built.
+    # Past MAX_LENGTH the row is refused before it reaches the recogniser,
+    # so no tail is built.
     row = (3,) + tuple(2**j for j in range(1, MAX_LENGTH + 1))
     before = _doubling_tail.cache_info()
-    assert not _is_doubling(row)
+    with pytest.raises(ValueError, match=f"at most {MAX_LENGTH}"):
+        find_modulus(row)
     assert _doubling_tail.cache_info() == before
     assert _is_doubling(row[:MAX_LENGTH])
 
@@ -101,16 +103,24 @@ def test_as_elements_refuses_non_integers():
         find_modulus([1.5, 2, 3])
 
 
-@pytest.mark.parametrize(
-    "entry",
-    [
-        as_elements,
-        lambda row: autocorr_mod(row, 7),
-        lambda row: check_rr(row, 7),
-        lambda row: gram_check(row, 7),
-    ],
-)
+ENTRY_POINTS = [
+    as_elements,
+    lambda row: autocorr_mod(row, 7),
+    lambda row: check_rr(row, 7),
+    lambda row: gram_check(row, 7),
+    periodic_autocorr,
+    find_modulus,
+]
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
 def test_every_entry_point_refuses_rows_shorter_than_2(entry):
     for row in ([5], []):
         with pytest.raises(ValueError, match="at least 2"):
             entry(row)
+
+
+@pytest.mark.parametrize("entry", ENTRY_POINTS)
+def test_every_entry_point_refuses_rows_longer_than_max_length(entry):
+    with pytest.raises(ValueError, match=f"row length must be at most {MAX_LENGTH}, got {MAX_LENGTH + 1}"):
+        entry([1] * (MAX_LENGTH + 1))
