@@ -9,7 +9,10 @@ Each record holds an argv, its exit code and its stdout, in full when
 short and as a sha256 digest otherwise.  The matrix is every subcommand
 in csv and json, both row kinds, and for the subcommands that take
 --policy every policy, at N = 2, 3, 15, 16 and 24, plus `verify` at
-N = 128 with the multi-limb modulus 2**61 - 1.
+N = 128 with the multi-limb modulus 2**61 - 1.  `search` and `sweep` also
+run at N = 16, 24 and 64 under trial bounds on each side of the
+trial-division edges: 5 (the smallest that tries a prime past 3), 1000,
+2**14 + 1 and the default 10**6.
 """
 
 from __future__ import annotations
@@ -32,6 +35,8 @@ PRIME = 3
 PRIMES_UP_TO = "30"
 # stdout longer than this is stored as its sha256 digest.
 INLINE_LIMIT = 256
+BOUND_LENGTHS = (16, 24, 64)
+TRIAL_BOUNDS = (5, 1000, 16385, 10**6)
 
 
 def _verify_modulus(n: int, row: str) -> int:
@@ -63,6 +68,12 @@ def invocations() -> list[list[str]]:
             calls.append(
                 ["verify", "-p", str(PRIME), "-n", "128", "-m", str(2**61 - 1), "--row", row, "--format", fmt]
             )
+    for n in BOUND_LENGTHS:
+        for bound in TRIAL_BOUNDS:
+            for fmt in FORMATS:
+                tail = ["--trial-bound", str(bound), "--format", fmt]
+                calls.append(["search", "-p", str(PRIME), "-n", str(n)] + tail)
+                calls.append(["sweep", "-n", str(n), "--primes-up-to", PRIMES_UP_TO] + tail)
     return calls
 
 
