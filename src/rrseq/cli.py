@@ -1,8 +1,9 @@
 """Command-line driver.
 
 Subcommands: seed, autocorr, search, sweep, verify, plotdata.  Each takes
---format, --out and --row; search, sweep and plotdata, which factor,
-also take --policy and --trial-bound.
+--format, --out and --row (autocorr only with -p/-n, not with --seq);
+search, sweep and plotdata, which factor, also take --policy and
+--trial-bound.
 
 Each subcommand returns an exit code and its records, dicts (or, for
 seed and autocorr, a bare value list) holding only JSON-typed values,
@@ -26,7 +27,7 @@ import sys
 from pathlib import Path
 
 from .modsearch import SearchStatus, SelectionPolicy, SweepRow, search_prime, sweep
-from .numtheory import SIEVE_LIMIT, FactorBudget
+from .numtheory import DEFAULT_BUDGET, SIEVE_LIMIT, FactorBudget
 from .sequence import MAX_LENGTH, ROW_DOUBLING, ROW_KINDS, build_seed, check_length
 from .correlation import periodic_autocorr
 from .verify import check_rr, gram_check
@@ -142,9 +143,11 @@ def _cmd_autocorr(args: argparse.Namespace) -> tuple[int, list[str]]:
     if (args.seq is None) == (args.prime is None or args.length is None):
         raise ValueError("give either --seq or both -p and -n")
     if args.seq is not None:
+        if args.row is not None:
+            raise ValueError("--row builds the row from -p and -n; --seq gives it whole")
         elems = _parse_seq(args.seq)
     else:
-        elems = build_seed(args.prime, args.length, args.row)
+        elems = build_seed(args.prime, args.length, args.row or ROW_DOUBLING)
     return _values(periodic_autocorr(elems).values)
 
 
@@ -204,6 +207,14 @@ _PRIMES_UP_TO_HELP = f"search every starting prime up to B, at most {SIEVE_LIMIT
 _LENGTH_HELP = f"row length N, 2 <= N <= {MAX_LENGTH}"
 
 
+def _row_parser(default: str | None) -> argparse.ArgumentParser:
+    """The --row option.  autocorr leaves it None, so that it can refuse
+    --row beside --seq and still default to doubling for -p/-n."""
+    row = argparse.ArgumentParser(add_help=False)
+    row.add_argument("--row", choices=ROW_KINDS, default=default, help="seed row construction")
+    return row
+
+
 def _build_parser() -> argparse.ArgumentParser:
     output = argparse.ArgumentParser(add_help=False)
     output.add_argument(
@@ -222,18 +233,12 @@ def _build_parser() -> argparse.ArgumentParser:
     factoring.add_argument(
         "--trial-bound",
         type=int,
-        default=10**6,
+        default=DEFAULT_BUDGET.trial_bound,
         metavar="B",
         help="trial-division bound for the factorization stage, at most "
-        f"{SIEVE_LIMIT} (trial division sieves its primes up to B)",
+        f"{SIEVE_LIMIT} (trial division takes its primes from a sieve)",
     )
-    row = argparse.ArgumentParser(add_help=False)
-    row.add_argument(
-        "--row",
-        choices=ROW_KINDS,
-        default=ROW_DOUBLING,
-        help="seed row construction",
-    )
+    row = _row_parser(ROW_DOUBLING)
     # Three parents, so every usage line lists output, factoring, row.
     plain, factored = [output, row], [output, factoring, row]
 
@@ -250,7 +255,7 @@ def _build_parser() -> argparse.ArgumentParser:
     p_seed.set_defaults(func=_cmd_seed)
 
     p_auto = sub.add_parser(
-        "autocorr", parents=plain, help="exact periodic autocorrelation profile"
+        "autocorr", parents=[output, _row_parser(None)], help="exact periodic autocorrelation profile"
     )
     p_auto.add_argument("-p", "--prime", type=int)
     p_auto.add_argument("-n", "--length", type=int, help=_LENGTH_HELP)

@@ -101,8 +101,6 @@ class SweepRow:
 
 
 def _select_canonical(valid: tuple[int, ...], policy: SelectionPolicy) -> int | None:
-    if not valid:
-        return None
     if policy is SelectionPolicy.SMALLEST:
         return min(valid)
     if policy is SelectionPolicy.LARGEST:

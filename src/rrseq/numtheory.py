@@ -13,21 +13,22 @@ elliptic-curve method (ECM) on whatever composite is left, and reports
 what no stage split as an explicit cofactor.
 
 Trial division tries 2, 3, then d and d + 2 for every d = 5, 11, 17, ...
-up to the bound B, so its last candidate is 6*floor((B - 5) / 6) + 7.  It
-stops early once the remainder is below the square of the next candidate,
-and picks its method by the size of the remainder.  Up to 2**14 it
-divides by each candidate in turn, which every remainder below ~2**28
-finishes.  Past that it takes the primes in chunks of 512 and computes
-one gcd of the remainder with each chunk's product, looking inside a
-chunk only when that gcd is above 1.  Both remove exactly the same primes.
+up to the bound B, so its last candidate is 6*floor((B - 5) / 6) + 7.
+Past 3 it takes the primes from 5 in chunks of 512, one gcd of the
+remainder with each chunk's product, and looks inside a chunk only when
+that gcd is above 1 (Bernstein, *How to find smooth parts of integers*,
+2004).  It stops once the remainder is below the square of the next
+chunk's first prime, and its chunk table reaches only the power of two
+above the remainder's square root.
 
 Every sieve, and so every trial bound, is capped at SIEVE_LIMIT (10**7),
 because a sieve to B takes B bytes.
 
 Everything here works on arbitrary-precision Python ints and is purely
-functional, so concurrent use needs no locking.  The ECM tables are
-built on the first call that needs them and then only read; the chunk
-products are built per trial bound, and only the last bound's are kept.
+functional, so concurrent use needs no locking.  The ECM tables and the
+chunk products are built on the first call that needs them and then only
+read; chunk tables are kept per reach, a power of two or SIEVE_LIMIT, so
+at most 24 of them ever exist.
 `is_prime` remembers its last _PRIME_MEMO_SIZE answers in a thread-safe
 LRU cache, enough to carry a modulus from the search that found it to
 the two certificates that re-check it.
@@ -65,22 +66,21 @@ _SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 # Answers `is_prime` keeps, least recently used out first.  A certified
 # row's modulus is found again by both certificates when `factorize` tested
-# at most this many distinct pieces from the modulus on: 1 for every
-# doubling row at N = 16 (p <= 3000) and N = 24 (p <= 1000), at most 2 at
-# N = 64 (p <= 200) and at most 4 at N = 128 (p <= 400).
+# at most this many distinct pieces from the modulus on: 1 at N = 16
+# (p <= 10**5) and N = 24 (p <= 3000), at most 2 at N = 64 (p <= 200) and
+# at most 4 at N = 128 (p <= 400).  A modulus that trial division removes
+# is never tested (2160 of 9592 rows at N = 16, 106 of 430 at N = 24), so
+# `check_rr` tests it once, below 2**12.
 _PRIME_MEMO_SIZE = 4
 
-# Trial division divides by each wheel candidate in turn up to
-# _WHEEL_CUTOFF, which is where every remainder below ~2**28 stops (at
-# d*d > rem), so rows at the paper's lengths never leave the loop.  Larger
-# remainders take the primes above it _CHUNK_PRIMES at a time, by one gcd
-# with the chunk's product.  Both sizes were chosen by timing.
-_WHEEL_CUTOFF = 1 << 14
+# Trial division takes the primes from 5 on _CHUNK_PRIMES at a time, by
+# one gcd with the chunk's product; the size was chosen by timing.  A
+# remainder's table reaches only the power of two above its square root,
+# so rows at the paper's lengths build tables of at most ~1000 primes.
 _CHUNK_PRIMES = 512
 
-# Largest bound of any sieve, so also of trial division: a sieve to B
-# takes B bytes.  A trial bound B sieves to _last_candidate(B), which is
-# at most 10**7 too for every B <= 10**7.
+# Largest bound of any sieve, so also of trial division and of its chunk
+# tables: a sieve to B takes B bytes.
 SIEVE_LIMIT = 10**7
 
 # Iteration cap of one Brent-rho round.
@@ -104,9 +104,10 @@ class FactorBudget:
 
     trial_bound: bound B of trial division, 2 <= B <= SIEVE_LIMIT.  The
                  divisors tried are 2, 3 and every 6k -/+ 1 up to
-                 6*floor((B - 5) / 6) + 7, so B = 5 still tries 7.  Above
-                 2**14 they are tried through chunk products, kept for
-                 the last bound used.
+                 6*floor((B - 5) / 6) + 7, so B = 5 still tries 7.  The
+                 primes among them are tried through gcds with cached
+                 chunk products, whose table reaches only as far as the
+                 remainder needs.
     rho_rounds:  number of Brent-rho restarts (distinct polynomial offsets)
                  per composite; the default is one short pass that takes
                  the small factors trial division left.  Each round
@@ -423,53 +424,60 @@ def _ecm_curve(n: int, sigma: int) -> int:
 
 
 def _last_candidate(bound: int) -> int:
-    """Largest trial divisor for a bound >= 5: the wheel tries d and d + 2
-    for every d = 5 (mod 6) up to the bound, so this may exceed it by 2."""
+    """Largest trial divisor past 3, or 1 for a bound below 5: d and d + 2
+    are tried for every d = 5 (mod 6) up to the bound, so up to bound + 2."""
     return 6 * ((bound - 5) // 6) + 7
 
 
-# Chunk tables kept: one, as every CLI process and benchmark workload
-# factors under one trial bound; each table near 10**7 holds ~2 MB.
-@functools.lru_cache(maxsize=1)
-def _trial_chunks(last: int) -> tuple[tuple[int, int, int], ...]:
+# Every reach is a power of two up to 2**23 or SIEVE_LIMIT, so at most 24
+# tables are kept, ~5 MB in all; the SIEVE_LIMIT one holds ~2 MB.
+@functools.cache
+def _trial_chunks(reach: int) -> tuple[tuple[int, int, int], ...]:
     """(product, first prime, last prime) of each run of _CHUNK_PRIMES
-    consecutive primes in (_last_candidate(_WHEEL_CUTOFF), last].
+    consecutive primes in [5, reach].
 
     Only the products are kept, never the primes: they are recovered from
-    a chunk's gcd with the remainder, which is rarely > 1.
+    a chunk's gcd with the remainder, which is rarely > 1.  Each product
+    is a tree of pairwise products, cheaper than a running one.
     """
-    start = _last_candidate(_WHEEL_CUTOFF) + 2  # odd, like every prime here
-    primes = itertools.compress(range(start, last + 1, 2), _sieve(last)[start::2])
+    primes = itertools.compress(range(5, reach + 1, 2), _sieve(reach)[5::2])
     chunks = []
     while run := list(itertools.islice(primes, _CHUNK_PRIMES)):
-        chunks.append((math.prod(run), run[0], run[-1]))
+        first, last = run[0], run[-1]
+        while len(run) > 1:
+            pairs = iter(run)
+            run = [a * b for a, b in itertools.zip_longest(pairs, pairs, fillvalue=1)]
+        chunks.append((run[0], first, last))
     return tuple(chunks)
 
 
 def _chunk_trial(rem: int, last: int, counts: dict[int, int]) -> int:
-    """Divide every prime in (_last_candidate(_WHEEL_CUTOFF), last] out of
-    rem, counting each in counts, and return what is left.
+    """Divide every prime in [5, last] out of rem, which must be prime to
+    6, counting each in counts, and return what is left.
 
-    rem must have no prime factor the wheel loop tried.  One gcd with a
-    chunk's product tells whether any of its primes divides rem.
+    One gcd with a chunk's product tells whether any of its primes
+    divides rem.  The table reaches the least of the powers of two above
+    sqrt(rem) and above last, and SIEVE_LIMIT; its primes past last are
+    never divided out.
     """
-    for product, first, _ in _trial_chunks(last):
-        if first * first > rem:
-            break  # rem is 1 or a prime, as when the wheel stops at d*d > rem
+    reach = min(1 << (rem.bit_length() + 1) // 2, 1 << last.bit_length(), SIEVE_LIMIT)
+    for product, first, _ in _trial_chunks(reach):
+        if first > last or first * first > rem:
+            break  # no prime up to last is left in rem, or rem is 1 or a prime
         g = math.gcd(product, rem)
         if g == 1:
             continue
         # g is squarefree with no prime below first, so its smallest
         # divisor above 1 is always one of its primes.
         c = first
-        while c * c <= g:
+        while c * c <= g and c <= last:
             if g % c == 0:
                 g //= c
                 while rem % c == 0:
                     counts[c] = counts.get(c, 0) + 1
                     rem //= c
             c += 2
-        if g > 1:
+        if 1 < g <= last:
             while rem % g == 0:
                 counts[g] = counts.get(g, 0) + 1
                 rem //= g
@@ -479,10 +487,10 @@ def _chunk_trial(rem: int, last: int, counts: dict[int, int]) -> int:
 def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     """Factor n within the given budget.
 
-    Trial division up to budget.trial_bound comes first: 2, 3, then every
-    6k -/+ 1 up to `_last_candidate(trial_bound)`, one by one up to 2**14
-    and by gcds with cached products of 512 primes above it, stopping
-    once the remainder is 1 or below the square of the next candidate.
+    Trial division up to budget.trial_bound comes first: 2, 3, then the
+    primes among every 6k -/+ 1 up to `_last_candidate(trial_bound)`, by
+    gcds with cached products of 512 primes, stopping once the remainder
+    is 1 or below the square of the next chunk's first prime.
     Every composite left then gets a short Brent-rho pass and, if rho
     cannot split it and ECM is enabled, a perfect-square test and then ECM
     curves (sigma = 6, 7, 8, ...) from one curve budget for the whole
@@ -501,17 +509,7 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
         while rem % d == 0:
             counts[d] = counts.get(d, 0) + 1
             rem //= d
-    d = 5
-    limit = budget.trial_bound
-    wheel_end = min(limit, _WHEEL_CUTOFF)
-    while d <= wheel_end and d * d <= rem:
-        for cand in (d, d + 2):
-            while rem % cand == 0:
-                counts[cand] = counts.get(cand, 0) + 1
-                rem //= cand
-        d += 6
-    if d <= limit and d * d <= rem:
-        rem = _chunk_trial(rem, _last_candidate(limit), counts)
+    rem = _chunk_trial(rem, _last_candidate(budget.trial_bound), counts)
 
     # Second stage: rho, then ECM, on each composite trial division left.
     pending = [rem] if rem > 1 else []

@@ -4,6 +4,10 @@ import argparse
 import csv
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,6 +262,17 @@ def test_unwritable_out_path(tmp_path, capsys):
     assert "cannot write" in err
 
 
+def test_module_runs_as_a_program():
+    # `python -m rrseq.cli` is how the benchmark's cli-sweep starts it
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
+    proc = subprocess.run(
+        [sys.executable, "-m", "rrseq.cli", "seed", "-p", "2", "-n", "4"],
+        capture_output=True, text=True, env=env, timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (0, "2,2,4,8\n")
+
+
 def test_usage_errors_exit_2():
     with pytest.raises(SystemExit) as exc:
         main(["search", "-p", "2"])  # missing -n
@@ -336,10 +351,14 @@ def test_each_subcommand_takes_only_the_options_it_uses():
         ["seed", "-p", "3", "-n", "4", "--policy", "all"],
         ["autocorr", "-p", "3", "-n", "4", "--trial-bound", "5"],
         ["verify", "-p", "2", "-n", "16", "-m", "331", "--policy", "smallest"],
+        ["autocorr", "--seq", "2,4,8,16", "--row", "powers"],
     ],
 )
 def test_options_a_subcommand_does_not_use_exit_2(argv, capsys):
-    with pytest.raises(SystemExit) as exc:
-        main(argv)
-    assert exc.value.code == 2
-    assert capsys.readouterr().out == ""
+    try:
+        code = main(argv)  # --row beside --seq is refused after parsing
+    except SystemExit as exc:
+        code = exc.code
+    assert code == 2
+    captured = capsys.readouterr()
+    assert captured.out == "" and "error:" in captured.err

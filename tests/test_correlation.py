@@ -92,6 +92,9 @@ def test_autocorr_mod_reduces_elementwise():
     for n in (2, 3, 5, 7, 331):
         reduced = autocorr_mod(row, n)
         assert reduced.values == tuple(v % n for v in exact)
+    for n in (1, 0):
+        with pytest.raises(ValueError, match="at least 2"):
+            autocorr_mod(row, n)
 
 
 def test_autocorr_mod_two_valued_case():

@@ -9,11 +9,9 @@ from rrseq.numtheory import (
     _MR_BASES_64,
     _MR_PREFIXES,
     _SMALL_PRIMES,
-    _WHEEL_CUTOFF,
     SIEVE_LIMIT,
     FactorBudget,
     Factorization,
-    _last_candidate,
     _miller_rabin,
     _trial_chunks,
     factorize,
@@ -289,8 +287,15 @@ def _trial_oracle(n: int, budget: FactorBudget) -> Factorization:
 
 
 def _chunk_edges() -> list[tuple[int, int]]:
-    """(first, last) prime of each chunk of the default trial bound."""
-    return [(first, last) for _, first, last in _trial_chunks(_last_candidate(10**6))]
+    """(first, last) prime of each chunk of the default bound's largest table."""
+    return [(first, last) for _, first, last in _trial_chunks(1 << 20)]
+
+
+def _prime_pairs(k: int) -> tuple[int, int]:
+    """The primes just below and just above 2**k."""
+    below = max(p for p in primes_up_to(1 << k))
+    above = next(q for q in range((1 << k) + 1, 1 << (k + 1)) if is_prime(q))
+    return below, above
 
 
 def test_trial_stage_matches_wheel_oracle():
@@ -301,41 +306,56 @@ def test_trial_stage_matches_wheel_oracle():
     # a bound of r - 2 still tries r, two past it
     r = next(p for p in in_chunk1 if p % 6 == 1)
     big = 2**61 - 1  # keeps the remainder large, so the chunk stage runs
+    # each chunk table reaches a power of two, so bounds and primes on
+    # either side of one
     bounds = sorted(
         {2, 5, 6, 7, 11, 12, 13, 1000, 1001, 1002, 1003}
-        | {_WHEEL_CUTOFF - 1, _WHEEL_CUTOFF, _WHEEL_CUTOFF + 1}
+        | {(1 << k) + e for k in range(3, 15) for e in (-1, 0, 1)}
         | {first1, first1 + 1, end1, end1 + 1, r - 2, 10**6}
     )
+    pairs = [_prime_pairs(k) for k in range(3, 18)]
     hand = [
         edges[0][0] ** 2, r * big, end0**2 * big, first1**2 * big, end0**3, first1**3, end1**2 * first2**3 * big,
         in_chunk1[3] ** 2 * in_chunk1[-4] * big, in_chunk1[0] * in_chunk1[1],
         in_chunk1[5] * 999_983, 8 * 999_983, 999_983**2 * 3, 999_983 * 1_000_003,
         2**10 * 3**5 * 5**3 * 7 * 16_381 * 16_411 * big, 997 * 1009 * big, 13 * big,
     ]
+    near = [below * above * big for below, above in pairs] + [below**2 * above for below, above in pairs]
     rng = random.Random(2004)
     randoms = [rng.getrandbits(rng.randrange(20, 513)) | 1 for _ in range(40)]
     for bound in bounds:
         budget = FactorBudget(trial_bound=bound, rho_rounds=0, ecm_curves=0)
         # the oracle's full wheel to 10**6 costs ~0.1 s on a large remainder
-        values = hand + (randoms[:6] if bound == 10**6 else randoms)
+        values = hand + randoms[:6] if bound == 10**6 else hand + near + randoms
         for n in values:
             assert factorize(n, budget) == _trial_oracle(n, budget), (n, bound)
 
 
-def test_small_rows_build_no_chunk_table():
-    # Rows at the paper's lengths finish trial division in the wheel loop,
-    # so one-shot runs pay for no chunk products.
+def _cached(reaches) -> int:
+    """How many of these chunk tables were already built."""
+    hits = _trial_chunks.cache_info().hits
+    for reach in reaches:
+        _trial_chunks(reach)
+    return _trial_chunks.cache_info().hits - hits
+
+
+def test_small_rows_build_only_small_chunk_tables():
+    # Rows at the paper's lengths need only the small tables, at most
+    # 2**13, so one-shot runs never pay for the default bound's 2**20 one.
     _trial_chunks.cache_clear()
     find_modulus(build_seed(3, 16))
     sweep(16, 2000)
     sweep(24, 200)
-    assert _trial_chunks.cache_info().currsize == 0
+    built = _trial_chunks.cache_info().currsize
+    assert 0 < built == _cached(1 << k for k in range(1, 14))
 
 
-def test_chunk_table_cache_keeps_one_bound():
-    # each trial bound has its own table, so only the last one is kept
-    assert _trial_chunks.cache_info().maxsize == 1
+def test_chunk_table_keys_are_powers_of_two():
+    # tables are keyed by reach, not by bound, so however many bounds a
+    # process uses at most 24 tables exist
+    _trial_chunks.cache_clear()
     big = (2**61 - 1) * (2**31 - 1)
-    for bound in (2 * _WHEEL_CUTOFF, 3 * _WHEEL_CUTOFF):
+    for bound in (2 << 14, 3 << 14, 10**6):
         factorize(big, FactorBudget(trial_bound=bound, rho_rounds=0, ecm_curves=0))
-        assert _trial_chunks.cache_info().currsize <= 1
+    built = _trial_chunks.cache_info().currsize
+    assert 0 < built == _cached(1 << k for k in range(1, 21))
