@@ -143,7 +143,9 @@ def find_modulus(
     the p terms give p * (2**k + 2**(N-k)), and the rest are two geometric
     series summing to (2**k + 2**(N-k)) * (2**N - 4) / 3.  Every other row
     gets its exact profile, and the gcd of C(1..N/2), which repeat as
-    C(N-k) == C(k).  Both give the same outcome.
+    C(N-k) == C(k).  Both give the same outcome.  `sweep` builds no
+    doubling rows: it hands each sieved prime straight to the closed form
+    and shares the steps from the gcd on with this function.
 
     Deterministic for fixed inputs.
     """
@@ -153,6 +155,11 @@ def find_modulus(
     else:
         values = profile_values(elems)
         peak, g = values[0], math.gcd(*values[1 : len(elems) // 2 + 1])
+    return _outcome(peak, g, policy, budget)
+
+
+def _outcome(peak: int, g: int, policy: SelectionPolicy, budget: FactorBudget) -> ModulusSearchOutcome:
+    """The search outcome of a row with peak C(0) and off-peak gcd g."""
     if g == 0:
         raise ValueError(
             "every off-peak correlation is zero; the row is two-valued over "
@@ -205,13 +212,21 @@ def sweep(
 ) -> list[SweepRow]:
     """One search per starting prime p <= prime_bound, ascending.
 
-    Rows with a negative status are kept, never dropped.
+    Each row's outcome equals find_modulus(build_seed(p, n, row_kind),
+    policy, budget).  The starting primes come from a sieve, so none is
+    tested for primality again, and a doubling row is never built: its
+    peak and off-peak gcd come straight from the closed form in the
+    module docstring.  Rows with a negative status are kept, never
+    dropped.
     """
     check_length(n)
     if prime_bound < 2:
         raise ValueError("prime bound must be at least 2")
     rows = []
     for i, p in enumerate(primes_up_to(prime_bound), start=1):
-        outcome = find_modulus(build_seed(p, n, row_kind), policy, budget)
+        if row_kind == ROW_DOUBLING:
+            outcome = _outcome(*_doubling_peak_gcd(p, n), policy, budget)
+        else:
+            outcome = find_modulus(build_seed(p, n, row_kind), policy, budget)
         rows.append(SweepRow(index=i, start_prime=p, length=n, outcome=outcome))
     return rows

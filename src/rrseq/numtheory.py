@@ -549,7 +549,7 @@ def _sieve(bound: int) -> bytearray:
     sieve[0] = sieve[1] = 0
     for p in range(2, math.isqrt(bound) + 1):
         if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
+            sieve[p * p :: p] = bytearray((bound - p * p) // p + 1)
     return sieve
 
 

@@ -19,19 +19,24 @@ outlives the call.
 `enumerate_binary_ideal` exhaustively lists every binary row of a given
 length whose mod-2 correlation is two-valued (peak 1, off-peak 0); the
 search itself is `scan_masks`, a popcount filter over all 2**n masks.
+
+numpy is imported by the functions that use it, so it loads at the first
+Gram check or witness scan.  `check_rr`, the modulus search and the
+sweep never touch it, and `import rrseq` does not load it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import repeat
-from typing import Sequence
-
-import numpy as np
+from typing import TYPE_CHECKING, Sequence
 
 from .correlation import profile_values
 from .numtheory import is_prime
 from .sequence import as_elements
+
+if TYPE_CHECKING:
+    import numpy as np
 
 
 @dataclass(frozen=True)
@@ -98,6 +103,8 @@ def _circulant(col: np.ndarray) -> np.ndarray:
     """The size x size circulant of a 1-D float64 array: entry (i, j) is
     col[(i + j) % size].  Row i is the length-size window at offset i of
     col followed by col[:-1]; the copy makes it contiguous for BLAS."""
+    import numpy as np
+
     size = len(col)
     ext = np.concatenate((col, col[:-1]))
     return np.ndarray((size, size), np.float64, ext, 0, (ext.itemsize, ext.itemsize)).copy()
@@ -106,6 +113,8 @@ def _circulant(col: np.ndarray) -> np.ndarray:
 def _gram_ok(residues: tuple[int, ...], n: int, peak: int) -> bool:
     """True iff circ(residues) @ circ(residues).T is peak * I mod n, with
     every one of the size**2 entries formed as an exact integer."""
+    import numpy as np
+
     size = len(residues)
     limbs = _limb_count(size, n)
     if limbs == 1:
@@ -194,6 +203,8 @@ def scan_masks(n: int) -> np.ndarray:
     """
     if not 1 <= n <= 24:
         raise ValueError("mask scan supports lengths 1..24")
+    import numpy as np
+
     total = 1 << n
     hits = []
     for start in range(0, total, _SCAN_CHUNK):
@@ -215,6 +226,8 @@ def enumerate_binary_ideal(n: int) -> list[BinaryWitness]:
     over all n lags, computed from its mask as the parity of
     popcount(mask & rot_k(mask)), which is C(k) mod 2.
     """
+    import numpy as np
+
     masks = scan_masks(n)
     lags = [np.bitwise_count(masks & _rot(masks, k, n)) & 1 for k in range(n)]
     bits = (masks[:, None] >> np.arange(n - 1, -1, -1, dtype=np.uint32)) & 1

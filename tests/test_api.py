@@ -95,3 +95,31 @@ def test_factor_budget_fields():
     assert set(FactorBudget.__dataclass_fields__) == {"trial_bound", "rho_rounds", "ecm_curves"}
     with pytest.raises(TypeError):
         FactorBudget(rho_iters=1)
+
+
+# In a fresh interpreter: the search path never loads numpy, and the Gram
+# check and the witness scan load it at first use.
+SEARCH_PATH = """
+import sys
+import rrseq
+rrseq.sweep(16, 100)
+rrseq.search_prime(3, 16)
+assert rrseq.check_rr(rrseq.build_seed(3, 16), 3121).verified
+print("numpy" in sys.modules)
+assert rrseq.gram_check(rrseq.build_seed(3, 16), 3121)
+print("numpy" in sys.modules)
+"""
+
+WITNESS_SCAN = """
+import sys
+import rrseq
+print("numpy" in sys.modules)
+rrseq.enumerate_binary_ideal(4)
+print("numpy" in sys.modules)
+"""
+
+
+@pytest.mark.parametrize("code", [SEARCH_PATH, WITNESS_SCAN], ids=["search-path", "witness-scan"])
+def test_numpy_loads_only_for_the_gram_check_and_witness_scan(fresh_python, code):
+    proc = fresh_python("-c", code)
+    assert (proc.returncode, proc.stdout) == (0, "False\nTrue\n"), proc.stderr

@@ -4,10 +4,6 @@ import argparse
 import csv
 import io
 import json
-import os
-import subprocess
-import sys
-from pathlib import Path
 
 import pytest
 
@@ -262,15 +258,32 @@ def test_unwritable_out_path(tmp_path, capsys):
     assert "cannot write" in err
 
 
-def test_module_runs_as_a_program():
+def test_module_runs_as_a_program(fresh_python):
     # `python -m rrseq.cli` is how the benchmark's cli-sweep starts it
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env = {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))}
-    proc = subprocess.run(
-        [sys.executable, "-m", "rrseq.cli", "seed", "-p", "2", "-n", "4"],
-        capture_output=True, text=True, env=env, timeout=60,
-    )
+    proc = fresh_python("-m", "rrseq.cli", "seed", "-p", "2", "-n", "4")
     assert (proc.returncode, proc.stdout) == (0, "2,2,4,8\n")
+
+
+@pytest.mark.parametrize(
+    "argv, loads_numpy",
+    [
+        (["seed", "-p", "3", "-n", "16"], False),
+        (["autocorr", "-p", "3", "-n", "16"], False),
+        (["search", "-p", "3", "-n", "16"], False),
+        (["sweep", "-n", "16", "--primes-up-to", "100"], False),
+        (["plotdata", "-n", "16", "--primes-up-to", "100"], False),
+        (["verify", "-p", "3", "-n", "16", "-m", "3121"], True),
+    ],
+)
+def test_only_verify_loads_numpy(fresh_python, argv, loads_numpy):
+    # -X importtime reports every module the process imports, on stderr
+    proc = fresh_python("-X", "importtime", "-m", "rrseq.cli", *argv)
+    assert proc.returncode == 0, proc.stderr
+    imported = {
+        line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")
+    }
+    assert "rrseq.verify" in imported  # the package itself was loaded
+    assert ("numpy" in imported) == loads_numpy
 
 
 def test_usage_errors_exit_2():

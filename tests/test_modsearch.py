@@ -11,12 +11,13 @@ from rrseq.modsearch import (
     ModulusSearchOutcome,
     SearchStatus,
     SelectionPolicy,
+    SweepRow,
     find_modulus,
     search_prime,
     sweep,
 )
-from rrseq.numtheory import DEFAULT_BUDGET, FactorBudget, Factorization, factorize
-from rrseq.sequence import ROW_POWERS, power_seed
+from rrseq.numtheory import DEFAULT_BUDGET, FactorBudget, Factorization, factorize, primes_up_to
+from rrseq.sequence import ROW_DOUBLING, ROW_POWERS, build_seed, power_seed
 from rrseq.verify import check_rr, gram_check
 
 # Trial division only: the front end is what these tests compare, and
@@ -197,11 +198,24 @@ def test_candidate_validity_bookkeeping():
 
 
 def test_search_prime_equals_find_modulus_on_built_row():
-    from rrseq.sequence import build_seed
-
     a = search_prime(7, 12)
     b = find_modulus(build_seed(7, 12))
     assert a == b
+
+
+@pytest.mark.parametrize(
+    "n, bound, row_kind",
+    # N = 2 has h_N = 4, odd N have 6 and even N >= 4 have 2
+    [(2, 200, ROW_DOUBLING), (3, 200, ROW_DOUBLING), (4, 200, ROW_DOUBLING), (5, 200, ROW_DOUBLING),
+     (16, 200, ROW_DOUBLING), (24, 200, ROW_DOUBLING), (64, 60, ROW_DOUBLING), (6, 60, ROW_POWERS)],
+)
+@pytest.mark.parametrize("policy", list(SelectionPolicy))
+@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, FactorBudget(trial_bound=5), TRIAL_ONLY])
+def test_sweep_equals_find_modulus_on_built_rows(n, bound, row_kind, policy, budget):
+    assert sweep(n, bound, policy, budget, row_kind) == [
+        SweepRow(i, p, n, find_modulus(build_seed(p, n, row_kind), policy, budget))
+        for i, p in enumerate(primes_up_to(bound), start=1)
+    ]
 
 
 def test_sweep_shape_and_order():

@@ -1,5 +1,6 @@
 """gcd, primality, budgeted factorization, sieve."""
 
+import math
 import random
 
 import pytest
@@ -248,6 +249,23 @@ def test_primes_up_to():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_up_to(100)) == 25
     assert len(primes_up_to(10**4)) == 1229
+
+
+def _naive_primes(bound: int) -> list[int]:
+    """Primes <= bound from a sieve that strikes each multiple one at a time."""
+    flags = [False, False] + [True] * (bound - 1)
+    for p in range(2, math.isqrt(bound) + 1):
+        if flags[p]:
+            for m in range(p * p, bound + 1, p):
+                flags[m] = False
+    return [i for i, f in enumerate(flags) if f]
+
+
+def test_primes_up_to_matches_naive_sieve():
+    small = _naive_primes(3000)
+    for bound in range(3001):
+        assert primes_up_to(bound) == [p for p in small if p <= bound], bound
+    assert primes_up_to(10**6) == _naive_primes(10**6)
 
 
 def test_primes_up_to_rejects_bounds_past_sieve_limit():
