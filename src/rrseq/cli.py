@@ -130,7 +130,7 @@ def _cmd_seed(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 
 def _parse_seq(text: str) -> tuple[int, ...]:
-    tokens = [tok for tok in text.split(",") if tok.strip()]
+    tokens = text.split(",")
     if len(tokens) > MAX_LENGTH:
         check_length(len(tokens))  # refused before any entry is converted
     try:
@@ -235,7 +235,7 @@ def _build_parser() -> argparse.ArgumentParser:
         type=int,
         default=DEFAULT_BUDGET.trial_bound,
         metavar="B",
-        help="trial-division bound for the factorization stage, at most "
+        help="largest prime tried by trial division, at most "
         f"{SIEVE_LIMIT} (trial division takes its primes from a sieve)",
     )
     row = _row_parser(ROW_DOUBLING)

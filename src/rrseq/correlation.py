@@ -57,6 +57,7 @@ def periodic_autocorr(seq: Sequence[int]) -> CorrProfile:
 
 def autocorr_mod(seq: Sequence[int], n: int) -> CorrProfile:
     """The periodic autocorrelation reduced element-wise modulo n."""
+    n = operator.index(n)
     if n < 2:
         raise ValueError("modulus must be at least 2")
     return CorrProfile(tuple(v % n for v in profile_values(as_elements(seq))))

@@ -12,14 +12,13 @@ bases instead of all 13.
 elliptic-curve method (ECM) on whatever composite is left, and reports
 what no stage split as an explicit cofactor.
 
-Trial division tries 2, 3, then d and d + 2 for every d = 5, 11, 17, ...
-up to the bound B, so its last candidate is 6*floor((B - 5) / 6) + 7.
-Past 3 it takes the primes from 5 in chunks of 512, one gcd of the
-remainder with each chunk's product, and looks inside a chunk only when
-that gcd is above 1 (Bernstein, *How to find smooth parts of integers*,
-2004).  It stops once the remainder is below the square of the next
-chunk's first prime, and its chunk table reaches only the power of two
-above the remainder's square root.
+Trial division to the bound B divides out 2 and 3, whatever B, then
+every prime up to B and none past it.  Past 3 it takes the primes from 5
+in chunks of 512, one gcd of the remainder with each chunk's product,
+and looks inside a chunk only when that gcd is above 1 (Bernstein, *How
+to find smooth parts of integers*, 2004).  It stops once the remainder
+is below the square of the next chunk's first prime, and its chunk table
+reaches only the power of two above the remainder's square root.
 
 Every sieve, and so every trial bound, is capped at SIEVE_LIMIT (10**7),
 because a sieve to B takes B bytes.
@@ -39,7 +38,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
-from dataclasses import dataclass
+import operator
+from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
 # Deterministic Miller-Rabin: the first k of these bases are exact for
@@ -102,12 +102,12 @@ class FactorBudget:
     """Effort limits for `factorize`, counted in work, never in seconds,
     so a budget gives the same result on any machine.
 
-    trial_bound: bound B of trial division, 2 <= B <= SIEVE_LIMIT.  The
-                 divisors tried are 2, 3 and every 6k -/+ 1 up to
-                 6*floor((B - 5) / 6) + 7, so B = 5 still tries 7.  The
-                 primes among them are tried through gcds with cached
-                 chunk products, whose table reaches only as far as the
-                 remainder needs.
+    trial_bound: bound B of trial division, 2 <= B <= SIEVE_LIMIT.  It
+                 divides out 2 and 3 (ECM needs a remainder prime to 6),
+                 then every prime <= B and no prime > B, so B = 5 leaves
+                 a factor 7 to rho and ECM.  The primes past 3 are tried
+                 through gcds with cached chunk products, whose table
+                 reaches only as far as the remainder needs.
     rho_rounds:  number of Brent-rho restarts (distinct polynomial offsets)
                  per composite; the default is one short pass that takes
                  the small factors trial division left.  Each round
@@ -121,6 +121,9 @@ class FactorBudget:
     ecm_curves: int = 200
 
     def __post_init__(self) -> None:
+        # numpy integers become ints; floats raise TypeError here, not later
+        for f in fields(self):
+            object.__setattr__(self, f.name, operator.index(getattr(self, f.name)))
         if self.trial_bound < 2:
             raise ValueError("trial_bound must be at least 2")
         if self.trial_bound > SIEVE_LIMIT:
@@ -227,8 +230,10 @@ def is_prime(n: int) -> bool:
     with 64 rounds of bases derived deterministically from n; the error
     probability is below 4**-64 = 2**-128 and identical inputs always
     give identical answers.  The last _PRIME_MEMO_SIZE (4) answers are
-    remembered, keyed by value and type (`is_prime.cache_info()`).
+    remembered, keyed by value and type (`is_prime.cache_info()`), so a
+    float is never answered from an int's entry: it raises TypeError.
     """
+    n = operator.index(n)
     if n < 2:
         return False
     for p in _SMALL_PRIMES:
@@ -423,18 +428,12 @@ def _ecm_curve(n: int, sigma: int) -> int:
     return math.gcd(acc, n)
 
 
-def _last_candidate(bound: int) -> int:
-    """Largest trial divisor past 3, or 1 for a bound below 5: d and d + 2
-    are tried for every d = 5 (mod 6) up to the bound, so up to bound + 2."""
-    return 6 * ((bound - 5) // 6) + 7
-
-
 # Every reach is a power of two up to 2**23 or SIEVE_LIMIT, so at most 24
 # tables are kept, ~5 MB in all; the SIEVE_LIMIT one holds ~2 MB.
 @functools.cache
-def _trial_chunks(reach: int) -> tuple[tuple[int, int, int], ...]:
-    """(product, first prime, last prime) of each run of _CHUNK_PRIMES
-    consecutive primes in [5, reach].
+def _trial_chunks(reach: int) -> tuple[tuple[int, int], ...]:
+    """(product, first prime) of each run of _CHUNK_PRIMES consecutive
+    primes in [5, reach].
 
     Only the products are kept, never the primes: they are recovered from
     a chunk's gcd with the remainder, which is rarely > 1.  Each product
@@ -443,41 +442,41 @@ def _trial_chunks(reach: int) -> tuple[tuple[int, int, int], ...]:
     primes = itertools.compress(range(5, reach + 1, 2), _sieve(reach)[5::2])
     chunks = []
     while run := list(itertools.islice(primes, _CHUNK_PRIMES)):
-        first, last = run[0], run[-1]
+        first = run[0]
         while len(run) > 1:
             pairs = iter(run)
             run = [a * b for a, b in itertools.zip_longest(pairs, pairs, fillvalue=1)]
-        chunks.append((run[0], first, last))
+        chunks.append((run[0], first))
     return tuple(chunks)
 
 
-def _chunk_trial(rem: int, last: int, counts: dict[int, int]) -> int:
-    """Divide every prime in [5, last] out of rem, which must be prime to
+def _chunk_trial(rem: int, bound: int, counts: dict[int, int]) -> int:
+    """Divide every prime in [5, bound] out of rem, which must be prime to
     6, counting each in counts, and return what is left.
 
     One gcd with a chunk's product tells whether any of its primes
     divides rem.  The table reaches the least of the powers of two above
-    sqrt(rem) and above last, and SIEVE_LIMIT; its primes past last are
+    sqrt(rem) and above bound, and SIEVE_LIMIT; its primes past bound are
     never divided out.
     """
-    reach = min(1 << (rem.bit_length() + 1) // 2, 1 << last.bit_length(), SIEVE_LIMIT)
-    for product, first, _ in _trial_chunks(reach):
-        if first > last or first * first > rem:
-            break  # no prime up to last is left in rem, or rem is 1 or a prime
+    reach = min(1 << (rem.bit_length() + 1) // 2, 1 << bound.bit_length(), SIEVE_LIMIT)
+    for product, first in _trial_chunks(reach):
+        if first > bound or first * first > rem:
+            break  # no prime up to bound is left in rem, or rem is 1 or a prime
         g = math.gcd(product, rem)
         if g == 1:
             continue
         # g is squarefree with no prime below first, so its smallest
         # divisor above 1 is always one of its primes.
         c = first
-        while c * c <= g and c <= last:
+        while c * c <= g and c <= bound:
             if g % c == 0:
                 g //= c
                 while rem % c == 0:
                     counts[c] = counts.get(c, 0) + 1
                     rem //= c
             c += 2
-        if 1 < g <= last:
+        if 1 < g <= bound:
             while rem % g == 0:
                 counts[g] = counts.get(g, 0) + 1
                 rem //= g
@@ -487,10 +486,9 @@ def _chunk_trial(rem: int, last: int, counts: dict[int, int]) -> int:
 def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     """Factor n within the given budget.
 
-    Trial division up to budget.trial_bound comes first: 2, 3, then the
-    primes among every 6k -/+ 1 up to `_last_candidate(trial_bound)`, by
-    gcds with cached products of 512 primes, stopping once the remainder
-    is 1 or below the square of the next chunk's first prime.
+    Trial division to budget.trial_bound (see `FactorBudget`) comes
+    first, by gcds with cached products of 512 primes, stopping once the
+    remainder is 1 or below the square of the next chunk's first prime.
     Every composite left then gets a short Brent-rho pass and, if rho
     cannot split it and ECM is enabled, a perfect-square test and then ECM
     curves (sigma = 6, 7, 8, ...) from one curve budget for the whole
@@ -498,6 +496,7 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     dropped.  A complete factorization is unique, so it does not depend
     on which stage found which prime.
     """
+    n = operator.index(n)
     if n < 1:
         raise ValueError("factorize requires n >= 1")
     if n == 1:
@@ -509,7 +508,7 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
         while rem % d == 0:
             counts[d] = counts.get(d, 0) + 1
             rem //= d
-    rem = _chunk_trial(rem, _last_candidate(budget.trial_bound), counts)
+    rem = _chunk_trial(rem, budget.trial_bound, counts)
 
     # Second stage: rho, then ECM, on each composite trial division left.
     pending = [rem] if rem > 1 else []

@@ -73,10 +73,14 @@ def check_length(n: int) -> None:
         raise ValueError(f"row length must be at most {MAX_LENGTH}, got {n}")
 
 
-def _check_seed_args(p: int, n: int) -> None:
+def _seed_args(p: int, n: int) -> tuple[int, int]:
+    """p and n as ints, once n is a valid length and p a prime.  A numpy
+    p would otherwise wrap its powers at 64 bits."""
+    p, n = operator.index(p), operator.index(n)
     check_length(n)
     if not is_prime(p):
         raise ValueError(f"starting value {p} is not prime")
+    return p, n
 
 
 @functools.lru_cache(maxsize=_TAIL_CACHE_SIZE)
@@ -97,13 +101,13 @@ def _is_doubling(elems: tuple[int, ...]) -> bool:
 
 def doubling_seed(p: int, n: int) -> tuple[int, ...]:
     """Row of length n: the prime p followed by 2, 4, ..., 2**(n-1)."""
-    _check_seed_args(p, n)
+    p, n = _seed_args(p, n)
     return (p,) + _doubling_tail(n)
 
 
 def power_seed(p: int, n: int) -> tuple[int, ...]:
     """Row of length n: consecutive powers p, p**2, ..., p**n."""
-    _check_seed_args(p, n)
+    p, n = _seed_args(p, n)
     return tuple(p**j for j in range(1, n + 1))
 
 

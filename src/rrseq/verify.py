@@ -27,6 +27,7 @@ sweep never touch it, and `import rrseq` does not load it.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
@@ -68,6 +69,7 @@ def check_rr(seq: Sequence[int], n: int) -> RRCertificate:
     verified is True iff every off-peak correlation is 0 mod n, the peak
     is nonzero mod n, and the reduced row is not identically zero.
     """
+    n = operator.index(n)
     if not is_prime(n):
         raise ValueError(f"modulus {n} is not prime")
     elems = as_elements(seq)
@@ -121,8 +123,9 @@ def _gram_ok(residues: tuple[int, ...], n: int, peak: int) -> bool:
         # The float64 product of the residues is the exact Gram matrix.
         circ = _circulant(np.array(residues, dtype=np.float64))
         gram = (circ @ circ.T).astype(np.int64) % n
-        # peak * I: every diagonal entry is peak and nothing else is nonzero.
-        return bool((gram.diagonal() == peak).all() and np.count_nonzero(gram) == (size if peak else 0))
+        # peak * I: with peak taken off the diagonal, nothing is nonzero.
+        gram.flat[:: size + 1] -= peak
+        return not gram.any()
 
     raw = b"".join(r.to_bytes(2 * limbs, "little") for r in residues)
     limb_rows = np.frombuffer(raw, dtype="<u2").reshape(size, limbs)
@@ -145,12 +148,13 @@ def _gram_ok(residues: tuple[int, ...], n: int, peak: int) -> bool:
         carry += acc >> _LIMB_BITS
 
     # One Gram row at a time: each entry's little-endian digits become one
-    # Python int; the row passes iff its diagonal entry is peak and all of
-    # its other entries are 0, mod n.
+    # Python int; the row passes iff, mod n and with peak taken off its
+    # diagonal entry, all of its entries are 0.
     entries = digits.view(f"V{2 * ndigits}").reshape(size, size)
     for i in range(size):
         row = [v % n for v in map(int.from_bytes, entries[i].tolist(), repeat("little"))]
-        if row[i] != peak or row.count(0) != size - 1:
+        row[i] -= peak
+        if any(row):
             return False
     return True
 
@@ -172,6 +176,7 @@ def gram_check(seq: Sequence[int], n: int) -> bool:
     meets: `as_elements` refuses rows longer than MAX_LENGTH = 2048 with
     ValueError.
     """
+    n = operator.index(n)
     if not is_prime(n):
         raise ValueError(f"modulus {n} is not prime")
     elems = as_elements(seq)

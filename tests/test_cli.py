@@ -61,14 +61,15 @@ def test_autocorr_needs_exactly_one_source(capsys):
 
 
 def test_autocorr_bad_seq(capsys):
-    for seq in ("1,x,3", "abc"):
-        code, _, err = run(["autocorr", "--seq", seq], capsys)
+    for seq in ("1,x,3", "abc", "1,,2", "1,2,", ",1,2", ",", ""):
+        code, out, err = run(["autocorr", "--seq", seq], capsys)
         assert code == 2
+        assert out == ""
         assert "cannot parse" in err
-    for seq in ("5", ","):
-        code, _, err = run(["autocorr", "--seq", seq], capsys)
-        assert code == 2
-        assert "at least 2" in err
+    assert run(["autocorr", "--seq", " 2 , 4,8 ,16"], capsys)[:2] == (0, "340,200,160,200\n")
+    code, _, err = run(["autocorr", "--seq", "5"], capsys)
+    assert code == 2
+    assert "at least 2" in err
 
 
 def test_autocorr_seq_past_limit_exit_2(monkeypatch, capsys):

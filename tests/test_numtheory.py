@@ -278,22 +278,16 @@ def test_primes_up_to_rejects_bounds_past_sieve_limit():
 
 
 def _trial_oracle(n: int, budget: FactorBudget) -> Factorization:
-    """The one-candidate-at-a-time wheel over the whole trial range, then
-    the prime test on what is left (no rho, no ECM)."""
+    """One-by-one division by 2, 3 and every prime up to the trial bound,
+    then the prime test on what is left (no rho, no ECM)."""
     counts: dict[int, int] = {}
     rem = n
-    for d in (2, 3):
+    for d in (2, 3, *primes_up_to(budget.trial_bound)[2:]):
+        if d * d > rem:
+            break
         while rem % d == 0:
             counts[d] = counts.get(d, 0) + 1
             rem //= d
-    d = 5
-    limit = budget.trial_bound
-    while d <= limit and d * d <= rem:
-        for cand in (d, d + 2):
-            while rem % cand == 0:
-                counts[cand] = counts.get(cand, 0) + 1
-                rem //= cand
-        d += 6
 
     cofactor = 1
     if rem > 1:
@@ -305,8 +299,10 @@ def _trial_oracle(n: int, budget: FactorBudget) -> Factorization:
 
 
 def _chunk_edges() -> list[tuple[int, int]]:
-    """(first, last) prime of each chunk of the default bound's largest table."""
-    return [(first, last) for _, first, last in _trial_chunks(1 << 20)]
+    """(first, last) prime of each run of 512 primes from 5 below 2**20,
+    the chunks of the default bound's largest table."""
+    primes = primes_up_to(1 << 20)[2:]
+    return [(run[0], run[-1]) for run in (primes[i : i + 512] for i in range(0, len(primes), 512))]
 
 
 def _prime_pairs(k: int) -> tuple[int, int]:
@@ -316,12 +312,12 @@ def _prime_pairs(k: int) -> tuple[int, int]:
     return below, above
 
 
-def test_trial_stage_matches_wheel_oracle():
+def test_trial_stage_matches_prime_oracle():
     edges = _chunk_edges()
     (_, end0), (first1, end1), (first2, _) = edges[:3]
     mid = primes_up_to(end1)
     in_chunk1 = [p for p in mid if first1 <= p <= end1]
-    # a bound of r - 2 still tries r, two past it
+    # a bound of r - 1 leaves r in the remainder
     r = next(p for p in in_chunk1 if p % 6 == 1)
     big = 2**61 - 1  # keeps the remainder large, so the chunk stage runs
     # each chunk table reaches a power of two, so bounds and primes on
@@ -329,24 +325,28 @@ def test_trial_stage_matches_wheel_oracle():
     bounds = sorted(
         {2, 5, 6, 7, 11, 12, 13, 1000, 1001, 1002, 1003}
         | {(1 << k) + e for k in range(3, 15) for e in (-1, 0, 1)}
-        | {first1, first1 + 1, end1, end1 + 1, r - 2, 10**6}
+        | {first1, first1 + 1, end1, end1 + 1, r - 1, 10**6}
     )
     pairs = [_prime_pairs(k) for k in range(3, 18)]
     hand = [
         edges[0][0] ** 2, r * big, end0**2 * big, first1**2 * big, end0**3, first1**3, end1**2 * first2**3 * big,
         in_chunk1[3] ** 2 * in_chunk1[-4] * big, in_chunk1[0] * in_chunk1[1],
         in_chunk1[5] * 999_983, 8 * 999_983, 999_983**2 * 3, 999_983 * 1_000_003,
-        2**10 * 3**5 * 5**3 * 7 * 16_381 * 16_411 * big, 997 * 1009 * big, 13 * big,
+        2**10 * 3**5 * 5**3 * 7 * 16_381 * 16_411 * big, 997 * 1009 * big, 13 * big, 7 * big,
     ]
     near = [below * above * big for below, above in pairs] + [below**2 * above for below, above in pairs]
     rng = random.Random(2004)
     randoms = [rng.getrandbits(rng.randrange(20, 513)) | 1 for _ in range(40)]
     for bound in bounds:
         budget = FactorBudget(trial_bound=bound, rho_rounds=0, ecm_curves=0)
-        # the oracle's full wheel to 10**6 costs ~0.1 s on a large remainder
+        # the oracle's one-by-one division to 10**6 costs ~0.1 s on a large remainder
         values = hand + randoms[:6] if bound == 10**6 else hand + near + randoms
         for n in values:
             assert factorize(n, budget) == _trial_oracle(n, budget), (n, bound)
+    # with rho and ECM off, a prime just past the bound stays in the cofactor
+    for bound, q in ((5, 7), (6, 7), (r - 1, r)):
+        budget = FactorBudget(trial_bound=bound, rho_rounds=0, ecm_curves=0)
+        assert factorize(q * big, budget) == Factorization(q * big, (), q * big)
 
 
 def _cached(reaches) -> int:

@@ -5,6 +5,7 @@ import pytest
 
 from rrseq.correlation import autocorr_mod, periodic_autocorr
 from rrseq.modsearch import find_modulus, sweep
+from rrseq.numtheory import FactorBudget, factorize, is_prime
 from rrseq.sequence import (
     MAX_LENGTH,
     ROW_DOUBLING,
@@ -124,3 +125,29 @@ def test_every_entry_point_refuses_rows_shorter_than_2(entry):
 def test_every_entry_point_refuses_rows_longer_than_max_length(entry):
     with pytest.raises(ValueError, match=f"row length must be at most {MAX_LENGTH}, got {MAX_LENGTH + 1}"):
         entry([1] * (MAX_LENGTH + 1))
+
+
+# Entry points taking one integer scalar, each with a value for it.
+SCALAR_ENTRY_POINTS = [
+    pytest.param(
+        lambda b: factorize(997 * 1009 * (2**61 - 1), FactorBudget(trial_bound=b, rho_rounds=0, ecm_curves=0)),
+        1000,
+        id="trial_bound",
+    ),
+    pytest.param(lambda k: FactorBudget(rho_rounds=k, ecm_curves=k), 3, id="rho_rounds-ecm_curves"),
+    pytest.param(is_prime, 3121, id="is_prime"),
+    pytest.param(factorize, 2**62 + 1, id="factorize"),
+    pytest.param(lambda m: check_rr(build_seed(3, 16), m), 3121, id="check_rr"),
+    pytest.param(lambda m: gram_check(build_seed(3, 16), m), 3121, id="gram_check"),
+    pytest.param(lambda m: autocorr_mod(build_seed(3, 128), m), 2**61 - 1, id="autocorr_mod"),
+    pytest.param(lambda p: build_seed(p, 48, ROW_POWERS), 3, id="build_seed-p"),
+    pytest.param(lambda n: build_seed(3, n), 16, id="build_seed-n"),
+]
+
+
+@pytest.mark.parametrize(("entry", "value"), SCALAR_ENTRY_POINTS)
+def test_every_scalar_entry_point_takes_numpy_integers_and_refuses_floats(entry, value):
+    # repr tells an np.int64 field or result apart from an int one
+    assert repr(entry(np.int64(value))) == repr(entry(value))
+    with pytest.raises(TypeError):
+        entry(float(value))

@@ -176,6 +176,9 @@ def test_gram_matches_exact_oracle():
     for p, n in canonical.items():
         c = rng.randrange(1, n)
         assert _agree_with_oracle([c * e % n for e in build_seed(p, 128)], n, rng)
+    # the all-zero row is peak 0 times I on one limb and on several
+    for n in (331, 2**61 - 1):
+        assert _agree_with_oracle((0,) * 16, n, rng)
     assert limbs_seen == set(range(1, 9))
 
 
