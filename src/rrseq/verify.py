@@ -17,8 +17,14 @@ twice over, as a strided view copied into one contiguous array; nothing
 outlives the call.
 
 `enumerate_binary_ideal` exhaustively lists every binary row of a given
-length whose mod-2 correlation is two-valued (peak 1, off-peak 0); the
-search itself is `scan_masks`, a popcount filter over all 2**n masks.
+length whose mod-2 correlation is two-valued (peak 1, off-peak 0).  Read
+as u in F2[x]/(x^n - 1), such a row is exactly a unitary unit, u(x)
+u(x^-1) = 1 (Bovdi & Kovacs 1994), so `scan_masks` lists that group
+directly: the field components of the odd part F2[C_m] (n = 2**k m, m
+odd) give the units of F2[C_m], which are lifted through the powers s**j,
+j < 2**k, of s = x^m + 1.  Its docstring has the theorem and the proof of
+the lifting step.  No 2**n-mask pass is made; a popcount filter over all
+2**n masks is the test oracle.
 
 numpy is imported by the functions that use it, so it loads at the first
 Gram check or witness scan.  `check_rr`, the modulus search and the
@@ -33,7 +39,7 @@ from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 from .correlation import profile_values
-from .numtheory import is_prime
+from .numtheory import factorize, is_prime
 from .sequence import as_elements
 
 if TYPE_CHECKING:
@@ -187,13 +193,154 @@ def gram_check(seq: Sequence[int], n: int) -> bool:
     return _gram_ok(residues, n, peak)
 
 
-# Masks filtered per pass of scan_masks; bounds its temporary arrays.
-_SCAN_CHUNK = 1 << 20
-
-
 def _rot(m: np.ndarray, k: int, n: int) -> np.ndarray:
     """Rotate n-bit masks by k places."""
     return ((m >> k) | (m << (n - k))) & ((1 << n) - 1)
+
+
+# Elements of F2[x]/(x^n - 1) are ints: bit i is the coefficient of x^i.
+
+
+def _fold(p: int, n: int) -> int:
+    """The polynomial p reduced mod x^n - 1 (x^n = 1)."""
+    full = (1 << n) - 1
+    while p > full:
+        p = (p & full) ^ (p >> n)
+    return p
+
+
+def _mul(a: int, b: int, n: int) -> int:
+    """a * b in F2[x]/(x^n - 1)."""
+    p = 0
+    while b:
+        low = b & -b
+        p ^= a * low
+        b ^= low
+    return _fold(p, n)
+
+
+def _power(a: int, e: int, one: int, n: int) -> int:
+    """a**e in F2[x]/(x^n - 1), in the component whose identity is one."""
+    r = one
+    while e:
+        if e & 1:
+            r = _mul(r, a, n)
+        a = _mul(a, a, n)
+        e >>= 1
+    return r
+
+
+def _reverse(a: int, n: int) -> int:
+    """The n bits of a in reverse order."""
+    return int(f"{a:0{n}b}"[::-1], 2)
+
+
+def _conj(a: int, n: int) -> int:
+    """a(x^-1) in F2[x]/(x^n - 1): coefficient i moves to -i mod n."""
+    r = _reverse(a, n)
+    return ((r << 1) | (r >> (n - 1))) & ((1 << n) - 1)
+
+
+def _primitive(e: int, d: int, m: int) -> int:
+    """A generator of the multiplicative group of the field e * F2[C_m],
+    of order 2**d - 1, found by testing the order of r * e for r = 1, 2, ..."""
+    order = (1 << d) - 1
+    # 2**d - 1 < 2**22 for m <= 23, so trial division factors it completely.
+    cofactors = [order // p for p in factorize(order).distinct_primes()]
+    candidates = (_mul(r, e, m) for r in range(1, 1 << m))
+    return next(a for a in candidates if a and all(_power(a, c, e, m) != e for c in cofactors))
+
+
+def _odd_units(m: int) -> list[int]:
+    """The unitary group {u : u * conj(u) = 1} of F2[x]/(x^m - 1), m odd,
+    as the XOR of one element from the unitary group of each class of
+    components under conjugation."""
+    etas, seen = [], set()
+    for r in range(m):
+        if r not in seen:
+            coset = {r * (1 << i) % m for i in range(m)}
+            seen |= coset
+            etas.append(sum(1 << i for i in coset))
+    # Each eta is idempotent; the primitive idempotents are the atoms of
+    # the Boolean algebra they generate.
+    atoms = [1]
+    for eta in etas:
+        atoms = [f for e in atoms for f in (_mul(e, eta, m), e ^ _mul(e, eta, m)) if f]
+
+    units = [0]
+    for e in atoms:
+        ebar = _conj(e, m)
+        if ebar < e:
+            continue  # the pair was taken with its smaller idempotent
+        # The component is F_{2^d}: d is least with (x e)^(2^d) = x e.
+        xe = _mul(2, e, m)
+        d, y = 1, _mul(xe, xe, m)
+        while y != xe:
+            d, y = d + 1, _mul(y, y, m)
+        if ebar == e and d == 1:
+            one, gen, order = e, e, 1  # the coset {0}: conj is trivial, u**2 = 1
+        elif ebar == e:
+            # conj is the field's involution a -> a**(2**(d/2)), so u conj(u)
+            # = u**(2**(d/2) + 1): the unitary units are that cyclic subgroup.
+            a = _primitive(e, d, m)
+            half = 1 << d // 2
+            one, gen, order = e, _power(a, half - 1, e, m), half + 1
+        else:
+            # On e + ebar, u = a + b is unitary iff b = conj(a)**-1.
+            a = _primitive(e, d, m)
+            order = (1 << d) - 1
+            one, gen = e ^ ebar, a ^ _power(_conj(a, m), order - 1, ebar, m)
+        group = [one]
+        for _ in range(order - 1):
+            group.append(_mul(group[-1], gen, m))
+        units = [u ^ g for u in units for g in group]
+    return units
+
+
+def _div_s(v: int, j: int, m: int, n: int) -> int:
+    """v / (x^m + 1)**j in F2[x], for v of degree < n divisible by it."""
+    full = (1 << n) - 1
+    step = m
+    while j:
+        if j & 1:
+            # 1 / (1 + x^step) = 1 + x^step + x^(2 step) + ..., cut at x^n.
+            q = 0
+            while v:
+                q ^= v
+                v = (v << step) & full
+            v = q
+        j >>= 1
+        step <<= 1  # (x^m + 1)**(2 i) = x^(2 i m) + 1
+    return v
+
+
+def _unitary_group(n: int) -> list[int]:
+    """The unitary group of F2[x]/(x^n - 1), lifted from the odd part m of
+    n = 2**k m through the powers of s = x^m + 1 (see `scan_masks`)."""
+    k = (n & -n).bit_length() - 1
+    m = n >> k
+    units = _odd_units(m)
+    # Sym_m = {c : c = conj(c)}: 1 and x^i + x^-i for 0 < i < m/2.
+    sym = [1] + [(1 << i) | (1 << (m - i)) for i in range(1, (m + 1) // 2)]
+    low = (1 << (m + 1) // 2) - 2  # bits 1 .. (m-1)/2
+    sj = 1
+    for j in range(1, 1 << k):
+        sj = _mul(sj, (1 << m) | 1, n)  # s**j, of degree j m < n
+        lifted = []
+        for u in units:
+            w = _fold(_div_s(_mul(u, _conj(u, n), n) ^ 1, j, m, n), m)
+            if w & 1:
+                continue  # no c has c + conj(c) = w: u does not lift
+            # c0 + conj(c0) = w; the lifts u (1 + s**j c) for c in c0 + Sym_m
+            # are distinct mod s**(j + 1).
+            us = _mul(u, sj, n)
+            coset = [u ^ _mul(us, w & low, n)]
+            for c in sym:
+                usc = _mul(us, c, n)
+                coset += [v ^ usc for v in coset]
+            lifted += coset
+        units = lifted
+    return units
 
 
 def scan_masks(n: int) -> np.ndarray:
@@ -201,25 +348,44 @@ def scan_masks(n: int) -> np.ndarray:
     test, as an ascending uint32 array.
 
     Bit n-1-i of a mask holds element i of the row, so ascending masks
-    are rows in lexicographic order.  The test reduces to popcount parity:
+    are rows in lexicographic order.  Read the row as u = sum a_i x^i in
+    R_n = F2[x]/(x^n - 1) and let conj(u) = u(x^-1).  Then u conj(u) =
+    sum_k C(k) x^k, so the row passes (C(0) odd, every other C(k) even)
+    iff u conj(u) = 1: the passing rows are the unitary group of R_n, the
+    group algebra F2[C_n] (Bovdi & Kovacs, "Unitary units in modular
+    group algebras", Manuscripta Math. 84 (1994) 57-72).  It is listed
+    directly, never by testing all 2**n masks.  Write n = 2**k m, m odd.
 
-        C(0) mod 2 == 1   <=>  popcount(mask) is odd
-        C(k) mod 2 == 0   <=>  popcount(mask & rot_k(mask)) is even
+    Odd part.  F2[C_m] is the direct sum of the fields e F2[C_m] over its
+    primitive idempotents e, the atoms of the Boolean algebra spanned by
+    the cyclotomic-coset sums eta_C = sum_{i in C} x^i.  conj permutes
+    the components.  The component of the coset {0} gives {e}.  A
+    self-conjugate F_{2^d} (d even) gives the cyclic group of order
+    2**(d/2) + 1, generated by a**(2**(d/2) - 1) for a primitive a.  A
+    conjugate pair gives the cyclic group of order 2**d - 1 generated by
+    a + conj(a)**-1.  U_m is the XOR of one element of each.
+
+    Even n: lifting through s = x^m + 1, with s**(2**k) = 0 in R_n.  Let
+    u conj(u) = 1 mod s**j for some 1 <= j < 2**k, and w = (u conj(u) -
+    1) / s**j mod s, an element of R_n / s = F2[C_m].  Since conj(s) =
+    x^-m s and x^m = 1 mod s, w = conj(w).  For any c, (1 + s**j c)
+    times its conjugate is 1 + s**j (c + conj(c)) mod s**(j + 1), so
+    u (1 + s**j c) is unitary mod s**(j + 1) iff c + conj(c) = w mod s.
+    The map c -> c + conj(c) has kernel Sym_m = {c = conj(c)}, of size
+    2**((m + 1) / 2), and image the symmetric w with constant term 0.
+    So u lifts iff w has constant term 0, and then its lifts mod
+    s**(j + 1) are u (1 + s**j c) for c in c0 + Sym_m.  Every unit that
+    is unitary mod s**(j + 1) is one of these for the u it reduces to,
+    so 2**k - 1 steps from U_m list U_n once each.
+
+    Each element is bit-reversed into a mask and the masks are sorted.
     """
+    n = operator.index(n)
     if not 1 <= n <= 24:
         raise ValueError("mask scan supports lengths 1..24")
     import numpy as np
 
-    total = 1 << n
-    hits = []
-    for start in range(0, total, _SCAN_CHUNK):
-        m = np.arange(start, min(start + _SCAN_CHUNK, total), dtype=np.uint32)
-        m = m[(np.bitwise_count(m) & 1) == 1]
-        # lag n-k gives the same popcount as lag k, so lags above n/2 add nothing
-        for k in range(1, n // 2 + 1):
-            m = m[(np.bitwise_count(m & _rot(m, k, n)) & 1) == 0]
-        hits.append(m)
-    return np.concatenate(hits)
+    return np.array(sorted(_reverse(u, n) for u in _unitary_group(n)), dtype=np.uint32)
 
 
 def enumerate_binary_ideal(n: int) -> list[BinaryWitness]:
@@ -231,6 +397,7 @@ def enumerate_binary_ideal(n: int) -> list[BinaryWitness]:
     over all n lags, computed from its mask as the parity of
     popcount(mask & rot_k(mask)), which is C(k) mod 2.
     """
+    n = operator.index(n)
     import numpy as np
 
     masks = scan_masks(n)

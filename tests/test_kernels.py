@@ -1,43 +1,72 @@
-"""The binary mask scan against a brute-force oracle."""
+"""The binary mask scan against two oracles, the coset count formula and
+the group laws of the unitary units of F2[C_n]."""
+
+import functools
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rrseq import scan_masks, verify
+from rrseq import enumerate_binary_ideal, scan_masks, verify
 
 
 def popcount(x):
     return bin(x).count("1")
 
 
-def oracle_masks(n):
-    # brute force straight off the definition, independent of the scan
-    hits = []
+def passes(mask, n):
+    # straight off the definition: C(0) odd, every other C(k) even
+    if popcount(mask) % 2 == 0:
+        return False
     full = (1 << n) - 1
-    for mask in range(1 << n):
-        if popcount(mask) % 2 == 0:
-            continue
-        ok = True
-        for k in range(1, n):
-            rot = ((mask >> k) | (mask << (n - k))) & full
-            if popcount(mask & rot) % 2 == 1:
-                ok = False
-                break
-        if ok:
-            hits.append(mask)
-    return hits
+    for k in range(1, n):
+        rot = ((mask >> k) | (mask << (n - k))) & full
+        if popcount(mask & rot) % 2 == 1:
+            return False
+    return True
+
+
+def oracle_masks(n):
+    # brute force, independent of the scan
+    return [mask for mask in range(1 << n) if passes(mask, n)]
+
+
+# A numpy popcount filter over all 2**n masks, straight off the definition
+# and free of the algebra: the oracle for every n <= 24.
+_SCAN_CHUNK = 1 << 20
+
+
+def _rot(m, k, n):
+    """Rotate n-bit masks by k places."""
+    return ((m >> k) | (m << (n - k))) & ((1 << n) - 1)
+
+
+def popcount_scan(n):
+    total = 1 << n
+    hits = []
+    for start in range(0, total, _SCAN_CHUNK):
+        m = np.arange(start, min(start + _SCAN_CHUNK, total), dtype=np.uint32)
+        m = m[(np.bitwise_count(m) & 1) == 1]
+        # lag n-k gives the same popcount as lag k, so lags above n/2 add nothing
+        for k in range(1, n // 2 + 1):
+            m = m[(np.bitwise_count(m & _rot(m, k, n)) & 1) == 0]
+        hits.append(m)
+    return np.concatenate(hits)
 
 
 @pytest.mark.parametrize("n", range(1, 17))
-def test_numpy_backend_matches_oracle(n):
+def test_scan_matches_brute_force_oracle(n):
     assert scan_masks(n).tolist() == oracle_masks(n)
 
 
-def test_chunked_scan_matches_oracle(monkeypatch):
-    # the default chunk only splits lengths above 20; force splits here
-    monkeypatch.setattr(verify, "_SCAN_CHUNK", 64)
-    for n in range(1, 13):
-        assert scan_masks(n).tolist() == oracle_masks(n)
+@pytest.mark.parametrize(
+    "n", [n if n < 21 else pytest.param(n, marks=pytest.mark.slow) for n in range(1, 25)]
+)
+def test_scan_matches_popcount_oracle(n):
+    got = scan_masks(n)
+    assert got.dtype == np.uint32
+    assert np.array_equal(got, popcount_scan(n))
 
 
 def test_masks_ascending_and_typed():
@@ -61,3 +90,115 @@ def test_rejects_out_of_range_lengths():
     for n in (0, -1, 25):
         with pytest.raises(ValueError):
             scan_masks(n)
+
+
+def test_float_length_refused_before_any_work(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("work started on a float length")
+
+    monkeypatch.setattr(verify, "_unitary_group", no_work)
+    with pytest.raises(TypeError):
+        scan_masks(20.0)
+    monkeypatch.setattr(verify, "scan_masks", no_work)
+    with pytest.raises(TypeError):
+        enumerate_binary_ideal(20.0)
+
+
+# --- counts -------------------------------------------------------------------
+
+
+def coset_count(n):
+    """|U_n| for odd n: each cyclotomic coset C of 2 mod n is one field
+    F_{2^d}, d = |C|.  The coset {0} gives 1, a self-conjugate coset (C =
+    -C) gives 2**(d/2) + 1 and a conjugate pair {C, -C} gives 2**d - 1."""
+    count, seen = 1, set()
+    for r in range(1, n):
+        if r in seen:
+            continue
+        coset = {r * 2**i % n for i in range(n)}
+        neg = {-i % n for i in coset}
+        seen |= coset | neg
+        d = len(coset)
+        count *= 2 ** (d // 2) + 1 if neg == coset else 2**d - 1
+    return count
+
+
+# len(scan_masks(n)) of the popcount scan, n = 9..24
+SCAN_COUNTS = dict(
+    zip(range(9, 25), (27, 40, 33, 192, 65, 112, 225, 512, 289, 864, 513, 2560, 1323, 2112, 2047, 12288))
+)
+
+
+@pytest.mark.parametrize("n", range(1, 24, 2))
+def test_coset_formula_counts_odd_lengths(n):
+    assert len(scan_masks(n)) == coset_count(n)
+
+
+@pytest.mark.parametrize("m", range(1, 12, 2))
+def test_doubling_an_odd_length_multiplies_the_count(m):
+    # |U_2m| = |U_m| * |Sym_m|, with |Sym_m| = 2**((m + 1) / 2)
+    assert len(scan_masks(2 * m)) == coset_count(m) * 2 ** ((m + 1) // 2)
+
+
+def test_coset_formula_at_47():
+    # 2 has order 23 mod 47 and -1 is not a power of 2 there: one pair, d = 23
+    assert coset_count(47) == 8_388_607
+
+
+def test_counts_match_the_popcount_scan():
+    assert {n: len(scan_masks(n)) for n in SCAN_COUNTS} == SCAN_COUNTS
+
+
+# --- group laws -----------------------------------------------------------------
+
+
+@functools.cache
+def witnesses(n):
+    return scan_masks(n).tolist()
+
+
+def row(mask, n):
+    return [(mask >> (n - 1 - i)) & 1 for i in range(n)]
+
+
+def mask(r):
+    return int("".join(map(str, r)), 2)
+
+
+def convolve(a, b):
+    """Cyclic convolution mod 2: the product in F2[x]/(x^n - 1)."""
+    n = len(a)
+    return [sum(a[i] & b[(k - i) % n] for i in range(n)) % 2 for k in range(n)]
+
+
+@st.composite
+def witness_rows(draw, count):
+    n = draw(st.integers(1, 24))
+    return n, [row(draw(st.sampled_from(witnesses(n))), n) for _ in range(count)]
+
+
+LAWS = settings(derandomize=True, max_examples=150, deadline=None)
+
+
+@LAWS
+@given(witness_rows(2))
+def test_product_of_witnesses_is_a_witness(case):
+    n, (a, b) = case
+    assert passes(mask(convolve(a, b)), n)
+
+
+@LAWS
+@given(witness_rows(1), st.integers(0, 23))
+def test_rotation_and_reversal_of_a_witness_are_witnesses(case, k):
+    n, (a,) = case
+    k %= n
+    assert passes(mask(a[k:] + a[:k]), n)
+    assert passes(mask(a[::-1]), n)
+
+
+@LAWS
+@given(witness_rows(1))
+def test_witness_times_its_reversal_rotated_by_one_is_one(case):
+    n, (a,) = case
+    c = convolve(a, a[::-1])
+    assert c[-1:] + c[:-1] == [1] + [0] * (n - 1)

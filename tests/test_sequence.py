@@ -17,7 +17,7 @@ from rrseq.sequence import (
     doubling_seed,
     power_seed,
 )
-from rrseq.verify import check_rr, gram_check
+from rrseq.verify import check_rr, enumerate_binary_ideal, gram_check, scan_masks
 
 
 def test_power_seed_elements():
@@ -142,6 +142,8 @@ SCALAR_ENTRY_POINTS = [
     pytest.param(lambda m: autocorr_mod(build_seed(3, 128), m), 2**61 - 1, id="autocorr_mod"),
     pytest.param(lambda p: build_seed(p, 48, ROW_POWERS), 3, id="build_seed-p"),
     pytest.param(lambda n: build_seed(3, n), 16, id="build_seed-n"),
+    pytest.param(lambda n: scan_masks(n).tolist(), 20, id="scan_masks"),
+    pytest.param(enumerate_binary_ideal, 20, id="enumerate_binary_ideal"),
 ]
 
 
