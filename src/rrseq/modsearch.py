@@ -36,6 +36,7 @@ from __future__ import annotations
 
 import enum
 import math
+import operator
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -108,6 +109,11 @@ def _select_canonical(valid: tuple[int, ...], policy: SelectionPolicy) -> int | 
     return None  # ALL: report the full set, no single pick
 
 
+def _policy(policy: SelectionPolicy | str) -> SelectionPolicy:
+    """policy as a SelectionPolicy; ValueError if it names none."""
+    return policy if isinstance(policy, SelectionPolicy) else SelectionPolicy(policy)
+
+
 def _doubling_peak_gcd(p: int, n: int) -> tuple[int, int]:
     """C(0) and the off-peak gcd of the doubling row (p, 2, ..., 2**(n-1)),
     from the identities in the module docstring; the gcd is 0 iff every
@@ -119,7 +125,7 @@ def _doubling_peak_gcd(p: int, n: int) -> tuple[int, int]:
 
 def find_modulus(
     seq: Sequence[int],
-    policy: SelectionPolicy = SelectionPolicy.LARGEST,
+    policy: SelectionPolicy | str = SelectionPolicy.LARGEST,
     budget: FactorBudget = DEFAULT_BUDGET,
 ) -> ModulusSearchOutcome:
     """Search for prime moduli giving the row a two-valued correlation.
@@ -147,8 +153,12 @@ def find_modulus(
     doubling rows: it hands each sieved prime straight to the closed form
     and shares the steps from the gcd on with this function.
 
+    `policy` may also be a SelectionPolicy value ("smallest", "largest",
+    "all"); any other value raises ValueError before any work.
+
     Deterministic for fixed inputs.
     """
+    policy = _policy(policy)
     elems = as_elements(seq)
     if _is_doubling(elems):
         peak, g = _doubling_peak_gcd(elems[0], len(elems))
@@ -195,7 +205,7 @@ def _outcome(peak: int, g: int, policy: SelectionPolicy, budget: FactorBudget) -
 def search_prime(
     p: int,
     n: int,
-    policy: SelectionPolicy = SelectionPolicy.LARGEST,
+    policy: SelectionPolicy | str = SelectionPolicy.LARGEST,
     budget: FactorBudget = DEFAULT_BUDGET,
     row_kind: str = ROW_DOUBLING,
 ) -> ModulusSearchOutcome:
@@ -206,7 +216,7 @@ def search_prime(
 def sweep(
     n: int,
     prime_bound: int = 100,
-    policy: SelectionPolicy = SelectionPolicy.LARGEST,
+    policy: SelectionPolicy | str = SelectionPolicy.LARGEST,
     budget: FactorBudget = DEFAULT_BUDGET,
     row_kind: str = ROW_DOUBLING,
 ) -> list[SweepRow]:
@@ -217,8 +227,9 @@ def sweep(
     tested for primality again, and a doubling row is never built: its
     peak and off-peak gcd come straight from the closed form in the
     module docstring.  Rows with a negative status are kept, never
-    dropped.
+    dropped.  n and prime_bound must be integers (`operator.index`).
     """
+    n, prime_bound, policy = operator.index(n), operator.index(prime_bound), _policy(policy)
     check_length(n)
     if prime_bound < 2:
         raise ValueError("prime bound must be at least 2")

@@ -555,8 +555,10 @@ def _sieve(bound: int) -> bytearray:
 def primes_up_to(bound: int) -> list[int]:
     """Ascending list of all primes <= bound (empty for bound < 2).
 
-    Raises ValueError above SIEVE_LIMIT, before any sieve is allocated.
+    Raises ValueError above SIEVE_LIMIT, before any sieve is allocated,
+    and TypeError unless bound is an integer (`operator.index`).
     """
+    bound = operator.index(bound)
     if bound < 0:
         raise ValueError("bound must be non-negative")
     if bound > SIEVE_LIMIT:

@@ -20,11 +20,12 @@ outlives the call.
 length whose mod-2 correlation is two-valued (peak 1, off-peak 0).  Read
 as u in F2[x]/(x^n - 1), such a row is exactly a unitary unit, u(x)
 u(x^-1) = 1 (Bovdi & Kovacs 1994), so `scan_masks` lists that group
-directly: the field components of the odd part F2[C_m] (n = 2**k m, m
-odd) give the units of F2[C_m], which are lifted through the powers s**j,
-j < 2**k, of s = x^m + 1.  Its docstring has the theorem and the proof of
-the lifting step.  No 2**n-mask pass is made; a popcount filter over all
-2**n masks is the test oracle.
+directly: the field components of F2[C_m], m odd, give its unitary
+units, and each factor 2 of n = 2**k m doubles the length by one
+square-zero lift through s = x^h + 1, n = 2h.  The group is closed under
+bit reversal, so the sorted units are the sorted masks.  Its docstring
+has the theorem and the proofs.  No 2**n-mask pass is made; a popcount
+filter over all 2**n masks is the test oracle.
 
 numpy is imported by the functions that use it, so it loads at the first
 Gram check or witness scan.  `check_rr`, the modulus search and the
@@ -230,14 +231,10 @@ def _power(a: int, e: int, one: int, n: int) -> int:
     return r
 
 
-def _reverse(a: int, n: int) -> int:
-    """The n bits of a in reverse order."""
-    return int(f"{a:0{n}b}"[::-1], 2)
-
-
 def _conj(a: int, n: int) -> int:
-    """a(x^-1) in F2[x]/(x^n - 1): coefficient i moves to -i mod n."""
-    r = _reverse(a, n)
+    """a(x^-1) in F2[x]/(x^n - 1): coefficient i moves to -i mod n, which
+    is the n bits reversed (i -> n - 1 - i), then rotated up by one."""
+    r = int(f"{a:0{n}b}"[::-1], 2)
     return ((r << 1) | (r >> (n - 1))) & ((1 << n) - 1)
 
 
@@ -297,50 +294,30 @@ def _odd_units(m: int) -> list[int]:
     return units
 
 
-def _div_s(v: int, j: int, m: int, n: int) -> int:
-    """v / (x^m + 1)**j in F2[x], for v of degree < n divisible by it."""
-    full = (1 << n) - 1
-    step = m
-    while j:
-        if j & 1:
-            # 1 / (1 + x^step) = 1 + x^step + x^(2 step) + ..., cut at x^n.
-            q = 0
-            while v:
-                q ^= v
-                v = (v << step) & full
-            v = q
-        j >>= 1
-        step <<= 1  # (x^m + 1)**(2 i) = x^(2 i m) + 1
-    return v
-
-
 def _unitary_group(n: int) -> list[int]:
-    """The unitary group of F2[x]/(x^n - 1), lifted from the odd part m of
-    n = 2**k m through the powers of s = x^m + 1 (see `scan_masks`)."""
-    k = (n & -n).bit_length() - 1
-    m = n >> k
-    units = _odd_units(m)
-    # Sym_m = {c : c = conj(c)}: 1 and x^i + x^-i for 0 < i < m/2.
-    sym = [1] + [(1 << i) | (1 << (m - i)) for i in range(1, (m + 1) // 2)]
-    low = (1 << (m + 1) // 2) - 2  # bits 1 .. (m-1)/2
-    sj = 1
-    for j in range(1, 1 << k):
-        sj = _mul(sj, (1 << m) | 1, n)  # s**j, of degree j m < n
-        lifted = []
-        for u in units:
-            w = _fold(_div_s(_mul(u, _conj(u, n), n) ^ 1, j, m, n), m)
-            if w & 1:
-                continue  # no c has c + conj(c) = w: u does not lift
-            # c0 + conj(c0) = w; the lifts u (1 + s**j c) for c in c0 + Sym_m
-            # are distinct mod s**(j + 1).
-            us = _mul(u, sj, n)
-            coset = [u ^ _mul(us, w & low, n)]
-            for c in sym:
-                usc = _mul(us, c, n)
-                coset += [v ^ usc for v in coset]
-            lifted += coset
-        units = lifted
-    return units
+    """The unitary group of F2[x]/(x^n - 1): for even n = 2h, each unit of
+    U_h lifted through s = x^h + 1, s**2 = 0 (see `scan_masks`)."""
+    if n % 2:
+        return _odd_units(n)
+    h = n // 2
+    # A basis of Sym_h = {c : c = conj(c)}: x^i + x^-i for 0 <= i <= h/2,
+    # read as x^i where i = -i.
+    sym = [(1 << i) | (1 << -i % h) for i in range(h // 2 + 1)]
+    low = (1 << (h + 1) // 2) - 2  # exponents 0 < i < h/2
+    lifted = []
+    for v in _unitary_group(h):
+        w = (_mul(v, _conj(v, n), n) ^ 1) & ((1 << h) - 1)  # v conj(v) = 1 + s w
+        c0 = w & low
+        if w != c0 ^ _conj(c0, h):
+            continue  # no c has c + conj(c) = w: v does not lift
+        # The lifts v + s v c, c in c0 + Sym_h; s t = t + x^h t for deg t < h.
+        t = _mul(v, c0, h)
+        coset = [v ^ t ^ (t << h)]
+        for c in sym:
+            t = _mul(v, c, h)
+            coset += [u ^ t ^ (t << h) for u in coset]
+        lifted += coset
+    return lifted
 
 
 def scan_masks(n: int) -> np.ndarray:
@@ -365,27 +342,33 @@ def scan_masks(n: int) -> np.ndarray:
     conjugate pair gives the cyclic group of order 2**d - 1 generated by
     a + conj(a)**-1.  U_m is the XOR of one element of each.
 
-    Even n: lifting through s = x^m + 1, with s**(2**k) = 0 in R_n.  Let
-    u conj(u) = 1 mod s**j for some 1 <= j < 2**k, and w = (u conj(u) -
-    1) / s**j mod s, an element of R_n / s = F2[C_m].  Since conj(s) =
-    x^-m s and x^m = 1 mod s, w = conj(w).  For any c, (1 + s**j c)
-    times its conjugate is 1 + s**j (c + conj(c)) mod s**(j + 1), so
-    u (1 + s**j c) is unitary mod s**(j + 1) iff c + conj(c) = w mod s.
-    The map c -> c + conj(c) has kernel Sym_m = {c = conj(c)}, of size
-    2**((m + 1) / 2), and image the symmetric w with constant term 0.
-    So u lifts iff w has constant term 0, and then its lifts mod
-    s**(j + 1) are u (1 + s**j c) for c in c0 + Sym_m.  Every unit that
-    is unitary mod s**(j + 1) is one of these for the u it reduces to,
-    so 2**k - 1 steps from U_m list U_n once each.
+    Even n = 2h: one square-zero lift from U_h.  Let s = x^h + 1; then
+    s**2 = x^n + 1 = 0 and conj(s) = x^-h + 1 = s.  Reducing mod s (x^h
+    = 1: low half XOR high half) maps R_n onto R_h with kernel s R_n, and
+    s t = t + x^h t for deg t < h, so every element over v in U_h is v (1
+    + s c) for a c in R_h, unique mod s as v is a unit mod s.  Take v
+    with the same bits in R_n: v conj(v) = 1 mod s, so v conj(v) = 1 + s
+    w with w the low h bits of v conj(v) + 1.  As s**2 = 0, v (1 + s c)
+    times its conjugate is 1 + s (w + c + conj(c)), which is 1 iff c +
+    conj(c) = w in R_h.  The map c -> c + conj(c) has kernel Sym_h = {c =
+    conj(c)}, one free bit per orbit {i, -i} of Z_h, so 2**(h // 2 + 1)
+    elements; its image is the w with w_i = w_-i where i != -i and w_i =
+    0 where i = -i.  So v lifts iff w = c0 + conj(c0), for c0 the bits of
+    w at 0 < i < h/2, and its lifts are v (1 + s c), c in c0 + Sym_h.
+    Every unit of U_n reduces to one v in U_h, so one step per factor 2
+    of n, from the odd part up, lists U_n once each.
 
-    Each element is bit-reversed into a mask and the masks are sorted.
+    Bit n-1-i of a mask holds coefficient i, so the mask of u is the
+    element reverse(u) = x^(n-1) conj(u), again in U_n since x^(n-1) and
+    conj(u) are.  Reversal therefore permutes U_n, and the sorted
+    elements of U_n are the sorted masks.
     """
     n = operator.index(n)
     if not 1 <= n <= 24:
         raise ValueError("mask scan supports lengths 1..24")
     import numpy as np
 
-    return np.array(sorted(_reverse(u, n) for u in _unitary_group(n)), dtype=np.uint32)
+    return np.array(sorted(_unitary_group(n)), dtype=np.uint32)
 
 
 def enumerate_binary_ideal(n: int) -> list[BinaryWitness]:

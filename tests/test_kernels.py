@@ -1,7 +1,9 @@
-"""The binary mask scan against two oracles, the coset count formula and
-the group laws of the unitary units of F2[C_n]."""
+"""The binary mask scan against two oracles, the coset count formula, the
+lift to lengths past the public cap and the group laws of the unitary
+units of F2[C_n]."""
 
 import functools
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -147,6 +149,40 @@ def test_coset_formula_at_47():
 
 def test_counts_match_the_popcount_scan():
     assert {n: len(scan_masks(n)) for n in SCAN_COUNTS} == SCAN_COUNTS
+
+
+# --- the lift past the public cap ------------------------------------------------
+
+
+@functools.cache
+def group(n):
+    return verify._unitary_group(n)
+
+
+@pytest.mark.parametrize("n", range(2, 33, 2))
+def test_lift_fibres_over_the_half_length(n):
+    # u mod x^h - 1 (low half XOR high half) is unitary in F2[C_h], and each
+    # unit of U_h that lifts has |Sym_h| = 2**(h // 2 + 1) lifts
+    h = n // 2
+    fibres = Counter((u & ((1 << h) - 1)) ^ (u >> h) for u in group(n))
+    assert set(fibres) <= set(group(h))
+    assert set(fibres.values()) == {2 ** (n // 4 + 1)}
+    assert sum(fibres.values()) == len(set(group(n)))
+
+
+def passes_uint64(m, n):
+    """The popcount filter of `popcount_scan` on any uint64 masks, n <= 32."""
+    ok = (np.bitwise_count(m) & 1) == 1
+    for k in range(1, n // 2 + 1):
+        ok &= (np.bitwise_count(m & _rot(m, k, n)) & 1) == 0
+    return ok
+
+
+@pytest.mark.parametrize("n, count", [(28, 28_672), (32, 131_072)])
+def test_lift_past_the_cap_meets_the_definition(n, count):
+    got = np.array(group(n), dtype=np.uint64)
+    assert len(got) == len(np.unique(got)) == count
+    assert passes_uint64(got, n).all()
 
 
 # --- group laws -----------------------------------------------------------------

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 import rrseq.modsearch
+import rrseq.numtheory
 from rrseq.modsearch import (
     CandidateModulus,
     ModulusSearchOutcome,
@@ -139,6 +140,33 @@ def test_found_with_policies():
     assert every.valid_moduli() == (3, 11, 331)
 
 
+def test_policy_given_by_its_value():
+    assert search_prime(3, 16).valid_moduli() == (2, 7, 3121)
+    assert search_prime(3, 16, "smallest").canonical == 2
+    assert search_prime(3, 16, "largest").canonical == 3121
+    assert search_prime(3, 16, "all") == search_prime(3, 16, SelectionPolicy.ALL)
+    assert sweep(16, 10, "largest") == sweep(16, 10, SelectionPolicy.LARGEST)
+    assert sweep(16, 10, "smallest") == sweep(16, 10, SelectionPolicy.SMALLEST)
+    assert find_modulus([1, 2, 2, 3], "smallest").status is SearchStatus.NO_SEQUENCE
+
+
+def test_unknown_policy_refused_before_any_factoring(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("factoring started under an unknown policy")
+
+    monkeypatch.setattr(rrseq.modsearch, "factorize", no_work)
+    calls = [
+        lambda: search_prime(3, 16, "bogus"),
+        lambda: find_modulus(build_seed(3, 16), None),
+        lambda: find_modulus([1, 2, 2, 3], "bogus"),  # gcd 1: no policy is ever read
+        lambda: sweep(16, 10, "bogus"),
+        lambda: sweep(6, 10, "SMALLEST", row_kind=ROW_POWERS),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError):
+            call()
+
+
 def test_no_sequence_when_gcd_is_one():
     # off-peak values 15, 16, 15 -> gcd 1
     out = find_modulus([1, 2, 2, 3])
@@ -236,6 +264,22 @@ def test_sweep_rejects_bad_bounds():
         sweep(1)
     with pytest.raises(ValueError):
         sweep(8, prime_bound=1)
+
+
+def test_sweep_takes_numpy_integers():
+    assert sweep(np.int64(16), np.int64(100)) == sweep(16, 100)
+    assert sweep(np.int64(6), np.int64(30), row_kind=ROW_POWERS) == sweep(6, 30, row_kind=ROW_POWERS)
+
+
+def test_float_sweep_arguments_refused_before_the_sieve(monkeypatch):
+    def no_work(*args):
+        raise AssertionError("the sieve ran on a float argument")
+
+    monkeypatch.setattr(rrseq.numtheory, "_sieve", no_work)
+    with pytest.raises(TypeError):
+        sweep(16.0, 100)
+    with pytest.raises(TypeError):
+        sweep(16, 100.0)
 
 
 def test_n128_sweep_factors_every_row():

@@ -3,8 +3,10 @@
 import math
 import random
 
+import numpy as np
 import pytest
 
+import rrseq.numtheory
 from rrseq import build_seed, check_rr, find_modulus, gram_check, sweep
 from rrseq.numtheory import (
     _MR_BASES_64,
@@ -249,6 +251,17 @@ def test_primes_up_to():
     assert primes_up_to(30) == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
     assert len(primes_up_to(100)) == 25
     assert len(primes_up_to(10**4)) == 1229
+
+
+def test_primes_up_to_takes_integers_only(monkeypatch):
+    assert primes_up_to(np.int64(30)) == primes_up_to(30)
+
+    def no_work(*args):
+        raise AssertionError("the sieve ran on a float bound")
+
+    monkeypatch.setattr(rrseq.numtheory, "_sieve", no_work)
+    with pytest.raises(TypeError):
+        primes_up_to(10.0)
 
 
 def _naive_primes(bound: int) -> list[int]:
