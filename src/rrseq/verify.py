@@ -4,15 +4,15 @@
 `gram_check` certifies through the circulant Gram product.  The two are
 mathematically equivalent, and the test suite asserts that they agree,
 which makes the pair a standing cross-check on both implementations.
+Both take the row through `_reduce` first and work on its residues mod n,
+whose profile has the same values mod n as the row's.
 
-`gram_check` forms all N**2 entries of the Gram product exactly, for a
-modulus of any size, with float64 matmuls: a product of integers is exact
-while every partial sum stays below 2**53.  Residues too large for one
-such product are split into 16-bit limbs; each limb pair's product then
-stays below N * (2**16 - 1)**2, and the products are summed into
-base-2**16 digits with int64 carries.  `as_elements` caps every row at
-MAX_LENGTH = 2048 elements, and MAX_LENGTH < 2**21 keeps every limb
-product below 2**53.  Each circulant is read out of the row written
+`gram_check` checks every entry of the Gram product exactly, for a
+modulus of any size, with float64 matmuls of the residues or of their
+16-bit limbs, whose partial sums stay below 2**53.  A product of
+circulants is circulant, so once each limb product is checked to be,
+only the first row of the Gram matrix is rebuilt as Python ints.  Its
+docstring has the bounds.  Each circulant is read out of the row written
 twice over, as a strided view copied into one contiguous array; nothing
 outlives the call.
 
@@ -36,7 +36,6 @@ from __future__ import annotations
 
 import operator
 from dataclasses import dataclass
-from itertools import repeat
 from typing import TYPE_CHECKING, Sequence
 
 from .correlation import profile_values
@@ -70,26 +69,31 @@ class BinaryWitness:
         return sum(self.bits)
 
 
-def check_rr(seq: Sequence[int], n: int) -> RRCertificate:
-    """Certify the two-valued property of seq modulo the prime n.
-
-    verified is True iff every off-peak correlation is 0 mod n, the peak
-    is nonzero mod n, and the reduced row is not identically zero.
-    """
+def _reduce(seq: Sequence[int], n: int) -> tuple[int, tuple[int, ...]]:
+    """The prime modulus n as an int, and the residues of seq mod n."""
     n = operator.index(n)
     if not is_prime(n):
         raise ValueError(f"modulus {n} is not prime")
-    elems = as_elements(seq)
-    peak, *offpeak = (v % n for v in profile_values(elems))
+    return n, tuple(e % n for e in as_elements(seq))
+
+
+def check_rr(seq: Sequence[int], n: int) -> RRCertificate:
+    """Certify the two-valued property of seq modulo the prime n.
+
+    verified is True iff every off-peak correlation is 0 mod n and the
+    peak is nonzero mod n (so the reduced row is not identically zero).
+    The profile is taken of the residues, which has the same values mod n
+    as the profile of the row.
+    """
+    n, residues = _reduce(seq, n)
+    peak, *offpeak = (v % n for v in profile_values(residues))
     offpeak_ok = all(v == 0 for v in offpeak)
-    residues = tuple(e % n for e in elems)
-    nonzero = any(r != 0 for r in residues)
     return RRCertificate(
         modulus=n,
         residues=residues,
         peak=peak,
         offpeak_ok=offpeak_ok,
-        verified=offpeak_ok and peak != 0 and nonzero,
+        verified=offpeak_ok and peak != 0,
     )
 
 
@@ -134,61 +138,48 @@ def _gram_ok(residues: tuple[int, ...], n: int, peak: int) -> bool:
         gram.flat[:: size + 1] -= peak
         return not gram.any()
 
-    raw = b"".join(r.to_bytes(2 * limbs, "little") for r in residues)
-    limb_rows = np.frombuffer(raw, dtype="<u2").reshape(size, limbs)
-    circs = [_circulant(limb_rows[:, a].astype(np.float64)) for a in range(limbs)]
-    # Entries are below size * n**2 < 2**(32 * limbs + 21): 2 * limbs + 2 digits.
-    ndigits = 2 * limbs + 2
-    digits = np.empty((size, size, ndigits), dtype="<u2")
-    carry = np.zeros((size, size), dtype=np.int64)
-    for s in range(ndigits):
-        # Digit s gathers the limb pairs a + b = s.  Each product (below
-        # 2**53) is split into its low 16 bits, added here, and the rest,
-        # carried into digit s + 1, so the int64 sums stay near
-        # limbs * 2**37 however large n is.
-        acc, carry = carry, np.zeros((size, size), dtype=np.int64)
-        for a in range(max(0, s - limbs + 1), min(s, limbs - 1) + 1):
-            prod = (circs[a] @ circs[s - a].T).astype(np.int64)
-            acc += prod & _LIMB_MASK
-            carry += prod >> _LIMB_BITS
-        digits[:, :, s] = acc & _LIMB_MASK
-        carry += acc >> _LIMB_BITS
-
-    # One Gram row at a time: each entry's little-endian digits become one
-    # Python int; the row passes iff, mod n and with peak taken off its
-    # diagonal entry, all of its entries are 0.
-    entries = digits.view(f"V{2 * ndigits}").reshape(size, size)
-    for i in range(size):
-        row = [v % n for v in map(int.from_bytes, entries[i].tolist(), repeat("little"))]
-        row[i] -= peak
-        if any(row):
-            return False
-    return True
+    circs = [
+        _circulant(np.array([r >> _LIMB_BITS * a & _LIMB_MASK for r in residues], dtype=np.float64))
+        for a in range(limbs)
+    ]
+    # Every limb product is circulant, as the Gram matrix is; once each is
+    # checked to be, the Gram matrix is fixed by its first row.
+    row = [0] * size
+    for a in range(limbs):
+        for b in range(limbs):
+            # Exact: every entry is below size * (2**16 - 1)**2 < 2**53.
+            d = (circs[a] @ circs[b].T).astype(np.int64)
+            if not ((d[1:, 1:] == d[:-1, :-1]).all() and (d[1:, 0] == d[:-1, -1]).all()):
+                return False
+            shift = _LIMB_BITS * (a + b)
+            row = [x + (v << shift) for x, v in zip(row, d[0].tolist())]
+    row[0] -= peak
+    return all(x % n == 0 for x in row)
 
 
 def gram_check(seq: Sequence[int], n: int) -> bool:
     """True iff the circulant of seq times its transpose, mod n, equals
     a nonzero scalar (the peak correlation mod n) times the identity.
 
-    Every one of the N**2 Gram entries is formed as an exact integer and
-    reduced mod n; nothing is sampled, and no float tolerance is used.
-    The product runs as float64 matmuls, which are exact while every
-    partial sum is an integer below 2**53.  When N * (n - 1)**2 < 2**53 a
-    single product of the residues is the Gram matrix.  Otherwise each
-    residue is split into L = ceil(bitlen(n - 1) / 16) limbs of 16 bits,
-    every limb pair (a, b) gives one product whose partial sums stay below
-    N * (2**16 - 1)**2 < 2**53, the products are added into base-2**16
-    digits a + b with carries in int64, and each entry is rebuilt from its
-    digits as a Python int.  That bound needs N < 2**21, which every row
-    meets: `as_elements` refuses rows longer than MAX_LENGTH = 2048 with
-    ValueError.
+    Every entry of every product is formed as an exact integer and
+    checked; nothing is sampled, and no float tolerance is used.  The
+    products run as float64 matmuls, which are exact while every partial
+    sum is an integer below 2**53.  When N * (n - 1)**2 < 2**53 a single
+    product of the residues is the Gram matrix, and all N**2 of its
+    entries are reduced mod n.  Otherwise each residue is split into L =
+    ceil(bitlen(n - 1) / 16) limbs of 16 bits, and every limb pair (a, b)
+    gives one product whose partial sums stay below N * (2**16 - 1)**2 <
+    2**53.  The Gram matrix is circulant, entry (i, j) being C(j - i), and
+    so is each limb product: the check fails unless entry (i + 1, j + 1)
+    of each equals entry (i, j), indices mod N.  The first rows, shifted
+    by 16 * (a + b) bits and added as Python ints, make the first row of
+    the Gram matrix, and those N entries are reduced mod n.  That bound
+    needs N < 2**21, which every row meets: `as_elements` refuses rows
+    longer than MAX_LENGTH = 2048 with ValueError.  README.md gives the
+    measured cost at N = 2048.
     """
-    n = operator.index(n)
-    if not is_prime(n):
-        raise ValueError(f"modulus {n} is not prime")
-    elems = as_elements(seq)
-    residues = tuple(e % n for e in elems)
-    peak = sum(e * e for e in elems) % n  # C(0)
+    n, residues = _reduce(seq, n)
+    peak = sum(r * r for r in residues) % n  # C(0)
     if peak == 0:
         return False
     return _gram_ok(residues, n, peak)

@@ -10,6 +10,8 @@ import pytest
 from rrseq.modsearch import find_modulus
 from rrseq.sequence import build_seed, doubling_seed, power_seed
 from rrseq.verify import (
+    RRCertificate,
+    _circulant,
     _gram_ok,
     _limb_count,
     check_rr,
@@ -31,6 +33,17 @@ def _gram_ok_exact(residues: tuple[int, ...], n: int, peak: int) -> bool:
             if sum(map(operator.mul, ri, rows[j])) % n != (peak if i == j else 0):
                 return False
     return True
+
+
+def _check_rr_exact(row, n: int) -> RRCertificate:
+    """Oracle for `check_rr`: the exact profile of the row itself, by
+    index arithmetic, then reduced mod n."""
+    size = len(row)
+    peak, *offpeak = (sum(row[j] * row[(j + k) % size] for j in range(size)) % n for k in range(size))
+    residues = tuple(e % n for e in row)
+    offpeak_ok = all(v == 0 for v in offpeak)
+    verified = offpeak_ok and peak != 0 and any(residues)
+    return RRCertificate(n, residues, peak, offpeak_ok, verified)
 
 
 def _agree_with_oracle(residues, n, rng):
@@ -180,6 +193,59 @@ def test_gram_matches_exact_oracle():
     for n in (331, 2**61 - 1):
         assert _agree_with_oracle((0,) * 16, n, rng)
     assert limbs_seen == set(range(1, 9))
+
+
+def test_check_rr_matches_exact_profile_oracle():
+    # the rows of test_gram_matches_exact_oracle, 1 to 8 limbs, each entry
+    # moved by a multiple of n so the row has negative entries and entries
+    # above n while its residues stay the same
+    rng = random.Random(16)
+    canonical = {p: find_modulus(build_seed(p, 128)).canonical for p in N128_ROWS}
+    limbs_seen, verified = set(), 0
+    for k, n in enumerate(GRAM_MODULI + tuple(canonical.values())):
+        for size in (2, 3, 16, (127, 128, 130)[k % 3]):
+            limbs_seen.add(_limb_count(size, n))
+            rows = (
+                [rng.randrange(1, n)] + [0] * (size - 1),
+                _max_residue_row(size, n),
+                [n - 1] * size,
+                [0] * size,
+                [rng.randrange(n) for _ in range(size)],
+            )
+            for row in rows:
+                row = [e + rng.randrange(-3, 4) * n for e in row]
+                cert = check_rr(row, n)
+                assert cert == _check_rr_exact(row, n), (n, row)
+                verified += cert.verified
+    for p, n in canonical.items():
+        row = build_seed(p, 128)
+        assert check_rr(row, n) == _check_rr_exact(row, n)
+        assert check_rr(row, n).verified
+        row = [-e for e in row]
+        assert check_rr(row, n) == _check_rr_exact(row, n)
+    assert limbs_seen == set(range(1, 9))
+    assert verified >= 2 * len(GRAM_MODULI + N128_ROWS)
+
+
+def test_gram_ok_checks_every_limb_product_is_circulant(monkeypatch):
+    # A delta row (c, 0, ..., 0) passes on four limbs.  Row 0 of a limb
+    # product A @ B.T is A[0, 0] * B[:, 0], as A[0] = (c_a, 0, ..., 0), so
+    # bumping entry (1, 1) of each limb circulant leaves every first row,
+    # and a check that rebuilt only the first row would still pass.  Row 1
+    # of the products moves, so they are no longer circulant.
+    n = 2**61 - 1
+    residues = (2**40 + 12345,) + (0,) * 15
+    peak = residues[0] ** 2 % n
+    assert _limb_count(16, n) == 4
+    assert _gram_ok(residues, n, peak)
+
+    def bumped(col):
+        circ = _circulant(col)
+        circ[1, 1] += 1
+        return circ
+
+    monkeypatch.setattr("rrseq.verify._circulant", bumped)
+    assert not _gram_ok(residues, n, peak)
 
 
 def test_gram_check_returns_python_bool():
