@@ -12,13 +12,15 @@ Rows are exact integer sequences; no element ever overflows because all
 arithmetic is arbitrary precision.  Every row, constructed or passed in,
 has 2 to ``MAX_LENGTH`` elements: `as_elements` refuses any other length
 for every library entry point.  The elements of a constructed row grow
-to about N bits and the full autocorrelation takes about N**2 / 2
-products of them, so `autocorr`, `check_rr` and `gram_check` on a
-doubling row take 0.31 s at N = 1024 and 4.5 s at N = 2048 (best of 3,
-one core of a 2-vCPU Xeon VM, Python 3.11), more than ten times more
-with each doubling of N.  The modulus search does not pay that: it
-recognises a doubling row and reads its peak and off-peak gcd from a
-closed form in O(N).
+to about N bits and the exact autocorrelation takes about N**2 / 2
+products of them, so `periodic_autocorr` (and `rrseq autocorr`) on a
+doubling row takes 0.28 s at N = 1024 and 4.2 s at N = 2048 (best of 3,
+one core of a 2-vCPU VM, Python 3.11), more than ten times more with
+each doubling of N.  The certificates reduce the row mod q first:
+`check_rr` then takes 0.08 s and `gram_check` 0.25 s at N = 2048 with
+q = 7, and more with a larger q (README.md).  The modulus search does
+not pay for the profile either: it recognises a doubling row and reads
+its peak and off-peak gcd from a closed form in O(N).
 
 Every length-N doubling row shares the tail ``(2, 4, ..., 2**(N-1))``.
 `doubling_seed` and the recogniser take it from a cache of the last

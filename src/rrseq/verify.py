@@ -8,13 +8,11 @@ Both take the row through `_reduce` first and work on its residues mod n,
 whose profile has the same values mod n as the row's.
 
 `gram_check` checks every entry of the Gram product exactly, for a
-modulus of any size, with float64 matmuls of the residues or of their
-16-bit limbs, whose partial sums stay below 2**53.  A product of
+modulus of any size, with float64 matmuls of the residues or of limbs
+narrow enough that every partial sum stays below 2**53.  A product of
 circulants is circulant, so once each limb product is checked to be,
-only the first row of the Gram matrix is rebuilt as Python ints.  Its
-docstring has the bounds.  Each circulant is read out of the row written
-twice over, as a strided view copied into one contiguous array; nothing
-outlives the call.
+only the first row of the Gram matrix is rebuilt as Python ints; its
+docstring has the bounds.  No array outlives the call.
 
 `enumerate_binary_ideal` exhaustively lists every binary row of a given
 length whose mod-2 correlation is two-valued (peak 1, off-peak 0).  Read
@@ -34,6 +32,7 @@ sweep never touch it, and `import rrseq` does not load it.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
@@ -99,17 +98,19 @@ def check_rr(seq: Sequence[int], n: int) -> RRCertificate:
 
 # float64 sums of integers are exact while every partial sum is below 2**53.
 _FLOAT_EXACT = 2**53
-_LIMB_BITS = 16
-_LIMB_MASK = (1 << _LIMB_BITS) - 1
+
+
+def _limb_bits(size: int) -> int:
+    """The widest limb w with size * (2**w - 1)**2 < 2**53."""
+    return (math.isqrt((_FLOAT_EXACT - 1) // size) + 1).bit_length() - 1
 
 
 def _limb_count(size: int, n: int) -> int:
-    """Limbs per residue in the Gram product of a size-element row mod n:
-    1 (the residue itself) while size * (n - 1)**2 < 2**53, otherwise
-    ceil(bitlen(n - 1) / 16)."""
+    """Limbs per residue of a size-element row mod n in its Gram product: 1
+    while size * (n - 1)**2 < 2**53, else ceil(bitlen(n - 1) / _limb_bits(size))."""
     if size * (n - 1) ** 2 < _FLOAT_EXACT:
         return 1
-    return -(-(n - 1).bit_length() // _LIMB_BITS)
+    return -(-(n - 1).bit_length() // _limb_bits(size))
 
 
 def _circulant(col: np.ndarray) -> np.ndarray:
@@ -138,21 +139,22 @@ def _gram_ok(residues: tuple[int, ...], n: int, peak: int) -> bool:
         gram.flat[:: size + 1] -= peak
         return not gram.any()
 
+    w = _limb_bits(size)
     circs = [
-        _circulant(np.array([r >> _LIMB_BITS * a & _LIMB_MASK for r in residues], dtype=np.float64))
+        _circulant(np.array([r >> w * a & (1 << w) - 1 for r in residues], dtype=np.float64))
         for a in range(limbs)
     ]
     # Every limb product is circulant, as the Gram matrix is; once each is
     # checked to be, the Gram matrix is fixed by its first row.
     row = [0] * size
     for a in range(limbs):
-        for b in range(limbs):
-            # Exact: every entry is below size * (2**16 - 1)**2 < 2**53.
+        for b in range(a, limbs):
+            # Exact: every entry is below size * (2**w - 1)**2 < 2**53.
             d = (circs[a] @ circs[b].T).astype(np.int64)
             if not ((d[1:, 1:] == d[:-1, :-1]).all() and (d[1:, 0] == d[:-1, -1]).all()):
                 return False
-            shift = _LIMB_BITS * (a + b)
-            row = [x + (v << shift) for x, v in zip(row, d[0].tolist())]
+            first = d[0] if a == b else d[0] + d[:, 0]  # d.T is the (b, a) product
+            row = [x + (v << w * (a + b)) for x, v in zip(row, first.tolist())]
     row[0] -= peak
     return all(x % n == 0 for x in row)
 
@@ -162,21 +164,19 @@ def gram_check(seq: Sequence[int], n: int) -> bool:
     a nonzero scalar (the peak correlation mod n) times the identity.
 
     Every entry of every product is formed as an exact integer and
-    checked; nothing is sampled, and no float tolerance is used.  The
-    products run as float64 matmuls, which are exact while every partial
-    sum is an integer below 2**53.  When N * (n - 1)**2 < 2**53 a single
-    product of the residues is the Gram matrix, and all N**2 of its
-    entries are reduced mod n.  Otherwise each residue is split into L =
-    ceil(bitlen(n - 1) / 16) limbs of 16 bits, and every limb pair (a, b)
-    gives one product whose partial sums stay below N * (2**16 - 1)**2 <
-    2**53.  The Gram matrix is circulant, entry (i, j) being C(j - i), and
-    so is each limb product: the check fails unless entry (i + 1, j + 1)
-    of each equals entry (i, j), indices mod N.  The first rows, shifted
-    by 16 * (a + b) bits and added as Python ints, make the first row of
-    the Gram matrix, and those N entries are reduced mod n.  That bound
-    needs N < 2**21, which every row meets: `as_elements` refuses rows
-    longer than MAX_LENGTH = 2048 with ValueError.  README.md gives the
-    measured cost at N = 2048.
+    checked; nothing is sampled, and no float tolerance is used.  float64
+    matmuls are exact while every partial sum is below 2**53.  When N *
+    (n - 1)**2 < 2**53 the product of the residues is the Gram matrix, and
+    all N**2 entries are reduced mod n.  Otherwise each residue is split
+    into L = ceil(bitlen(n - 1) / w) limbs, w the widest with N * (2**w -
+    1)**2 < 2**53: 24 bits at N = 16, 21 at N = MAX_LENGTH = 2048.  Each
+    limb product must be circulant, as the Gram matrix is (entry (i, j) is
+    C(j - i)): entry (i + 1, j + 1) equals entry (i, j), indices mod N.
+    The (b, a) product is the (a, b) one transposed, so only the L(L + 1)/2
+    pairs a <= b are formed.  Their first rows, and for a < b their first
+    columns, shifted by w * (a + b) bits and summed as Python ints, make
+    the first row of the Gram matrix, whose N entries are reduced mod n.
+    README.md gives the measured cost at N = 2048.
     """
     n, residues = _reduce(seq, n)
     peak = sum(r * r for r in residues) % n  # C(0)

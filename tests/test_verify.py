@@ -5,6 +5,7 @@ import operator
 import random
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from rrseq.modsearch import find_modulus
@@ -13,6 +14,7 @@ from rrseq.verify import (
     RRCertificate,
     _circulant,
     _gram_ok,
+    _limb_bits,
     _limb_count,
     check_rr,
     enumerate_binary_ideal,
@@ -111,10 +113,11 @@ def test_nonprime_modulus_rejected():
 
 
 def test_gram_exact_path_large_modulus():
-    # 2 * (n - 1)**2 >= 2**53, so the product runs on four 16-bit limbs
+    # 2 * (n - 1)**2 >= 2**53, so the product runs on three limbs, of 26
+    # bits at N = 2 and of 25 bits at N = 3
     n = 2**61 - 1
-    assert _limb_count(2, n) == 4
-    assert _limb_count(3, n) == 4
+    assert _limb_count(2, n) == 3
+    assert _limb_count(3, n) == 3
     assert gram_check([1, n], n)
     assert check_rr([1, n], n).verified
     assert not gram_check([1, 2, n], n)
@@ -159,15 +162,26 @@ def test_exact_gram_path_on_n128_row():
     row = build_seed(2, 128)
     m = find_modulus(row).canonical
     assert 128 * (m - 1) ** 2 >= 2**53  # past the one-limb bound
-    assert _limb_count(128, m) == 8  # a 126-bit modulus
+    assert _limb_count(128, m) == 6  # a 126-bit modulus on 23-bit limbs
     assert gram_check(row, m)
     bumped = (row[0] + 1,) + row[1:]
     assert not gram_check(bumped, m)
 
 
-# Fixed primes for 1, 2, 4, 6, 7 and 8 limbs, and the canonical moduli of
-# N = 128 doubling rows for 3 (p = 5), 5 (p = 37) and 8 (p = 2) limbs.
-GRAM_MODULI = (331, 2**31 - 1, 2**61 - 1, 2**89 - 1, 2**107 - 1, 2**127 - 1)
+# Fixed primes for 1 to 7 limbs at every size, then the P-192 prime for 8
+# limbs up to N = 16 and 9 at N = 128; 2**160 - 2**31 - 1 is the secp160r1
+# prime.  The canonical moduli of N = 128 doubling rows take 2 (p = 5, 36
+# bits), 3 to 4 (p = 37, 72 bits) and 5 to 6 (p = 2, 126 bits) limbs.
+GRAM_MODULI = (
+    331,
+    2**31 - 1,
+    2**61 - 1,
+    2**89 - 1,
+    2**107 - 1,
+    2**127 - 1,
+    2**160 - 2**31 - 1,
+    2**192 - 2**64 - 1,
+)
 N128_ROWS = (5, 37, 2)
 
 
@@ -192,11 +206,11 @@ def test_gram_matches_exact_oracle():
     # the all-zero row is peak 0 times I on one limb and on several
     for n in (331, 2**61 - 1):
         assert _agree_with_oracle((0,) * 16, n, rng)
-    assert limbs_seen == set(range(1, 9))
+    assert limbs_seen == set(range(1, 10))
 
 
 def test_check_rr_matches_exact_profile_oracle():
-    # the rows of test_gram_matches_exact_oracle, 1 to 8 limbs, each entry
+    # the rows of test_gram_matches_exact_oracle, 1 to 9 limbs, each entry
     # moved by a multiple of n so the row has negative entries and entries
     # above n while its residues stay the same
     rng = random.Random(16)
@@ -223,20 +237,22 @@ def test_check_rr_matches_exact_profile_oracle():
         assert check_rr(row, n).verified
         row = [-e for e in row]
         assert check_rr(row, n) == _check_rr_exact(row, n)
-    assert limbs_seen == set(range(1, 9))
+    assert limbs_seen == set(range(1, 10))
     assert verified >= 2 * len(GRAM_MODULI + N128_ROWS)
 
 
 def test_gram_ok_checks_every_limb_product_is_circulant(monkeypatch):
-    # A delta row (c, 0, ..., 0) passes on four limbs.  Row 0 of a limb
-    # product A @ B.T is A[0, 0] * B[:, 0], as A[0] = (c_a, 0, ..., 0), so
-    # bumping entry (1, 1) of each limb circulant leaves every first row,
-    # and a check that rebuilt only the first row would still pass.  Row 1
-    # of the products moves, so they are no longer circulant.
+    # A delta row (c, 0, ..., 0) passes on three limbs.  Row 0 of a limb
+    # product A @ B.T is A[0, 0] * B[:, 0] and column 0 is B[0, 0] * A[:, 0],
+    # as A[0] = (c_a, 0, ..., 0) and B[0] = (c_b, 0, ..., 0), so bumping
+    # entry (1, 1) of each limb circulant leaves every first row and first
+    # column, and a check that rebuilt the Gram matrix from those alone
+    # would still pass.  Row 1 of the products moves, so they are no longer
+    # circulant.
     n = 2**61 - 1
     residues = (2**40 + 12345,) + (0,) * 15
     peak = residues[0] ** 2 % n
-    assert _limb_count(16, n) == 4
+    assert _limb_count(16, n) == 3
     assert _gram_ok(residues, n, peak)
 
     def bumped(col):
@@ -246,6 +262,43 @@ def test_gram_ok_checks_every_limb_product_is_circulant(monkeypatch):
 
     monkeypatch.setattr("rrseq.verify._circulant", bumped)
     assert not _gram_ok(residues, n, peak)
+
+
+def test_limb_width_is_the_widest_exact_one():
+    # the largest w with N * (2**w - 1)**2 < 2**53, found by counting up
+    widths = {}
+    for size in range(2, 2049):
+        w = 1
+        while size * (2 ** (w + 1) - 1) ** 2 < 2**53:
+            w += 1
+        widths[size] = w
+        assert _limb_bits(size) == w, size
+        assert _limb_count(size, 2**127 - 1) == -(-127 // w), size
+    assert [widths[size] for size in (2, 16, 128, 2048)] == [26, 24, 23, 21]
+
+
+def test_gram_ok_forms_each_limb_pair_once(monkeypatch):
+    # The (b, a) limb product is the (a, b) one transposed, so L limbs take
+    # L * (L + 1) / 2 products, not L**2; one limb takes one product.
+    class Counted(np.ndarray):
+        products = 0
+
+        def __matmul__(self, other):
+            Counted.products += 1
+            return np.asarray(self) @ np.asarray(other)
+
+    monkeypatch.setattr("rrseq.verify._circulant", lambda col: _circulant(col).view(Counted))
+    row = build_seed(2, 128)
+    m = find_modulus(row).canonical
+    q = 2**61 - 1
+    cases = ((build_seed(2, 16), 331, 1), (_max_residue_row(16, q), q, 3), (row, m, 6))
+    for seq, n, limbs in cases:
+        residues = tuple(e % n for e in seq)
+        peak = sum(r * r for r in residues) % n
+        assert _limb_count(len(residues), n) == limbs
+        Counted.products = 0
+        assert _gram_ok(residues, n, peak)
+        assert Counted.products == limbs * (limbs + 1) // 2, (n, limbs)
 
 
 def test_gram_check_returns_python_bool():
