@@ -56,8 +56,11 @@ def periodic_autocorr(seq: Sequence[int]) -> CorrProfile:
 
 
 def autocorr_mod(seq: Sequence[int], n: int) -> CorrProfile:
-    """The periodic autocorrelation reduced element-wise modulo n."""
+    """The periodic autocorrelation reduced element-wise modulo n.  As
+    reduction mod n is a ring homomorphism, the row is reduced first: the
+    profile of its residues has the same values mod n as the row's."""
     n = operator.index(n)
     if n < 2:
         raise ValueError("modulus must be at least 2")
-    return CorrProfile(tuple(v % n for v in profile_values(as_elements(seq))))
+    residues = tuple(e % n for e in as_elements(seq))
+    return CorrProfile(tuple(v % n for v in profile_values(residues)))

@@ -16,11 +16,11 @@ to about N bits and the exact autocorrelation takes about N**2 / 2
 products of them, so `periodic_autocorr` (and `rrseq autocorr`) on a
 doubling row takes 0.28 s at N = 1024 and 4.2 s at N = 2048 (best of 3,
 one core of a 2-vCPU VM, Python 3.11), more than ten times more with
-each doubling of N.  The certificates reduce the row mod q first:
-`check_rr` then takes 0.08 s and `gram_check` 0.25 s at N = 2048 with
-q = 7, and more with a larger q (README.md).  The modulus search does
-not pay for the profile either: it recognises a doubling row and reads
-its peak and off-peak gcd from a closed form in O(N).
+each doubling of N.  `autocorr_mod` and the certificates reduce the row
+mod q first: at N = 2048 with q = 7, `autocorr_mod` and `check_rr` take
+0.08-0.11 s and `gram_check` 0.25 s, more with a larger q (README.md).
+The modulus search recognises a doubling row and reads its peak and
+off-peak gcd from a closed form in O(N), so it skips the profile too.
 
 Every length-N doubling row shares the tail ``(2, 4, ..., 2**(N-1))``.
 `doubling_seed` and the recogniser take it from a cache of the last
@@ -57,12 +57,10 @@ def as_elements(seq: Sequence[int]) -> tuple[int, ...]:
     Elements convert with operator.index, so ints, bools and numpy
     integers pass, while floats and strings raise TypeError instead of
     being truncated.  A row shorter than 2 or longer than MAX_LENGTH
-    raises ValueError.
+    raises check_length's ValueError.
     """
     elems = tuple(map(operator.index, seq))
-    if len(elems) < 2:
-        raise ValueError(f"a row needs at least 2 elements, got {len(elems)}")
-    if len(elems) > MAX_LENGTH:
+    if not 2 <= len(elems) <= MAX_LENGTH:
         check_length(len(elems))
     return elems
 

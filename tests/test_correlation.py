@@ -5,7 +5,7 @@ import random
 import numpy as np
 import pytest
 
-from rrseq.correlation import autocorr_mod, periodic_autocorr
+from rrseq.correlation import autocorr_mod, periodic_autocorr, profile_values
 from rrseq.sequence import doubling_seed, power_seed
 
 
@@ -86,15 +86,28 @@ def test_rejects_tiny_input():
         periodic_autocorr([])
 
 
-def test_autocorr_mod_reduces_elementwise():
-    row = power_seed(2, 4)
-    exact = periodic_autocorr(row).values
-    for n in (2, 3, 5, 7, 331):
-        reduced = autocorr_mod(row, n)
-        assert reduced.values == tuple(v % n for v in exact)
+def test_autocorr_mod_reduces_elementwise(monkeypatch):
+    # The row is reduced before its profile is taken: profile_values only
+    # ever sees residues in [0, n), and the result still equals the exact
+    # profile reduced mod n, for prime and composite n alike.
+    rows = [power_seed(2, 4), [-5, 17, -(2**70), 3, 0, 1000, -1], doubling_seed(3, 128)]
+    moduli = (2, 3, 5, 7, 12, 331, 2**61 - 1, 2**64)
+    exact = [periodic_autocorr(row).values for row in rows]
+    calls = []
+
+    def spy(a):
+        assert all(0 <= e < n for e in a), (n, a)
+        calls.append(n)
+        return profile_values(a)
+
+    monkeypatch.setattr("rrseq.correlation.profile_values", spy)
+    for row, values in zip(rows, exact):
+        for n in moduli:
+            assert autocorr_mod(row, n).values == tuple(v % n for v in values), (row, n)
+    assert len(calls) == len(rows) * len(moduli)
     for n in (1, 0):
         with pytest.raises(ValueError, match="at least 2"):
-            autocorr_mod(row, n)
+            autocorr_mod(rows[0], n)
 
 
 def test_autocorr_mod_two_valued_case():

@@ -3,6 +3,7 @@
 import csv
 import operator
 import random
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -299,6 +300,26 @@ def test_gram_ok_forms_each_limb_pair_once(monkeypatch):
         Counted.products = 0
         assert _gram_ok(residues, n, peak)
         assert Counted.products == limbs * (limbs + 1) // 2, (n, limbs)
+
+
+def test_gram_check_memory_does_not_grow_with_limbs():
+    # Only the two limb circulants a product multiplies are alive, so the
+    # traced peak is a few N x N float64 arrays at 5 limbs and at 24 alike.
+    size = 256
+    circ_bytes = size * size * 8
+    row = build_seed(3, size)
+    delta = (2**520 + 12345,) + (0,) * (size - 1)  # nonzero in every limb
+    for seq, q, limbs in ((row, 2**89 - 1, 5), (row, 2**521 - 1, 24), (delta, 2**521 - 1, 24)):
+        assert _limb_count(size, q) == limbs
+        tracemalloc.start()  # numpy is already imported, so not traced
+        try:
+            verdict = gram_check(seq, q)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert verdict == check_rr(seq, q).verified
+        assert peak < 6 * circ_bytes, (limbs, peak / circ_bytes)
+    assert verdict  # the delta row passes
 
 
 def test_gram_check_returns_python_bool():
