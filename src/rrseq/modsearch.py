@@ -42,7 +42,7 @@ from typing import Sequence
 
 from .correlation import profile_values
 from .numtheory import DEFAULT_BUDGET, FactorBudget, Factorization, factorize, primes_up_to
-from .sequence import ROW_DOUBLING, _is_doubling, as_elements, build_seed, check_length
+from .sequence import ROW_DOUBLING, _is_doubling, as_elements, build_seed, check_length, check_row_kind
 
 
 class SelectionPolicy(enum.Enum):
@@ -223,14 +223,17 @@ def sweep(
     """One search per starting prime p <= prime_bound, ascending.
 
     Each row's outcome equals find_modulus(build_seed(p, n, row_kind),
-    policy, budget).  The starting primes come from a sieve, so none is
-    tested for primality again, and a doubling row is never built: its
+    policy, budget).  The starting primes come from a sieve.  A doubling
+    row is never built, so its p is not tested for primality again: its
     peak and off-peak gcd come straight from the closed form in the
-    module docstring.  Rows with a negative status are kept, never
-    dropped.  n and prime_bound must be integers (`operator.index`).
+    module docstring.  Any other kind is built by `build_seed`, which
+    tests p again.  Rows with a negative status are kept, never dropped.
+    n and prime_bound must be integers (`operator.index`); every argument
+    is checked before the sieve runs.
     """
     n, prime_bound, policy = operator.index(n), operator.index(prime_bound), _policy(policy)
     check_length(n)
+    check_row_kind(row_kind)
     if prime_bound < 2:
         raise ValueError("prime bound must be at least 2")
     rows = []

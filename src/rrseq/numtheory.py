@@ -1,12 +1,7 @@
 """Exact integer utilities: list gcd, primality, budgeted factoring, prime sieve.
 
-`is_prime` is exact below psi_13 ~ 3.3e24.  There it runs Miller-Rabin
-on only as many of the bases 2, 3, 5, ..., 41 as the size of n needs:
-the first k are exact below psi_k, the smallest strong pseudoprime to
-all of them, and `_MR_PREFIXES` lists each bound with its k (Jaeschke,
-Math. Comp. 61, 1993; Jiang & Deng, Math. Comp. 83, 2014; Sorenson &
-Webster, Math. Comp. 86, 2017).  So a prime near 10**5 is tested to 2
-bases instead of all 13.
+`is_prime` is Miller-Rabin alone, exact below psi_13 ~ 3.3e24 (its
+docstring gives the base table).
 
 `factorize` runs trial division, then a short Brent-rho, then Lenstra's
 elliptic-curve method (ECM) on whatever composite is left, and reports
@@ -42,10 +37,7 @@ import operator
 from dataclasses import dataclass, fields
 from typing import Iterable, Sequence
 
-# Deterministic Miller-Rabin: the first k of these bases are exact for
-# every n below psi_k, the smallest strong pseudoprime to all of them
-# (Jaeschke 1993 up to psi_8; Jiang & Deng 2014 for psi_9 to psi_11;
-# Sorenson & Webster 2017 for psi_12 and psi_13).
+# Miller-Rabin bases of `is_prime` below psi_13.
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # (psi_k, k), ascending; a prefix is only listed where it is the shortest
 # one exact below its bound, so psi_8, psi_10 and psi_11 do not appear.
@@ -61,8 +53,6 @@ _MR_PREFIXES = (
     (318_665_857_834_031_151_167_461, 12),  # psi_12 = 399165290221 * 798330580441
     (3_317_044_064_679_887_385_961_981, 13),  # psi_13 = 1287836182261 * 2575672364521
 )
-
-_SMALL_PRIMES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47)
 
 # Answers `is_prime` keeps, least recently used out first.  A certified
 # row's modulus is found again by both certificates when `factorize` tested
@@ -176,15 +166,13 @@ def gcd_many(values: Iterable[int]) -> int:
 
 
 def _miller_rabin(n: int, bases: Sequence[int]) -> bool:
+    """Strong probable-prime test of odd n > 2 to every base, each in [2, n - 2]."""
     d = n - 1
     r = 0
     while d % 2 == 0:
         d //= 2
         r += 1
     for a in bases:
-        a %= n
-        if a in (0, 1, n - 1):
-            continue
         x = pow(a, d, n)
         if x in (1, n - 1):
             continue
@@ -215,7 +203,7 @@ def _derived_bases(n: int, count: int) -> list[int]:
 
 @functools.lru_cache(maxsize=_PRIME_MEMO_SIZE, typed=True)
 def is_prime(n: int) -> bool:
-    """Primality test.
+    """Primality test: 2, then Miller-Rabin on odd n, with no trial division.
 
     Deterministic (exact) for all n below psi_13 ~ 3.3e24, which covers
     the full 64-bit range.  There it runs Miller-Rabin on the shortest
@@ -223,24 +211,23 @@ def is_prime(n: int) -> bool:
     bound of `_MR_PREFIXES` passes: one base below 2047, four below
     3.2e9, seven below 3.4e14, nine below 3.8e18.  Each bound psi_k is
     the smallest strong pseudoprime to the first k prime bases (Jaeschke,
-    *On strong pseudoprimes to several bases*, Math. Comp. 61, 1993;
-    Jiang & Deng, *Strong pseudoprimes to the first eight prime bases*,
-    Math. Comp. 83, 2014; Sorenson & Webster, *Strong pseudoprimes to
-    twelve prime bases*, Math. Comp. 86, 2017).  Above psi_13 it falls back to Miller-Rabin
-    with 64 rounds of bases derived deterministically from n; the error
-    probability is below 4**-64 = 2**-128 and identical inputs always
-    give identical answers.  The last _PRIME_MEMO_SIZE (4) answers are
-    remembered, keyed by value and type (`is_prime.cache_info()`), so a
-    float is never answered from an int's entry: it raises TypeError.
+    *On strong pseudoprimes to several bases*, Math. Comp. 61, 1993, up
+    to psi_8; Jiang & Deng, *Strong pseudoprimes to the first eight prime
+    bases*, Math. Comp. 83, 2014, for psi_9 to psi_11; Sorenson &
+    Webster, *Strong pseudoprimes to twelve prime bases*, Math. Comp. 86,
+    2017, for psi_12 and psi_13).  So a prime near 10**5 is tested to 2
+    bases instead of all 13.  Every base lies in [2, n - 2], except base
+    2 at n = 3, which 3 passes.  Above psi_13 it falls back to
+    Miller-Rabin with 64 rounds of bases derived deterministically from
+    n; the error probability is below 4**-64 = 2**-128 and identical
+    inputs always give identical answers.  The last _PRIME_MEMO_SIZE (4)
+    answers are remembered, keyed by value and type
+    (`is_prime.cache_info()`), so a float is never answered from an int's
+    entry: it raises TypeError.
     """
     n = operator.index(n)
-    if n < 2:
-        return False
-    for p in _SMALL_PRIMES:
-        if n == p:
-            return True
-        if n % p == 0:
-            return False
+    if n < 3 or n % 2 == 0:
+        return n == 2
     for bound, k in _MR_PREFIXES:
         if n < bound:
             return _miller_rabin(n, _MR_BASES_64[:k])
@@ -286,19 +273,20 @@ def _rho_factor(n: int, budget: FactorBudget) -> int:
 
 @functools.cache
 def _ecm_tables() -> tuple[tuple[int, ...], int, tuple[tuple[int, tuple[int, ...]], ...]]:
-    """Stage-1 prime powers and their product, and the stage-2 plan.
+    """Stage-1 primes, each p once per power of p <= B1, and their
+    product; and the stage-2 plan.
 
     Every prime r in (B1, B2] is m*D + j or m*D - j for one baby step j
     (odd, below D/2, coprime to D), and both share the test
     x(m*D*Q) == x(j*Q).  The plan lists each giant step m with the
     positions, among the ascending baby steps, of the j it must test.
     """
-    powers = []
+    steps = []
     for p in primes_up_to(_ECM_B1):
         pe = p
-        while pe * p <= _ECM_B1:
+        while pe <= _ECM_B1:
+            steps.append(p)
             pe *= p
-        powers.append(pe)
     babies = [j for j in range(1, _ECM_D // 2, 2) if math.gcd(j, _ECM_D) == 1]
     position = {j: i for i, j in enumerate(babies)}
     plan: dict[int, set[int]] = {}
@@ -310,7 +298,7 @@ def _ecm_tables() -> tuple[tuple[int, ...], int, tuple[tuple[int, tuple[int, ...
             m, j = m + 1, _ECM_D - j
         plan.setdefault(m, set()).add(position[j])
     plan_steps = tuple((m, tuple(sorted(js))) for m, js in sorted(plan.items()))
-    return tuple(powers), math.prod(powers), plan_steps
+    return tuple(steps), math.prod(steps), plan_steps
 
 
 def _xadd(p: tuple[int, int], q: tuple[int, int], diff: tuple[int, int], n: int) -> tuple[int, int]:
@@ -361,7 +349,7 @@ def _ecm_curve(n: int, sigma: int) -> int:
     Returns a divisor of n found by the curve, 1 when the curve finds
     nothing, or n when it finds every prime at once.
     """
-    powers, k, plan = _ecm_tables()
+    steps, k, plan = _ecm_tables()
     u = (sigma * sigma - 5) % n
     v = 4 * sigma % n
     den = 16 * pow(u, 3, n) * pow(v, 3, n) * v % n
@@ -378,10 +366,12 @@ def _ecm_curve(n: int, sigma: int) -> int:
     g = math.gcd(q[1], n)
     if g == n:
         # Every prime of n at once (likely when they are all small): redo
-        # stage 1 one prime power at a time to catch them apart.
+        # stage 1 one prime at a time, p once per power of p <= B1, to
+        # catch them apart.  One prime per step also splits a prime power
+        # such as 7**3 * 11**3, whose parts a whole p**e reaches together.
         x = x0
-        for pe in powers:
-            xz = _ladder(pe, x, a24, n)
+        for p in steps:
+            xz = _ladder(p, x, a24, n)
             g = math.gcd(xz[1], n)
             if g != 1:
                 return g
@@ -499,9 +489,6 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     n = operator.index(n)
     if n < 1:
         raise ValueError("factorize requires n >= 1")
-    if n == 1:
-        return Factorization(input=1, factors=())
-
     counts: dict[int, int] = {}
     rem = n
     for d in (2, 3):
@@ -530,7 +517,7 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
         while f == 1 and curves < budget.ecm_curves:
             g = _ecm_curve(m, _ECM_SIGMA0 + curves)
             curves += 1
-            if 1 < g < m and m % g == 0:
+            if 1 < g < m:
                 f = g
         if f == 1:
             cofactor *= m

@@ -73,6 +73,12 @@ def check_length(n: int) -> None:
         raise ValueError(f"row length must be at most {MAX_LENGTH}, got {n}")
 
 
+def check_row_kind(kind: str) -> None:
+    """Raise ValueError unless kind is one of ROW_KINDS."""
+    if kind not in ROW_KINDS:
+        raise ValueError(f"unknown row kind {kind!r}; expected one of {ROW_KINDS}")
+
+
 def _seed_args(p: int, n: int) -> tuple[int, int]:
     """p and n as ints, once n is a valid length and p a prime.  A numpy
     p would otherwise wrap its powers at 64 bits."""
@@ -113,8 +119,5 @@ def power_seed(p: int, n: int) -> tuple[int, ...]:
 
 def build_seed(p: int, n: int, kind: str = ROW_DOUBLING) -> tuple[int, ...]:
     """Construct a seed row of the given kind ("doubling" or "powers")."""
-    if kind == ROW_DOUBLING:
-        return doubling_seed(p, n)
-    if kind == ROW_POWERS:
-        return power_seed(p, n)
-    raise ValueError(f"unknown row kind {kind!r}; expected one of {ROW_KINDS}")
+    check_row_kind(kind)
+    return doubling_seed(p, n) if kind == ROW_DOUBLING else power_seed(p, n)

@@ -280,6 +280,8 @@ def test_float_sweep_arguments_refused_before_the_sieve(monkeypatch):
         sweep(16.0, 100)
     with pytest.raises(TypeError):
         sweep(16, 100.0)
+    with pytest.raises(ValueError, match="unknown row kind"):
+        sweep(16, 100, row_kind="bogus")
 
 
 def test_n128_sweep_factors_every_row():

@@ -1,5 +1,6 @@
 """gcd, primality, budgeted factorization, sieve."""
 
+import itertools
 import math
 import random
 
@@ -11,7 +12,6 @@ from rrseq import build_seed, check_rr, find_modulus, gram_check, sweep
 from rrseq.numtheory import (
     _MR_BASES_64,
     _MR_PREFIXES,
-    _SMALL_PRIMES,
     SIEVE_LIMIT,
     FactorBudget,
     Factorization,
@@ -75,12 +75,11 @@ def test_is_prime_memo_carries_the_modulus_into_both_certificates(p, n):
 
 
 def _mr_sample(lo, hi, count, rng):
-    """count random odd n in [lo, hi) with no factor among _SMALL_PRIMES,
-    so each reaches Miller-Rabin."""
+    """count random odd n in [lo, hi), each of which reaches Miller-Rabin."""
     out = []
     while len(out) < count:
         n = rng.randrange(lo, hi) | 1
-        if lo <= n < hi and all(n % p for p in _SMALL_PRIMES):
+        if n < hi:
             out.append(n)
     return out
 
@@ -88,7 +87,8 @@ def _mr_sample(lo, hi, count, rng):
 MR_IDS = [f"k={k}" for _, k in _MR_PREFIXES]
 # Every bound psi_k between the previous bound and the next, which is
 # 4 * psi_13 above the last: the prefix's range and the range after it.
-_MR_EDGES = (_SMALL_PRIMES[-1] + 1,) + tuple(b for b, _ in _MR_PREFIXES) + (4 * _MR_PREFIXES[-1][0],)
+# The first range starts where every base of _MR_BASES_64 is at most n - 2.
+_MR_EDGES = (_MR_BASES_64[-1] + 2,) + tuple(b for b, _ in _MR_PREFIXES) + (4 * _MR_PREFIXES[-1][0],)
 MR_RANGES = [_MR_EDGES[i : i + 3] for i in range(len(_MR_PREFIXES))]
 
 
@@ -111,9 +111,33 @@ def test_mr_base_table_matches_all_bases(lo, bound, hi):
         assert is_prime(n) == sympy.isprime(n), n
 
 
-@pytest.mark.parametrize("n", [561, 1105, 1729, 41041, 825265, 321197185])
+# Carmichael numbers, then the strong pseudoprimes to base 2 below 3 * 10**4
+@pytest.mark.parametrize(
+    "n", [561, 1105, 1729, 41041, 825265, 321197185, 2047, 3277, 4033, 4681, 8321, 15841, 29341]
+)
 def test_carmichael_numbers_rejected(n):
     assert not is_prime(n)
+
+
+def test_miller_rabin_gets_bases_in_range(monkeypatch):
+    # _miller_rabin reduces no base mod n, so is_prime must pass it bases
+    # in [2, n - 2]; base 2 at n = 3 is the one exception, which 3 passes.
+    seen = []
+
+    def spy(n, bases):
+        seen.append(n)
+        assert all(2 <= a <= n - 2 or (n, a) == (3, 2) for a in bases), (n, bases)
+        return _miller_rabin(n, bases)
+
+    monkeypatch.setattr(rrseq.numtheory, "_miller_rabin", spy)
+    is_prime.cache_clear()
+    rng = random.Random(5)
+    samples = [_mr_sample(lo, hi, 200, rng) for lo, _, hi in MR_RANGES]
+    psi13 = _MR_PREFIXES[-1][0]
+    for n in [*range(10**5), *itertools.chain(*samples), 2**89 - 1, 2**89 - 3, psi13, psi13 + 2, 2**127 - 1]:
+        is_prime(n)
+    assert 3 in seen and 2**127 - 1 in seen
+    assert len(seen) > 10**5 // 2
 
 
 def test_large_primality():
@@ -137,7 +161,7 @@ def test_factorize_small_round_trip():
 
 def test_factorize_examples():
     assert factorize(40).factors == ((2, 3), (5, 1))
-    assert factorize(1).factors == ()
+    assert factorize(1) == Factorization(1, ())
     assert factorize(97).factors == ((97, 1),)
     assert factorize(2**20).factors == ((2, 20),)
     assert factorize(43692).factors == ((2, 2), (3, 1), (11, 1), (331, 1))
@@ -234,6 +258,17 @@ def test_ecm_stage_splits_prime_squares():
     f = factorize(1999**2 * 7919, budget)
     assert f.complete
     assert f.factors == ((1999, 2), (7919, 1))
+    # Cubes and mixed powers of primes below B1, with no square test to
+    # fall back on: stage 1's retry has to split them one prime at a time.
+    cases = {
+        7**3 * 11**3: ((7, 3), (11, 3)),
+        3**2 * 5**3 * 7**3 * 11**2: ((3, 2), (5, 3), (7, 3), (11, 2)),
+        2**3 * 3**3 * 343: ((2, 3), (3, 3), (7, 3)),
+    }
+    for n, factors in cases.items():
+        f = factorize(n, budget)
+        assert f.complete, n
+        assert f.factors == factors
 
 
 def test_factorize_is_deterministic():
