@@ -5,28 +5,36 @@ Subcommands: seed, autocorr, search, sweep, verify, plotdata.  Each takes
 search, sweep and plotdata, which factor, also take --policy and
 --trial-bound.
 
-Each subcommand returns an exit code and its records, dicts (or, for
-seed and autocorr, a bare value list) holding only JSON-typed values,
-and `_render` alone turns them into CSV (default) or JSON, to stdout or
---out.  Output is byte-identical across runs for a fixed invocation:
+Each subcommand checks its arguments, then returns an exit code and its
+records, dicts (or, for seed and autocorr, a bare value list) holding
+only JSON-typed values.  sweep and plotdata return their records as a
+lazy iterator, one per row, made only as it is read.  `_render` alone
+turns the records into pieces of CSV (default) or JSON text, and
+`_emit` writes each piece to stdout or --out as it comes, so a sweep
+holds one row at a time, not the whole table.  Output is byte-identical
+across runs for a fixed invocation:
 rows are emitted in ascending prime order, integers as exact decimals
 (JSON carries them as strings to survive tools that parse numbers as
 doubles), lines end with "\\n", and nothing time- or host-dependent is
 written.
 
 Exit codes: 0 success/Found; 1 negative result (no valid modulus, or
-verification failed); 2 usage or domain error; 3 incomplete
-factorization; 4 output I/O error.
+verification failed); 2 usage or domain error, before any output is
+written; 3 incomplete factorization; 4 output I/O error, on stdout or
+--out, after which the output may hold a prefix of the text.
 """
 
 from __future__ import annotations
 
 import argparse
+import io
 import json
+import os
 import sys
 from pathlib import Path
+from typing import Iterable, Iterator
 
-from .modsearch import SearchStatus, SelectionPolicy, SweepRow, search_prime, sweep
+from .modsearch import SearchStatus, SelectionPolicy, SweepRow, _sweep_args, _sweep_rows, search_prime
 from .numtheory import DEFAULT_BUDGET, SIEVE_LIMIT, FactorBudget
 from .sequence import MAX_LENGTH, ROW_DOUBLING, ROW_KINDS, build_seed, check_length
 from .correlation import periodic_autocorr
@@ -67,33 +75,117 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _render(records, fmt: str, fields: tuple[str, ...] | None, keys: tuple[str, ...] | None) -> str:
-    """The text of a subcommand's records in the chosen format.
+_escape = json.encoder.encode_basestring_ascii
+
+
+def _json(value, pad: str) -> str:
+    """json.dumps(value, indent=2) with every line after the first
+    indented by pad, for the types records hold: dicts with str keys,
+    lists, str, int, bool and None.  Any other type raises TypeError.
+
+    json.dumps with an indent always runs the stdlib's pure-Python
+    encoder; this writes the same text with the C string escaper it
+    uses, and escapes the str items of a dict or list without a
+    recursive call.
+    """
+    if type(value) is str:
+        return _escape(value)
+    if type(value) is dict:
+        if not value:
+            return "{}"
+        inner = pad + "  "
+        items = [_escape(k) + ": " + (_escape(v) if type(v) is str else _json(v, inner)) for k, v in value.items()]
+        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
+    if type(value) is list:
+        if not value:
+            return "[]"
+        inner = pad + "  "
+        items = [_escape(v) if type(v) is str else _json(v, inner) for v in value]
+        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]"
+    if value is None:
+        return "null"
+    if value is True:
+        return "true"
+    if value is False:
+        return "false"
+    if isinstance(value, int):
+        return int.__repr__(value)
+    raise TypeError(f"cannot write {type(value).__name__} as JSON")
+
+
+def _render(records, fmt: str, fields: tuple[str, ...] | None, keys: tuple[str, ...] | None) -> Iterator[str]:
+    """The text of a subcommand's records in the chosen format, in pieces.
+
+    A single record (a dict) or a bare value list (seed, autocorr) is one
+    piece.  Any other records are an iterable that sweep and plotdata
+    fill lazily, one record per row; it is read once, each record
+    becoming a piece as it comes, so no more than one record is held.
 
     JSON writes the records as they are, or, when keys is given, the one
-    record cut down to those keys in that order.  CSV writes a bare value
-    list (fields None) as one line; otherwise a header of the fields, then
-    one line per record, or for a single dict its one line.
+    record cut down to those keys in that order; a lazy iterable is
+    written as a list, the same text as json.dumps(list(records),
+    indent=2).  CSV writes a bare value list (fields None) as one line;
+    otherwise a header of the fields, then one line per record, or for a
+    single dict its one line.
     """
     if fmt == "json":
         if keys is not None:
             records = {k: records[k] for k in keys}
-        return json.dumps(records, indent=2) + "\n"
+        if isinstance(records, (dict, list)):
+            yield _json(records, "") + "\n"
+            return
+        sep = "[\n  "  # before the first record; ",\n  " before each later one
+        for rec in records:
+            yield sep + _json(rec, "  ")
+            sep = ",\n  "
+        yield "[]\n" if sep == "[\n  " else "\n]\n"
+        return
     if fields is None:
-        return ",".join(records) + "\n"
-    if isinstance(records, dict):
-        records = [records]
-    lines = [",".join(fields)] + [",".join(_cell(rec[f]) for f in fields) for rec in records]
-    return "\n".join(lines) + "\n"
+        yield ",".join(records) + "\n"
+        return
+    yield ",".join(fields) + "\n"
+    for rec in [records] if isinstance(records, dict) else records:
+        yield ",".join([_cell(rec[f]) for f in fields]) + "\n"
 
 
-def _emit(text: str, out: Path | None) -> int:
+def _drop_stdout() -> None:
+    """Point the stdout file descriptor at os.devnull, so that the flush at
+    interpreter exit writes what is left in its buffer there instead of
+    failing again (the recipe in the `signal` module docs)."""
+    try:
+        fd = sys.stdout.fileno()
+    except (AttributeError, io.UnsupportedOperation):
+        return  # not backed by a file descriptor
+    devnull = os.open(os.devnull, os.O_WRONLY)
+    os.dup2(devnull, fd)
+    os.close(devnull)
+
+
+def _emit(pieces: Iterable[str], out: Path | None) -> int:
+    """Write the pieces as they come, to sys.stdout or to out; 0, or 4 on
+    an I/O error.
+
+    sys.stdout is looked up at write time, so a redirected stdout gets
+    the text.  out is opened only here, after the subcommand has checked
+    its arguments, so a run that exits 2 creates no file.  On exit 4 the
+    output may hold a prefix of the text: rows are written as they are
+    made.  A failed stdout (a full disk, or a closed pipe such as
+    `| head -1`) is pointed at os.devnull, so nothing more is reported.
+    """
     if out is None:
-        sys.stdout.write(text)
+        try:
+            for piece in pieces:
+                sys.stdout.write(piece)
+            sys.stdout.flush()
+        except OSError as exc:
+            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
+            _drop_stdout()
+            return 4
         return 0
     try:
         with open(out, "w", encoding="utf-8", newline="\n") as fh:
-            fh.write(text)
+            for piece in pieces:
+                fh.write(piece)
     except OSError as exc:
         print(f"error: cannot write {out}: {exc}", file=sys.stderr)
         return 4
@@ -168,9 +260,13 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, dict]:
     return _STATUS_EXIT[outcome.status], record
 
 
-def _cmd_sweep(args: argparse.Namespace) -> tuple[int, list[dict]]:
-    rows = sweep(args.length, args.primes_up_to, *_factoring(args), args.row)
-    return 0, [_row_record(r) for r in rows]
+def _table_rows(args: argparse.Namespace, policy: SelectionPolicy, budget: FactorBudget) -> Iterator[SweepRow]:
+    """The rows of sweep or plotdata, made lazily once every argument is checked."""
+    return _sweep_rows(*_sweep_args(args.length, args.primes_up_to, policy, budget, args.row))
+
+
+def _cmd_sweep(args: argparse.Namespace) -> tuple[int, Iterator[dict]]:
+    return 0, map(_row_record, _table_rows(args, *_factoring(args)))
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
@@ -191,16 +287,16 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
     return (0 if cert.verified and gram_ok else 1), record
 
 
-def _cmd_plotdata(args: argparse.Namespace) -> tuple[int, list[dict]]:
+def _cmd_plotdata(args: argparse.Namespace) -> tuple[int, Iterator[dict]]:
     policy, budget = _factoring(args)
     if policy is SelectionPolicy.ALL:
         raise ValueError("plotdata needs a single canonical modulus per prime; use --policy smallest or largest")
-    rows = sweep(args.length, args.primes_up_to, policy, budget, args.row)
-    return 0, [
+    rows = _table_rows(args, policy, budget)
+    return 0, (
         {"start_prime": str(r.start_prime), "canonical_modulus": str(r.outcome.canonical)}
         for r in rows
         if r.outcome.canonical is not None
-    ]
+    )
 
 
 _PRIMES_UP_TO_HELP = f"search every starting prime up to B, at most {SIEVE_LIMIT}"

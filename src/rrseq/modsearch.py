@@ -38,10 +38,10 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .correlation import profile_values
-from .numtheory import DEFAULT_BUDGET, FactorBudget, Factorization, factorize, primes_up_to
+from .numtheory import DEFAULT_BUDGET, FactorBudget, Factorization, _primes, factorize
 from .sequence import ROW_DOUBLING, _is_doubling, as_elements, build_seed, check_length, check_row_kind
 
 
@@ -213,6 +213,38 @@ def search_prime(
     return find_modulus(build_seed(p, n, row_kind), policy, budget)
 
 
+def _sweep_args(
+    n: int,
+    prime_bound: int,
+    policy: SelectionPolicy | str,
+    budget: FactorBudget,
+    row_kind: str,
+) -> tuple[int, Iterator[int], SelectionPolicy, FactorBudget, str]:
+    """The arguments of `_sweep_rows` for a sweep.  Every argument is
+    checked first: n and prime_bound must be integers (`operator.index`),
+    and ValueError is raised before the sieve runs.  The starting primes
+    are then sieved, to be read off the sieve one at a time."""
+    n, prime_bound, policy = operator.index(n), operator.index(prime_bound), _policy(policy)
+    check_length(n)
+    check_row_kind(row_kind)
+    if prime_bound < 2:
+        raise ValueError("prime bound must be at least 2")
+    return n, _primes(prime_bound), policy, budget, row_kind
+
+
+def _sweep_rows(
+    n: int, primes: Iterable[int], policy: SelectionPolicy, budget: FactorBudget, row_kind: str
+) -> Iterator[SweepRow]:
+    """The rows of a sweep over the ascending starting primes, one at a
+    time; checks nothing (see `_sweep_args`)."""
+    for i, p in enumerate(primes, start=1):
+        if row_kind == ROW_DOUBLING:
+            outcome = _outcome(*_doubling_peak_gcd(p, n), policy, budget)
+        else:
+            outcome = find_modulus(build_seed(p, n, row_kind), policy, budget)
+        yield SweepRow(index=i, start_prime=p, length=n, outcome=outcome)
+
+
 def sweep(
     n: int,
     prime_bound: int = 100,
@@ -230,17 +262,9 @@ def sweep(
     tests p again.  Rows with a negative status are kept, never dropped.
     n and prime_bound must be integers (`operator.index`); every argument
     is checked before the sieve runs.
+
+    The rows come from the generator `_sweep_rows`, which the CLI's
+    sweep and plotdata also iterate, after the same checks, to write
+    each row as it is made instead of holding the list.
     """
-    n, prime_bound, policy = operator.index(n), operator.index(prime_bound), _policy(policy)
-    check_length(n)
-    check_row_kind(row_kind)
-    if prime_bound < 2:
-        raise ValueError("prime bound must be at least 2")
-    rows = []
-    for i, p in enumerate(primes_up_to(prime_bound), start=1):
-        if row_kind == ROW_DOUBLING:
-            outcome = _outcome(*_doubling_peak_gcd(p, n), policy, budget)
-        else:
-            outcome = find_modulus(build_seed(p, n, row_kind), policy, budget)
-        rows.append(SweepRow(index=i, start_prime=p, length=n, outcome=outcome))
-    return rows
+    return list(_sweep_rows(*_sweep_args(n, prime_bound, policy, budget, row_kind)))

@@ -35,7 +35,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, fields
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 # Miller-Rabin bases of `is_prime` below psi_13.
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -539,17 +539,24 @@ def _sieve(bound: int) -> bytearray:
     return sieve
 
 
-def primes_up_to(bound: int) -> list[int]:
-    """Ascending list of all primes <= bound (empty for bound < 2).
-
-    Raises ValueError above SIEVE_LIMIT, before any sieve is allocated,
-    and TypeError unless bound is an integer (`operator.index`).
-    """
+def _primes(bound: int) -> Iterator[int]:
+    """The primes <= bound, ascending, read lazily off one sieve that is
+    made now, so that a caller need not hold them all; bound is checked
+    as in `primes_up_to`."""
     bound = operator.index(bound)
     if bound < 0:
         raise ValueError("bound must be non-negative")
     if bound > SIEVE_LIMIT:
         raise ValueError(f"prime bound must be at most {SIEVE_LIMIT} (the sieve takes one byte per integer)")
     if bound < 2:
-        return []
-    return list(itertools.compress(range(bound + 1), _sieve(bound)))
+        return iter(())
+    return itertools.compress(range(bound + 1), _sieve(bound))
+
+
+def primes_up_to(bound: int) -> list[int]:
+    """Ascending list of all primes <= bound (empty for bound < 2).
+
+    Raises ValueError above SIEVE_LIMIT, before any sieve is allocated,
+    and TypeError unless bound is an integer (`operator.index`).
+    """
+    return list(_primes(bound))

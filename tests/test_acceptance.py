@@ -104,6 +104,14 @@ def test_criterion_3_policy_discovery():
     report(3, "some policy matches >= 20/23", agreement[best] >= 20, f"{best}={agreement[best]}/23")
 
 
+def test_largest_policy_matches_both_reference_tables():
+    # beside criterion 3, which asks >= 20/23 of some policy on one table
+    for name, length in (("reference_pairs_len16.csv", 16), ("reference_pairs_len15.csv", 15)):
+        pairs = load_pairs(name)
+        got = [(p, search_prime(p, length, SelectionPolicy.LARGEST).canonical) for p, _ in pairs]
+        assert got == pairs, name
+
+
 def test_criterion_4_found_rows_certify():
     t0 = time.monotonic()
     checked = 0

@@ -2,12 +2,20 @@
 
 import argparse
 import csv
+import errno
 import io
 import json
+import os
+import subprocess
+import sys
+import tracemalloc
 
 import pytest
+from conftest import SRC
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rrseq.cli import _STATUS_EXIT, _build_parser, main
+from rrseq.cli import _STATUS_EXIT, _build_parser, _json, main
 from rrseq.modsearch import SearchStatus, sweep
 
 
@@ -241,15 +249,42 @@ def test_plotdata_rejects_all_policy(capsys):
     assert "policy" in err
 
 
-def test_out_file_matches_stdout(tmp_path, capsys):
-    _, stdout_text, _ = run(["sweep", "-n", "8", "--primes-up-to", "20"], capsys)
-    target = tmp_path / "rows.csv"
-    code, out, _ = run(
-        ["sweep", "-n", "8", "--primes-up-to", "20", "--out", str(target)], capsys
-    )
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "-n", "8", "--primes-up-to", "20"],
+        ["plotdata", "-n", "16", "--primes-up-to", "40"],
+        ["plotdata", "-n", "16", "--primes-up-to", "20", "--row", "powers"],  # no row is Found
+    ],
+)
+def test_out_file_matches_stdout(argv, fmt, tmp_path, capsys):
+    argv = argv + ["--format", fmt]
+    _, stdout_text, _ = run(argv, capsys)
+    target = tmp_path / "rows.out"
+    code, out, _ = run(argv + ["--out", str(target)], capsys)
     assert code == 0
     assert out == ""  # nothing on stdout when writing a file
     assert target.read_text(encoding="utf-8") == stdout_text
+    if "powers" in argv:
+        assert stdout_text == ("[]\n" if fmt == "json" else "start_prime,canonical_modulus\n")
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["plotdata", "-n", "16", "--policy", "all"],
+        ["sweep", "-n", "1"],
+        ["sweep", "-n", "16", "--primes-up-to", str(10**7 + 1)],
+    ],
+)
+def test_refused_run_creates_no_out_file(argv, tmp_path, capsys):
+    # every check that exits 2 runs before --out is opened
+    target = tmp_path / "x.out"
+    code, out, err = run(argv + ["--out", str(target)], capsys)
+    assert code == 2
+    assert out == "" and err.startswith("error:")
+    assert not target.exists()
 
 
 def test_unwritable_out_path(tmp_path, capsys):
@@ -257,6 +292,77 @@ def test_unwritable_out_path(tmp_path, capsys):
     code, _, err = run(["sweep", "-n", "8", "--primes-up-to", "20", "--out", str(target)], capsys)
     assert code == 4
     assert "cannot write" in err
+
+
+_TEXT = st.text(st.sampled_from('ab"\\/\x00\x1f\x7f\n\té€😀\u2028'), max_size=6) | st.text(max_size=6)
+_SCALARS = st.none() | st.booleans() | st.integers(-(2**600), 2**600) | _TEXT
+_VALUES = st.recursive(
+    _SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4), max_leaves=30
+)
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(_VALUES)
+def test_json_writer_matches_json_dumps(value):
+    # json.dumps(..., indent=2) is the oracle for the writer of every record
+    assert _json(value, "") == json.dumps(value, indent=2)
+    assert _json([value], "") == json.dumps([value], indent=2)
+
+
+@pytest.mark.parametrize("value", [1.5, {1, 2}, (1, 2), {"a": [0.0]}, {1: "a"}])
+def test_json_writer_refuses_other_types(value):
+    with pytest.raises(TypeError):
+        _json(value, "")
+
+
+@pytest.mark.slow
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_sweep_output_in_bounded_memory(fmt, tmp_path):
+    # rows are written as they are made: a 5x longer sweep barely moves the
+    # traced peak, which holding every row and record put at ~30 MB
+    target = tmp_path / "rows.out"
+    argv = ["sweep", "-n", "16", "--format", fmt, "--out", str(target), "--primes-up-to"]
+    main(argv + ["100000"])  # fills the lazy chunk tables and the tail cache
+    peaks = {}
+    for bound in (20000, 100000):
+        tracemalloc.start()
+        try:
+            assert main(argv + [str(bound)]) == 0
+            peaks[bound] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert peaks[100000] < 2_000_000
+    assert peaks[100000] - peaks[20000] < 500_000
+
+
+class _FullStdout(io.StringIO):
+    def write(self, text):
+        raise OSError(errno.ENOSPC, "No space left on device")
+
+
+@pytest.mark.parametrize("command", ["sweep", "plotdata"])
+def test_stdout_write_error_exit_4(command, monkeypatch, capsys):
+    monkeypatch.setattr(sys, "stdout", _FullStdout())
+    code = main([command, "-n", "16", "--primes-up-to", "30"])
+    assert code == 4
+    err = capsys.readouterr().err
+    assert err.startswith("error: cannot write stdout:") and "No space left" in err
+
+
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("bound", ["30", "20000"])
+def test_stdout_on_full_device_exit_4(bound):
+    # stdout block-buffered, as by default: the short output fails only at
+    # the last flush and stays in the buffer, which the flush at exit must
+    # not report again; the long one fails while rows are written
+    env = {k: v for k, v in os.environ.items() if k != "PYTHONUNBUFFERED"}
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), os.environ.get("PYTHONPATH")]))
+    argv = [sys.executable, "-m", "rrseq.cli", "sweep", "-n", "16", "--primes-up-to", bound, "--format", "json"]
+    with open("/dev/full", "w") as full:
+        proc = subprocess.run(argv, stdout=full, stderr=subprocess.PIPE, text=True, env=env, timeout=60)
+    assert proc.returncode == 4
+    assert proc.stderr.startswith("error: cannot write stdout:")
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
 
 
 def test_module_runs_as_a_program(fresh_python):
