@@ -30,6 +30,7 @@ import argparse
 import io
 import json
 import os
+import re
 import sys
 from pathlib import Path
 from typing import Iterable, Iterator
@@ -221,14 +222,22 @@ def _cmd_seed(args: argparse.Namespace) -> tuple[int, list[str]]:
     return _values(build_seed(args.prime, args.length, args.row))
 
 
+# One --seq entry: an optional sign and ASCII digits, with ASCII whitespace
+# around it.  int() alone would also take "1_0" and non-ASCII digits.  Kept
+# as text, so it is compiled (and cached by re) only when --seq is given.
+_SEQ_ENTRY = r"[ \t\n\r\f\v]*[+-]?[0-9]+[ \t\n\r\f\v]*"
+
+
 def _parse_seq(text: str) -> tuple[int, ...]:
     tokens = text.split(",")
     if len(tokens) > MAX_LENGTH:
         check_length(len(tokens))  # refused before any entry is converted
-    try:
-        return tuple(map(int, tokens))
-    except ValueError:
-        raise ValueError(f"cannot parse sequence {text!r}; expected comma-separated integers")
+    if all(re.fullmatch(_SEQ_ENTRY, t) for t in tokens):
+        try:
+            return tuple(map(int, tokens))
+        except ValueError:  # past int()'s digit limit
+            pass
+    raise ValueError(f"cannot parse sequence {text!r}; expected comma-separated integers")
 
 
 def _cmd_autocorr(args: argparse.Namespace) -> tuple[int, list[str]]:

@@ -366,17 +366,21 @@ def enumerate_binary_ideal(n: int) -> list[BinaryWitness]:
     autocorrelation mod 2 is two-valued, in lexicographic order.
 
     The n delta rows (a single 1) always qualify: their correlation is
-    exactly the delta profile.  Each witness carries its mod-2 profile
-    over all n lags, computed from its mask as the parity of
-    popcount(mask & rot_k(mask)), which is C(k) mod 2.
+    exactly the delta profile.  The mod-2 profile of every mask over all
+    n lags, the parity of popcount(mask & rot_k(mask)), which is C(k) mod
+    2, is checked against the delta (1, 0, ..., 0) in one array pass; a
+    mask that fails raises RuntimeError, which the theorem in
+    `scan_masks` rules out.  Every witness then shares that one delta
+    tuple as its `profile_mod2`.
     """
     n = operator.index(n)
     import numpy as np
 
     masks = scan_masks(n)
-    lags = [np.bitwise_count(masks & _rot(masks, k, n)) & 1 for k in range(n)]
+    profiles = np.stack([np.bitwise_count(masks & _rot(masks, k, n)) & 1 for k in range(n)], axis=1)
+    delta = (1,) + (0,) * (n - 1)
+    bad = np.flatnonzero((profiles != delta).any(axis=1))
+    if bad.size:
+        raise RuntimeError(f"length {n}: mask {int(masks[bad[0]]):0{n}b} fails the mod-2 two-valued test")
     bits = (masks[:, None] >> np.arange(n - 1, -1, -1, dtype=np.uint32)) & 1
-    return [
-        BinaryWitness(bits=tuple(b), profile_mod2=tuple(p))
-        for b, p in zip(bits.tolist(), np.stack(lags, axis=1).tolist())
-    ]
+    return [BinaryWitness(b, delta) for b in map(tuple, bits.tolist())]

@@ -6,6 +6,7 @@ import errno
 import io
 import json
 import os
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -15,7 +16,7 @@ from conftest import SRC
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from rrseq.cli import _STATUS_EXIT, _build_parser, _json, main
+from rrseq.cli import _STATUS_EXIT, _build_parser, _json, _parse_seq, main
 from rrseq.modsearch import SearchStatus, sweep
 
 
@@ -78,6 +79,31 @@ def test_autocorr_bad_seq(capsys):
     code, _, err = run(["autocorr", "--seq", "5"], capsys)
     assert code == 2
     assert "at least 2" in err
+
+
+def test_autocorr_seq_refuses_non_decimal_spellings(capsys):
+    # int() reads "\uff11" as 1 and "1_0" as 10; --seq takes ASCII decimals only
+    for seq in ("\uff11,\uff12", "1_0,2"):
+        code, out, err = run(["autocorr", "--seq", seq], capsys)
+        assert (code, out) == (2, "")
+        assert "cannot parse sequence" in err
+
+
+_ORACLE_ENTRY = r"\s*[+-]?\d+\s*"  # with re.ASCII: \s is [ \t\n\r\f\v], \d is [0-9]
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(
+    st.text(alphabet=" \t\n,+-_0123456789x\uff11\u0661\u00a0\u3000", max_size=12)
+    | st.from_regex(r"[ \t]*[+-]?[0-9]{1,4}[ \n]*(,[ \t]*[+-]?[0-9]{1,4}[ \n]*){0,5}", fullmatch=True)
+)
+def test_parse_seq_accepts_exactly_signed_ascii_decimals(text):
+    tokens = text.split(",")
+    if all(re.fullmatch(_ORACLE_ENTRY, t, re.ASCII) for t in tokens):
+        assert _parse_seq(text) == tuple(int(t) for t in tokens)
+    else:
+        with pytest.raises(ValueError, match="cannot parse sequence"):
+            _parse_seq(text)
 
 
 def test_autocorr_seq_past_limit_exit_2(monkeypatch, capsys):

@@ -1,6 +1,7 @@
 """Certification: modular profile check, Gram cross-check, binary witnesses."""
 
 import csv
+import math
 import operator
 import random
 import tracemalloc
@@ -9,17 +10,24 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from rrseq import verify
+from rrseq.correlation import periodic_autocorr
 from rrseq.modsearch import find_modulus
+from rrseq.numtheory import FactorBudget, factorize
 from rrseq.sequence import build_seed, doubling_seed, power_seed
 from rrseq.verify import (
+    BinaryWitness,
     RRCertificate,
     _circulant,
     _gram_ok,
     _limb_bits,
     _limb_count,
+    _odd_units,
+    _rot,
     check_rr,
     enumerate_binary_ideal,
     gram_check,
+    scan_masks,
 )
 
 DATA = Path(__file__).parent / "data"
@@ -385,6 +393,84 @@ def test_delta_rows_always_witness():
 def test_witnesses_in_lexicographic_order():
     ws = enumerate_binary_ideal(6)
     assert [w.bits for w in ws] == sorted(w.bits for w in ws)
+
+
+def _enumerate_per_row(n):
+    """Oracle for `enumerate_binary_ideal`: each witness gets its own
+    profile tuple, read from the numpy mod-2 profiles of its mask."""
+    masks = scan_masks(n)
+    lags = [np.bitwise_count(masks & _rot(masks, k, n)) & 1 for k in range(n)]
+    bits = (masks[:, None] >> np.arange(n - 1, -1, -1, dtype=np.uint32)) & 1
+    return [
+        BinaryWitness(bits=tuple(b), profile_mod2=tuple(p))
+        for b, p in zip(bits.tolist(), np.stack(lags, axis=1).tolist())
+    ]
+
+
+def test_length_one_has_the_single_row():
+    # periodic_autocorr takes rows of length >= 2; C(0) of (1,) is 1
+    assert enumerate_binary_ideal(1) == [BinaryWitness(bits=(1,), profile_mod2=(1,))]
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_witness_bits_and_profile_from_the_mask(n):
+    # bit n-1-i of the mask holds element i; the profile is recomputed
+    # from the bits by the exact autocorrelation, not read from the masks
+    masks = scan_masks(n).tolist()
+    witnesses = enumerate_binary_ideal(n)
+    assert len(witnesses) == len(masks)
+    for w, mask in zip(witnesses, masks):
+        assert w.bits == tuple((mask >> (n - 1 - i)) & 1 for i in range(n))
+        assert w.profile_mod2 == tuple(v % 2 for v in periodic_autocorr(w.bits).values)
+
+
+def test_enumeration_matches_the_per_row_construction():
+    for n in range(1, 17):
+        assert enumerate_binary_ideal(n) == _enumerate_per_row(n), n
+
+
+def test_enumeration_refuses_a_mask_that_fails_the_profile_check(monkeypatch):
+    true_masks = scan_masks(4)
+    bad = 0b0011  # C(1) = 1: not a witness
+
+    def with_a_non_witness(n):
+        return np.array(sorted([*true_masks.tolist(), bad]), dtype=np.uint32)
+
+    monkeypatch.setattr(verify, "scan_masks", with_a_non_witness)
+    with pytest.raises(RuntimeError, match="length 4: mask 0011"):
+        enumerate_binary_ideal(4)
+
+
+def _multiplicative_order_of_2(r):
+    d, y = 1, 2 % r
+    while y != 1:
+        d, y = d + 1, y * 2 % r
+    return d
+
+
+@pytest.mark.parametrize("m", range(1, 24, 2))
+def test_primitive_orders_factor_by_trial_division(monkeypatch, m):
+    # `_primitive` factors 2**d - 1 for each field degree d of F2[C_m];
+    # its comment says 2**d - 1 < 2**22 for m <= 23, so trial division
+    # alone (no rho, no ECM) factors it completely.
+    degrees = set()
+    primitive = verify._primitive
+
+    def recording(e, d, m):
+        degrees.add(d)
+        return primitive(e, d, m)
+
+    monkeypatch.setattr(verify, "_primitive", recording)
+    _odd_units(m)
+    # d is the size of a cyclotomic coset r 2**i mod m, r != 0: the order
+    # of 2 mod m / gcd(r, m)
+    assert degrees == {_multiplicative_order_of_2(m // math.gcd(r, m)) for r in range(1, m)}
+    trial_only = FactorBudget(rho_rounds=0, ecm_curves=0)
+    for d in degrees:
+        order = (1 << d) - 1
+        assert order < 2**22, (m, d)
+        fact = factorize(order, trial_only)
+        assert fact.complete and fact.reassemble() == order, (m, d)
 
 
 def test_enumeration_rejects_bad_lengths():
