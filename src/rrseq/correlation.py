@@ -3,11 +3,18 @@
 The profile is kept as unnormalized integer sums: divisibility reasoning
 downstream (gcd of off-peak values) needs exact integers, so no 1/N
 prefactor is ever applied.
+
+Two paths form it.  `profile_values` takes the exact profile of any row,
+one elementwise product per lag.  `residue_profile` takes the profile of
+residues 0 <= r_i < n, as the certificates and `autocorr_mod` need it,
+by Kronecker substitution: the residues become the digits of two big
+integers, whose one product, made in C, holds every lag as a digit.
 """
 
 from __future__ import annotations
 
 import operator
+import struct
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -50,6 +57,50 @@ def profile_values(a: tuple[int, ...]) -> tuple[int, ...]:
     return tuple(values + values[(n - 1) // 2 : 0 : -1])
 
 
+# struct codes of the digit sizes, in bytes, that struct packs natively.
+_DIGIT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
+
+
+def residue_profile(r: tuple[int, ...], n: int) -> tuple[int, ...]:
+    """C(0..N-1) of residues 0 <= r_i < n, from one big-integer product.
+
+    Every lag sums N products below (n - 1)**2, so with digits of 8B bits,
+    2**(8B) > N * (n - 1)**2, no digit of a product of two digit strings
+    carries into the next (Kronecker substitution: Schoenhage 1982;
+    Harvey, *Faster polynomial multiplication via multipoint Kronecker
+    substitution*, JSC 2009).  Read r as x = sum r_i X**i and its reversal
+    as y = sum r_(N-1-i) X**i, X = 2**(8B); y is r packed big-endian.
+    Digit N-1+k of x * y is the acyclic sum A(k) = sum_i r_i r_(i+k),
+    i + k < N, and digit k-1 is A(N-k), so folding the low N digits one
+    place above the high ones gives digit k = A(k) + A(N-k) = C(k): the
+    profile mod X**N - 1, with no carry as every C(k) < X.  B is 1, 2, 4
+    or 8 when 8B bits suffice, packed by struct; a wider digit has the
+    fewest bytes that suffice and is packed by int.to_bytes.
+
+    Against the per-lag loop of `profile_values` on the same residues it
+    is 2.7x faster at N = 16 with 16-bit n and 23x at N = 1024, but
+    slower for wide n on short rows: 0.9x at N = 16 with 127-bit n, 0.5x
+    with 521-bit n, and 0.8x at N = 128 with 521-bit n (README.md).
+    """
+    size = len(r)
+    b = ((size * (n - 1) ** 2).bit_length() + 7) // 8
+    if b <= 8:
+        b = 1 << (b - 1).bit_length()
+        code = f"{size}{_DIGIT_CODES[b]}"
+        x = int.from_bytes(struct.pack("<" + code, *r), "little")
+        y = int.from_bytes(struct.pack(">" + code, *r), "big")
+    else:
+        x = int.from_bytes(b"".join([e.to_bytes(b, "little") for e in r]), "little")
+        y = int.from_bytes(b"".join([e.to_bytes(b, "big") for e in r]), "big")
+    w = 8 * b
+    z = x * y
+    z = (z >> w * (size - 1)) + ((z & ((1 << w * size) - 1)) << w)
+    digits = z.to_bytes(b * (size + 1), "little")
+    if b <= 8:
+        return struct.unpack_from("<" + code, digits)
+    return tuple([int.from_bytes(digits[i : i + b], "little") for i in range(0, b * size, b)])
+
+
 def periodic_autocorr(seq: Sequence[int]) -> CorrProfile:
     """C(k) = sum_j a(j) * a(j+k mod N), exact integers, k = 0..N-1."""
     return CorrProfile(profile_values(as_elements(seq)))
@@ -58,9 +109,10 @@ def periodic_autocorr(seq: Sequence[int]) -> CorrProfile:
 def autocorr_mod(seq: Sequence[int], n: int) -> CorrProfile:
     """The periodic autocorrelation reduced element-wise modulo n.  As
     reduction mod n is a ring homomorphism, the row is reduced first: the
-    profile of its residues has the same values mod n as the row's."""
+    profile of its residues, one `residue_profile` product, has the same
+    values mod n as the row's."""
     n = operator.index(n)
     if n < 2:
         raise ValueError("modulus must be at least 2")
-    residues = tuple(e % n for e in as_elements(seq))
-    return CorrProfile(tuple(v % n for v in profile_values(residues)))
+    residues = tuple([e % n for e in as_elements(seq)])
+    return CorrProfile(tuple([v % n for v in residue_profile(residues, n)]))

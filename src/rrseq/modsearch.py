@@ -183,10 +183,8 @@ def _outcome(peak: int, g: int, policy: SelectionPolicy, budget: FactorBudget) -
             status=SearchStatus.NO_SEQUENCE,
         )
     fact = factorize(g, budget)
-    candidates = tuple(
-        CandidateModulus(q=q, peak_residue=peak % q) for q in fact.distinct_primes()
-    )
-    valid = tuple(c.q for c in candidates if c.valid)
+    candidates = tuple([CandidateModulus(q, peak % q) for q, _ in fact.factors])
+    valid = tuple([c.q for c in candidates if c.peak_residue])
     if valid:
         status = SearchStatus.FOUND
     elif not fact.complete:

@@ -35,7 +35,7 @@ import itertools
 import math
 import operator
 from dataclasses import dataclass, fields
-from typing import Iterable, Iterator, Sequence
+from typing import Iterable, Iterator
 
 # Miller-Rabin bases of `is_prime` below psi_13.
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
@@ -165,7 +165,7 @@ def gcd_many(values: Iterable[int]) -> int:
     return math.gcd(*vals)
 
 
-def _miller_rabin(n: int, bases: Sequence[int]) -> bool:
+def _miller_rabin(n: int, bases: Iterable[int]) -> bool:
     """Strong probable-prime test of odd n > 2 to every base, each in [2, n - 2]."""
     d = n - 1
     r = 0
@@ -185,20 +185,18 @@ def _miller_rabin(n: int, bases: Sequence[int]) -> bool:
     return True
 
 
-def _derived_bases(n: int, count: int) -> list[int]:
+def _derived_bases(n: int, count: int) -> Iterator[int]:
     # Deterministic pseudo-random bases derived from n itself, so repeated
-    # calls always agree.  splitmix64-style scramble.
-    bases = []
+    # calls always agree.  splitmix64-style scramble.  Yielded one at a
+    # time, so a composite that fails its first round draws one base.
     state = (n ^ 0x9E3779B97F4A7C15) & (2**64 - 1)
-    while len(bases) < count:
+    for _ in range(count):
         state = (state + 0x9E3779B97F4A7C15) & (2**64 - 1)
         z = state
         z = ((z ^ (z >> 30)) * 0xBF58476D1CE4E5B9) & (2**64 - 1)
         z = ((z ^ (z >> 27)) * 0x94D049BB133111EB) & (2**64 - 1)
         z ^= z >> 31
-        a = 2 + z % (n - 3)
-        bases.append(a)
-    return bases
+        yield 2 + z % (n - 3)
 
 
 @functools.lru_cache(maxsize=_PRIME_MEMO_SIZE, typed=True)
@@ -219,8 +217,9 @@ def is_prime(n: int) -> bool:
     bases instead of all 13.  Every base lies in [2, n - 2], except base
     2 at n = 3, which 3 passes.  Above psi_13 it falls back to
     Miller-Rabin with 64 rounds of bases derived deterministically from
-    n; the error probability is below 4**-64 = 2**-128 and identical
-    inputs always give identical answers.  The last _PRIME_MEMO_SIZE (4)
+    n, each derived only when its round starts, so a composite that fails
+    the first round costs one; the error probability is below 4**-64 =
+    2**-128 and identical inputs always give identical answers.  The last _PRIME_MEMO_SIZE (4)
     answers are remembered, keyed by value and type
     (`is_prime.cache_info()`), so a float is never answered from an int's
     entry: it raises TypeError.

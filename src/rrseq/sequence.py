@@ -18,7 +18,8 @@ doubling row takes 0.28 s at N = 1024 and 4.2 s at N = 2048 (best of 3,
 one core of a 2-vCPU VM, Python 3.11), more than ten times more with
 each doubling of N.  `autocorr_mod` and the certificates reduce the row
 mod q first: at N = 2048 with q = 7, `autocorr_mod` and `check_rr` take
-0.08-0.11 s and `gram_check` 0.25 s, more with a larger q (README.md).
+2-3 ms, one big-integer product of the residues, and `gram_check`
+0.25 s, more with a larger q (README.md).
 The modulus search recognises a doubling row and reads its peak and
 off-peak gcd from a closed form in O(N), so it skips the profile too.
 

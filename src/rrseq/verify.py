@@ -7,6 +7,13 @@ which makes the pair a standing cross-check on both implementations.
 Both take the row through `_reduce` first and work on its residues mod n,
 whose profile has the same values mod n as the row's.
 
+`check_rr` takes that profile from `residue_profile`, by Kronecker
+substitution: the residues are written as the digits of two big
+integers, wide enough that no digit of their product carries, and the
+one product, folded mod X**N - 1, holds C(0..N-1) as its digits.  It
+then reduces the N/2 + 1 distinct lags mod n.  `gram_check` stays on
+matrices, so the two certificates share only `_reduce`.
+
 `gram_check` checks every entry of the Gram product exactly, for a
 modulus of any size, with float64 matmuls of the residues or of limbs
 narrow enough that every partial sum stays below 2**53.  A product of
@@ -38,7 +45,7 @@ import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
-from .correlation import profile_values
+from .correlation import residue_profile
 from .numtheory import factorize, is_prime
 from .sequence import as_elements
 
@@ -74,7 +81,7 @@ def _reduce(seq: Sequence[int], n: int) -> tuple[int, tuple[int, ...]]:
     n = operator.index(n)
     if not is_prime(n):
         raise ValueError(f"modulus {n} is not prime")
-    return n, tuple(e % n for e in as_elements(seq))
+    return n, tuple([e % n for e in as_elements(seq)])
 
 
 def check_rr(seq: Sequence[int], n: int) -> RRCertificate:
@@ -84,7 +91,8 @@ def check_rr(seq: Sequence[int], n: int) -> RRCertificate:
     peak is nonzero mod n (so the reduced row is not identically zero).
     """
     n, residues = _reduce(seq, n)
-    peak, *offpeak = (v % n for v in profile_values(residues))
+    # C(N - k) == C(k): lags 0..N/2 are all the distinct values.
+    peak, *offpeak = (v % n for v in residue_profile(residues, n)[: len(residues) // 2 + 1])
     offpeak_ok = all(v == 0 for v in offpeak)
     return RRCertificate(
         modulus=n,
@@ -112,14 +120,15 @@ def _limb_count(size: int, n: int) -> int:
     return -(-(n - 1).bit_length() // _limb_bits(size))
 
 
-def _circulant(col: np.ndarray) -> np.ndarray:
-    """The size x size circulant of a 1-D float64 array: entry (i, j) is
-    col[(i + j) % size].  Row i is the length-size window at offset i of
-    col followed by col[:-1]; the copy makes it contiguous for BLAS."""
+def _circulant(col: Sequence[int]) -> np.ndarray:
+    """The size x size float64 circulant of a tuple or list of ints: entry
+    (i, j) is col[(i + j) % size].  Row i is the length-size window at
+    offset i of col followed by col[:-1]; the copy makes it contiguous
+    for BLAS."""
     import numpy as np
 
     size = len(col)
-    ext = np.concatenate((col, col[:-1]))
+    ext = np.array(col + col[:-1], dtype=np.float64)
     return np.ndarray((size, size), np.float64, ext, 0, (ext.itemsize, ext.itemsize)).copy()
 
 
@@ -132,14 +141,14 @@ def _gram_ok(residues: tuple[int, ...], n: int, peak: int) -> bool:
     limbs = _limb_count(size, n)
     if limbs == 1:
         # The float64 product of the residues is the exact Gram matrix.
-        circ = _circulant(np.array(residues, dtype=np.float64))
+        circ = _circulant(residues)
         gram = (circ @ circ.T).astype(np.int64) % n
         # peak * I: with peak taken off the diagonal, nothing is nonzero.
         gram.flat[:: size + 1] -= peak
         return not gram.any()
 
     w = _limb_bits(size)
-    cols = [np.array([r >> w * a & (1 << w) - 1 for r in residues], dtype=np.float64) for a in range(limbs)]
+    cols = [[r >> w * a & (1 << w) - 1 for r in residues] for a in range(limbs)]
     # Every limb product is circulant, as the Gram matrix is; once each is
     # checked to be, the Gram matrix is fixed by its first row.
     row = [0] * size
@@ -178,7 +187,7 @@ def gram_check(seq: Sequence[int], n: int) -> bool:
     the traced peak is 34 MB.  README.md gives the cost at N = 2048.
     """
     n, residues = _reduce(seq, n)
-    peak = sum(r * r for r in residues) % n  # C(0)
+    peak = sum(map(operator.mul, residues, residues)) % n  # C(0)
     if peak == 0:
         return False
     return _gram_ok(residues, n, peak)

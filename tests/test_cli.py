@@ -1,6 +1,7 @@
 """Command-line surface: arguments, exit codes, output formats."""
 
 import argparse
+import contextlib
 import csv
 import errno
 import io
@@ -13,7 +14,7 @@ import tracemalloc
 
 import pytest
 from conftest import SRC
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from rrseq.cli import _STATUS_EXIT, _build_parser, _json, _parse_seq, main
@@ -508,3 +509,66 @@ def test_options_a_subcommand_does_not_use_exit_2(argv, capsys):
     assert code == 2
     captured = capsys.readouterr()
     assert captured.out == "" and "error:" in captured.err
+
+
+# The options each subcommand takes (autocorr takes its row from -p and -n
+# or from --seq), and small values for each: mostly in range, sometimes
+# out of it or not an integer at all.
+_CLI_TAKES = {
+    "seed": ("-p", "-n", "--format", "--row"),
+    "autocorr": ("-p", "-n", "--format", "--row"),
+    "autocorr --seq": ("--seq", "--format"),
+    "search": ("-p", "-n", "--format", "--row", "--policy", "--trial-bound"),
+    "sweep": ("-n", "--primes-up-to", "--format", "--row", "--policy", "--trial-bound"),
+    "verify": ("-p", "-n", "-m", "--format", "--row"),
+    "plotdata": ("-n", "--primes-up-to", "--format", "--row", "--policy", "--trial-bound"),
+}
+_PRIMES = [str(p) for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41, 43, 47, 53, 59)]
+
+
+def _in_or_out(good, *bad):
+    """Mostly a value in range, sometimes one the CLI must refuse."""
+    return st.sampled_from(list(good) + list(bad))
+
+
+_CLI_VALUES = {
+    "-p": _in_or_out(_PRIMES[:15], "1", "4", "-3", "x"),
+    "-n": _in_or_out(map(str, range(2, 25)), "1", "0", "2049", "1.5"),
+    "-m": _in_or_out(_PRIMES, "1", "4", "x"),
+    "--primes-up-to": _in_or_out(map(str, range(2, 41)), "1", "-1", "10000001", ""),
+    "--trial-bound": _in_or_out(("2", "5", "1000") * 4, "1", "0x10", "10000001"),
+    "--format": _in_or_out(("csv", "json") * 4, "xml"),
+    "--row": _in_or_out(("doubling", "powers") * 4, "bogus"),
+    "--policy": _in_or_out(("smallest", "largest", "all") * 4, "median"),
+    "--seq": st.lists(st.integers(-9, 9), max_size=6).map(lambda row: ",".join(map(str, row)))
+    | st.sampled_from(("1,,2", "a,b", " 2 , 4")),
+}
+
+
+@st.composite
+def _cli_argv(draw):
+    command = draw(st.sampled_from(sorted(_CLI_TAKES)))
+    argv = command.split()[:1]
+    for flag, values in _CLI_VALUES.items():
+        # a flag the subcommand takes is usually given, any other rarely
+        odds = (True,) * 7 + (False,) if flag in _CLI_TAKES[command] else (True,) + (False,) * 31
+        if draw(st.sampled_from(odds)):
+            argv += [flag, draw(values)]
+    return argv
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(_cli_argv())
+def test_cli_flag_combinations_exit_cleanly(argv):
+    # Every combination exits with a documented code and no traceback, and
+    # a usage or domain error (exit 2) comes before any output.
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            code = main(argv)
+        except SystemExit as exc:  # argparse refuses the arguments
+            code = exc.code
+    event(f"{argv[0]} exit {code}")
+    assert code in {0, 1, 2, 3, 4}, argv
+    assert "Traceback" not in err.getvalue(), argv
+    assert (code == 2) == (out.getvalue() == ""), (argv, code)

@@ -1,11 +1,14 @@
 """Exact periodic autocorrelation, checked against a brute-force oracle."""
 
+import math
 import random
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from rrseq.correlation import autocorr_mod, periodic_autocorr, profile_values
+from rrseq.correlation import autocorr_mod, periodic_autocorr, residue_profile
 from rrseq.sequence import doubling_seed, power_seed
 
 
@@ -87,7 +90,7 @@ def test_rejects_tiny_input():
 
 
 def test_autocorr_mod_reduces_elementwise(monkeypatch):
-    # The row is reduced before its profile is taken: profile_values only
+    # The row is reduced before its profile is taken: residue_profile only
     # ever sees residues in [0, n), and the result still equals the exact
     # profile reduced mod n, for prime and composite n alike.
     rows = [power_seed(2, 4), [-5, 17, -(2**70), 3, 0, 1000, -1], doubling_seed(3, 128)]
@@ -95,12 +98,13 @@ def test_autocorr_mod_reduces_elementwise(monkeypatch):
     exact = [periodic_autocorr(row).values for row in rows]
     calls = []
 
-    def spy(a):
+    def spy(a, modulus):
+        assert modulus == n
         assert all(0 <= e < n for e in a), (n, a)
         calls.append(n)
-        return profile_values(a)
+        return residue_profile(a, modulus)
 
-    monkeypatch.setattr("rrseq.correlation.profile_values", spy)
+    monkeypatch.setattr("rrseq.correlation.residue_profile", spy)
     for row, values in zip(rows, exact):
         for n in moduli:
             assert autocorr_mod(row, n).values == tuple(v % n for v in values), (row, n)
@@ -117,3 +121,51 @@ def test_autocorr_mod_two_valued_case():
     prof = autocorr_mod(doubling_seed(2, 16), 331)
     assert prof.peak != 0
     assert all(v == 0 for v in prof.offpeak())
+
+
+@st.composite
+def _residue_rows(draw):
+    n = draw(st.integers(2, 2**200) | st.integers(2, 2**20))
+    size = draw(st.integers(2, 64))
+    return draw(st.lists(st.integers(0, n - 1), min_size=size, max_size=size)), n
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_residue_rows())
+def test_residue_profile_matches_oracle(case):
+    row, n = case
+    values = residue_profile(tuple(row), n)
+    assert list(values) == oracle_autocorr(row)
+    assert all(type(v) is int for v in values)
+
+
+def _digit_boundary_moduli(size):
+    """The largest n with size * (n - 1)**2 < 2**63, the next n, and the
+    smallest n with size * (n - 1)**2 > 2**64."""
+    m = math.isqrt((2**63 - 1) // size)  # largest n - 1 below the bound
+    return m + 1, m + 2, math.isqrt(2**64 // size) + 2
+
+
+@pytest.mark.parametrize("size", [16, 128])
+def test_residue_profile_on_both_sides_of_the_64_bit_digit(size):
+    rng = random.Random(size)
+    below, above, wide = _digit_boundary_moduli(size)
+    assert size * (below - 1) ** 2 < 2**63 <= size * (above - 1) ** 2
+    assert size * (wide - 1) ** 2 >= 2**64
+    for n in (below, above, wide, below - 1, wide + 1):
+        # the all-(n - 1) row has the largest digits: every lag is N (n - 1)**2
+        rows = ([n - 1] * size, [rng.randrange(n) for _ in range(size)], [0] * (size - 1) + [n - 1])
+        for row in rows:
+            assert list(residue_profile(tuple(row), n)) == oracle_autocorr(row), (size, n)
+
+
+@pytest.mark.parametrize("width", [8, 16, 32, 64])
+def test_residue_profile_fills_each_native_digit(width):
+    # N (n - 1)**2 just below 2**width packs into width-bit digits; at
+    # 2**width and above it needs the next size.  The all-(n - 1) row puts
+    # the largest value in every digit.
+    for size in (2, 3, 16, 17):
+        m = math.isqrt((2**width - 1) // size)
+        for n in (m + 1, m + 2):
+            row = [n - 1] * size
+            assert list(residue_profile(tuple(row), n)) == oracle_autocorr(row), (size, n)

@@ -126,6 +126,7 @@ def test_miller_rabin_gets_bases_in_range(monkeypatch):
 
     def spy(n, bases):
         seen.append(n)
+        bases = list(bases)  # above psi_13 a generator, read once
         assert all(2 <= a <= n - 2 or (n, a) == (3, 2) for a in bases), (n, bases)
         return _miller_rabin(n, bases)
 
@@ -138,6 +139,31 @@ def test_miller_rabin_gets_bases_in_range(monkeypatch):
         is_prime(n)
     assert 3 in seen and 2**127 - 1 in seen
     assert len(seen) > 10**5 // 2
+
+
+def test_derived_bases_are_drawn_only_as_needed(monkeypatch):
+    # Above psi_13 the bases are derived from n one at a time: a composite
+    # that fails its first Miller-Rabin round draws one base, a prime all 64.
+    drawn = []
+    derive = rrseq.numtheory._derived_bases
+
+    def counting(n, count):
+        for a in derive(n, count):
+            drawn.append(a)
+            yield a
+
+    monkeypatch.setattr(rrseq.numtheory, "_derived_bases", counting)
+    semiprime = 4503599627382881 * 4503599627470633  # 105 bits, above psi_13
+    assert semiprime > _MR_PREFIXES[-1][0] and semiprime.bit_length() == 105
+    is_prime.cache_clear()
+    assert not is_prime(semiprime)
+    assert len(drawn) == 1
+    drawn.clear()
+    assert is_prime(2**89 - 1)
+    assert len(drawn) == 64
+    assert drawn == list(derive(2**89 - 1, 64))
+    assert all(2 <= a <= 2**89 - 3 for a in drawn)
+    is_prime.cache_clear()
 
 
 def test_large_primality():
