@@ -33,8 +33,6 @@ from .sequence import (
     ROW_KINDS,
     ROW_POWERS,
     build_seed,
-    doubling_seed,
-    power_seed,
 )
 from .verify import (
     BinaryWitness,
@@ -65,7 +63,6 @@ __all__ = [
     "autocorr_mod",
     "build_seed",
     "check_rr",
-    "doubling_seed",
     "enumerate_binary_ideal",
     "factorize",
     "find_modulus",
@@ -73,7 +70,6 @@ __all__ = [
     "gram_check",
     "is_prime",
     "periodic_autocorr",
-    "power_seed",
     "primes_up_to",
     "scan_masks",
     "search_prime",

@@ -35,7 +35,7 @@ import sys
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .modsearch import SearchStatus, SelectionPolicy, SweepRow, _sweep_args, _sweep_rows, search_prime
+from .modsearch import SearchStatus, SelectionPolicy, SweepRow, _sweep_rows, search_prime
 from .numtheory import DEFAULT_BUDGET, SIEVE_LIMIT, FactorBudget
 from .sequence import MAX_LENGTH, ROW_DOUBLING, ROW_KINDS, build_seed, check_length
 from .correlation import periodic_autocorr
@@ -269,13 +269,9 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, dict]:
     return _STATUS_EXIT[outcome.status], record
 
 
-def _table_rows(args: argparse.Namespace, policy: SelectionPolicy, budget: FactorBudget) -> Iterator[SweepRow]:
-    """The rows of sweep or plotdata, made lazily once every argument is checked."""
-    return _sweep_rows(*_sweep_args(args.length, args.primes_up_to, policy, budget, args.row))
-
-
 def _cmd_sweep(args: argparse.Namespace) -> tuple[int, Iterator[dict]]:
-    return 0, map(_row_record, _table_rows(args, *_factoring(args)))
+    rows = _sweep_rows(args.length, args.primes_up_to, *_factoring(args), args.row)
+    return 0, map(_row_record, rows)
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
@@ -300,7 +296,7 @@ def _cmd_plotdata(args: argparse.Namespace) -> tuple[int, Iterator[dict]]:
     policy, budget = _factoring(args)
     if policy is SelectionPolicy.ALL:
         raise ValueError("plotdata needs a single canonical modulus per prime; use --policy smallest or largest")
-    rows = _table_rows(args, policy, budget)
+    rows = _sweep_rows(args.length, args.primes_up_to, policy, budget, args.row)
     return 0, (
         {"start_prime": str(r.start_prime), "canonical_modulus": str(r.outcome.canonical)}
         for r in rows

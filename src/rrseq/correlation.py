@@ -30,12 +30,6 @@ class CorrProfile:
 
     values: tuple[int, ...]
 
-    def __len__(self) -> int:
-        return len(self.values)
-
-    def __getitem__(self, k: int) -> int:
-        return self.values[k]
-
     @property
     def peak(self) -> int:
         return self.values[0]

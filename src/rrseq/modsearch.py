@@ -38,7 +38,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterable, Iterator, Sequence
+from typing import Iterator, Sequence
 
 from .correlation import profile_values
 from .numtheory import DEFAULT_BUDGET, FactorBudget, Factorization, _primes, factorize
@@ -211,36 +211,33 @@ def search_prime(
     return find_modulus(build_seed(p, n, row_kind), policy, budget)
 
 
-def _sweep_args(
-    n: int,
-    prime_bound: int,
-    policy: SelectionPolicy | str,
-    budget: FactorBudget,
-    row_kind: str,
-) -> tuple[int, Iterator[int], SelectionPolicy, FactorBudget, str]:
-    """The arguments of `_sweep_rows` for a sweep.  Every argument is
-    checked first: n and prime_bound must be integers (`operator.index`),
-    and ValueError is raised before the sieve runs.  The starting primes
-    are then sieved, to be read off the sieve one at a time."""
+def _sweep_rows(
+    n: int, prime_bound: int, policy: SelectionPolicy | str, budget: FactorBudget, row_kind: str
+) -> Iterator[SweepRow]:
+    """The rows of a sweep over the starting primes p <= prime_bound,
+    ascending, made one at a time as they are read.
+
+    Not a generator function: every argument is checked at the call, n
+    and prime_bound must be integers (`operator.index`), and ValueError
+    is raised before the sieve runs.  The starting primes are then
+    sieved, to be read off the sieve one at a time.
+    """
     n, prime_bound, policy = operator.index(n), operator.index(prime_bound), _policy(policy)
     check_length(n)
     check_row_kind(row_kind)
     if prime_bound < 2:
         raise ValueError("prime bound must be at least 2")
-    return n, _primes(prime_bound), policy, budget, row_kind
-
-
-def _sweep_rows(
-    n: int, primes: Iterable[int], policy: SelectionPolicy, budget: FactorBudget, row_kind: str
-) -> Iterator[SweepRow]:
-    """The rows of a sweep over the ascending starting primes, one at a
-    time; checks nothing (see `_sweep_args`)."""
-    for i, p in enumerate(primes, start=1):
-        if row_kind == ROW_DOUBLING:
-            outcome = _outcome(*_doubling_peak_gcd(p, n), policy, budget)
-        else:
-            outcome = find_modulus(build_seed(p, n, row_kind), policy, budget)
-        yield SweepRow(index=i, start_prime=p, length=n, outcome=outcome)
+    return (
+        SweepRow(
+            index=i,
+            start_prime=p,
+            length=n,
+            outcome=_outcome(*_doubling_peak_gcd(p, n), policy, budget)
+            if row_kind == ROW_DOUBLING
+            else find_modulus(build_seed(p, n, row_kind), policy, budget),
+        )
+        for i, p in enumerate(_primes(prime_bound), 1)
+    )
 
 
 def sweep(
@@ -261,8 +258,8 @@ def sweep(
     n and prime_bound must be integers (`operator.index`); every argument
     is checked before the sieve runs.
 
-    The rows come from the generator `_sweep_rows`, which the CLI's
-    sweep and plotdata also iterate, after the same checks, to write
-    each row as it is made instead of holding the list.
+    The rows come from `_sweep_rows`, which the CLI's sweep and plotdata
+    also call, to write each row as it is made instead of holding the
+    list.
     """
-    return list(_sweep_rows(*_sweep_args(n, prime_bound, policy, budget, row_kind)))
+    return list(_sweep_rows(n, prime_bound, policy, budget, row_kind))

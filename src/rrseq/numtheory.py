@@ -151,9 +151,6 @@ class Factorization:
             out *= p**e
         return out
 
-    def distinct_primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors)
-
 
 def gcd_many(values: Iterable[int]) -> int:
     """Greatest common divisor of a non-empty collection (0 acts as identity)."""

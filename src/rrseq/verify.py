@@ -71,10 +71,6 @@ class BinaryWitness:
     bits: tuple[int, ...]
     profile_mod2: tuple[int, ...]
 
-    @property
-    def weight(self) -> int:
-        return sum(self.bits)
-
 
 def _reduce(seq: Sequence[int], n: int) -> tuple[int, tuple[int, ...]]:
     """The prime modulus n as an int, and the residues of seq mod n."""
@@ -242,7 +238,7 @@ def _primitive(e: int, d: int, m: int) -> int:
     of order 2**d - 1, found by testing the order of r * e for r = 1, 2, ..."""
     order = (1 << d) - 1
     # 2**d - 1 < 2**22 for m <= 23, so trial division factors it completely.
-    cofactors = [order // p for p in factorize(order).distinct_primes()]
+    cofactors = [order // p for p, _ in factorize(order).factors]
     candidates = (_mul(r, e, m) for r in range(1, 1 << m))
     return next(a for a in candidates if a and all(_power(a, c, e, m) != e for c in cofactors))
 
@@ -373,6 +369,10 @@ def scan_masks(n: int) -> np.ndarray:
 def enumerate_binary_ideal(n: int) -> list[BinaryWitness]:
     """All binary rows of length n (1 <= n <= 24) whose periodic
     autocorrelation mod 2 is two-valued, in lexicographic order.
+
+    Length 1 is listed, as the witness (1,), although a length-1 row has
+    no off-peak lag and no row function, `periodic_autocorr` among them,
+    takes one: they all take 2 to MAX_LENGTH elements.
 
     The n delta rows (a single 1) always qualify: their correlation is
     exactly the delta profile.  The mod-2 profile of every mask over all

@@ -29,7 +29,7 @@ from rrseq.modsearch import (
     sweep,
 )
 from rrseq.numtheory import factorize, gcd_many, is_prime
-from rrseq.sequence import build_seed, power_seed
+from rrseq.sequence import ROW_POWERS, build_seed
 from rrseq.verify import check_rr, enumerate_binary_ideal, gram_check
 
 DATA = Path(__file__).parent / "data"
@@ -129,8 +129,8 @@ def test_criterion_4_found_rows_certify():
 
 
 def test_criterion_5_hand_oracle_failure_case():
-    profile = periodic_autocorr(power_seed(2, 4))
-    outcome = find_modulus(power_seed(2, 4))
+    profile = periodic_autocorr(build_seed(2, 4, ROW_POWERS))
+    outcome = find_modulus(build_seed(2, 4, ROW_POWERS))
     ok = (
         profile.values == (340, 200, 160, 200)
         and outcome.gcd_value == 40

@@ -31,7 +31,6 @@ PUBLIC = {
     "autocorr_mod",
     "build_seed",
     "check_rr",
-    "doubling_seed",
     "enumerate_binary_ideal",
     "factorize",
     "find_modulus",
@@ -39,7 +38,6 @@ PUBLIC = {
     "gram_check",
     "is_prime",
     "periodic_autocorr",
-    "power_seed",
     "primes_up_to",
     "scan_masks",
     "search_prime",
@@ -60,10 +58,13 @@ def _rrseq_imports():
 
 
 def test_all_is_exactly_the_public_names():
-    assert len(rrseq.__all__) == len(set(rrseq.__all__)) == 30
+    assert len(rrseq.__all__) == len(set(rrseq.__all__)) == len(PUBLIC)
     assert set(rrseq.__all__) == PUBLIC
     for name in rrseq.__all__:
         assert hasattr(rrseq, name), name
+    # build_seed is the one seed constructor
+    for name in ("doubling_seed", "power_seed"):
+        assert not hasattr(rrseq, name) and not hasattr(rrseq.sequence, name), name
 
 
 def test_perfbench_imports_resolve():

@@ -303,6 +303,8 @@ def test_out_file_matches_stdout(argv, fmt, tmp_path, capsys):
         ["plotdata", "-n", "16", "--policy", "all"],
         ["sweep", "-n", "1"],
         ["sweep", "-n", "16", "--primes-up-to", str(10**7 + 1)],
+        ["sweep", "-n", "16", "--primes-up-to", "1"],
+        ["plotdata", "-n", "1"],
     ],
 )
 def test_refused_run_creates_no_out_file(argv, tmp_path, capsys):

@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from rrseq.correlation import autocorr_mod, periodic_autocorr, residue_profile
-from rrseq.sequence import doubling_seed, power_seed
+from rrseq.sequence import ROW_POWERS, build_seed
 
 
 def oracle_autocorr(a):
@@ -26,7 +26,7 @@ def oracle_autocorr(a):
 
 
 def test_hand_oracle_profile():
-    prof = periodic_autocorr(power_seed(2, 4))
+    prof = periodic_autocorr(build_seed(2, 4, ROW_POWERS))
     assert prof.values == (340, 200, 160, 200)
     assert prof.peak == 340
     assert prof.offpeak() == (200, 160, 200)
@@ -50,8 +50,8 @@ def test_matches_oracle_on_random_rows():
 def test_matches_oracle_at_paper_and_bench_lengths(size):
     rng = random.Random(size)
     rows = [
-        doubling_seed(3, size),
-        power_seed(5, size),
+        build_seed(3, size),
+        build_seed(5, size, ROW_POWERS),
         [rng.randrange(-(2**70), 2**70) for _ in range(size)],
         np.array([rng.randrange(-1000, 1000) for _ in range(size)], dtype=np.int64),
     ]
@@ -93,7 +93,7 @@ def test_autocorr_mod_reduces_elementwise(monkeypatch):
     # The row is reduced before its profile is taken: residue_profile only
     # ever sees residues in [0, n), and the result still equals the exact
     # profile reduced mod n, for prime and composite n alike.
-    rows = [power_seed(2, 4), [-5, 17, -(2**70), 3, 0, 1000, -1], doubling_seed(3, 128)]
+    rows = [build_seed(2, 4, ROW_POWERS), [-5, 17, -(2**70), 3, 0, 1000, -1], build_seed(3, 128)]
     moduli = (2, 3, 5, 7, 12, 331, 2**61 - 1, 2**64)
     exact = [periodic_autocorr(row).values for row in rows]
     calls = []
@@ -116,9 +116,7 @@ def test_autocorr_mod_reduces_elementwise(monkeypatch):
 
 def test_autocorr_mod_two_valued_case():
     # doubling row for p=2, length 16 reduced mod 331: zero off-peak
-    from rrseq.sequence import doubling_seed
-
-    prof = autocorr_mod(doubling_seed(2, 16), 331)
+    prof = autocorr_mod(build_seed(2, 16), 331)
     assert prof.peak != 0
     assert all(v == 0 for v in prof.offpeak())
 

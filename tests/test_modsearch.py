@@ -13,12 +13,13 @@ from rrseq.modsearch import (
     SearchStatus,
     SelectionPolicy,
     SweepRow,
+    _sweep_rows,
     find_modulus,
     search_prime,
     sweep,
 )
-from rrseq.numtheory import DEFAULT_BUDGET, FactorBudget, Factorization, factorize, primes_up_to
-from rrseq.sequence import ROW_DOUBLING, ROW_POWERS, build_seed, power_seed
+from rrseq.numtheory import DEFAULT_BUDGET, SIEVE_LIMIT, FactorBudget, Factorization, factorize, primes_up_to
+from rrseq.sequence import MAX_LENGTH, ROW_DOUBLING, ROW_POWERS, build_seed
 from rrseq.verify import check_rr, gram_check
 
 # Trial division only: the front end is what these tests compare, and
@@ -37,7 +38,7 @@ def oracle_outcome(row, budget):
     if g == 1:
         return ModulusSearchOutcome(1, Factorization(1, ()), (), SearchStatus.NO_SEQUENCE)
     fact = factorize(g, budget)
-    candidates = tuple(CandidateModulus(q, values[0] % q) for q in fact.distinct_primes())
+    candidates = tuple(CandidateModulus(q, values[0] % q) for q, _ in fact.factors)
     valid = [c.q for c in candidates if c.peak_residue]
     if valid:
         return ModulusSearchOutcome(g, fact, candidates, SearchStatus.FOUND, max(valid))
@@ -116,7 +117,7 @@ def test_changed_tail_takes_generic_path(n, profile_calls):
 def test_hand_oracle_failure_case():
     # [2, 4, 8, 16]: off-peak (200, 160, 200), gcd 40 = 2^3 * 5,
     # peak 340 divisible by both prime factors.
-    out = find_modulus(power_seed(2, 4))
+    out = find_modulus(build_seed(2, 4, ROW_POWERS))
     assert out.gcd_value == 40
     assert out.factorization.factors == ((2, 3), (5, 1))
     assert out.all_moduli() == (2, 5)
@@ -219,7 +220,7 @@ def test_rejects_degenerate_rows():
 
 
 def test_candidate_validity_bookkeeping():
-    out = find_modulus(power_seed(2, 4))
+    out = find_modulus(build_seed(2, 4, ROW_POWERS))
     for cand in out.candidates:
         assert cand.valid == (cand.peak_residue != 0)
         assert 340 % cand.q == cand.peak_residue
@@ -282,6 +283,36 @@ def test_float_sweep_arguments_refused_before_the_sieve(monkeypatch):
         sweep(16, 100.0)
     with pytest.raises(ValueError, match="unknown row kind"):
         sweep(16, 100, row_kind="bogus")
+
+
+class _SieveRan(Exception):
+    pass
+
+
+@pytest.mark.parametrize(
+    ("n", "bound", "policy", "kind", "error", "match"),
+    [
+        pytest.param(1, 100, "largest", ROW_DOUBLING, ValueError, "at least 2, got 1", id="short-n"),
+        pytest.param(MAX_LENGTH + 1, 100, "largest", ROW_DOUBLING, ValueError, f"at most {MAX_LENGTH}", id="long-n"),
+        pytest.param(16, 1, "largest", ROW_DOUBLING, ValueError, "prime bound must be at least 2", id="low-bound"),
+        pytest.param(16, SIEVE_LIMIT + 1, "largest", ROW_DOUBLING, ValueError, f"at most {SIEVE_LIMIT}", id="high-bound"),
+        pytest.param(16, 100, "bogus", ROW_DOUBLING, ValueError, "not a valid SelectionPolicy", id="policy"),
+        pytest.param(16, 100, "largest", "bogus", ValueError, "unknown row kind 'bogus'", id="row-kind"),
+        pytest.param(16.0, 100, "largest", ROW_DOUBLING, TypeError, None, id="float-n"),
+    ],
+)
+def test_sweep_rows_checks_its_arguments_at_the_call(n, bound, policy, kind, error, match, monkeypatch):
+    # _sweep_rows must not be a generator function: its checks run when it
+    # is called, before the CLI opens --out, not when the first row is read.
+    def sieve_ran(*args):
+        raise _SieveRan
+
+    monkeypatch.setattr(rrseq.numtheory, "_sieve", sieve_ran)
+    with pytest.raises(error, match=match):
+        _sweep_rows(n, bound, policy, DEFAULT_BUDGET, kind)
+    # with valid arguments the sieve, too, runs at the call
+    with pytest.raises(_SieveRan):
+        _sweep_rows(16, 100, "largest", DEFAULT_BUDGET, ROW_DOUBLING)
 
 
 def test_n128_sweep_factors_every_row():

@@ -1,4 +1,4 @@
-"""Seed row constructors and the row normaliser."""
+"""The seed row constructor and the row normaliser."""
 
 import numpy as np
 import pytest
@@ -9,33 +9,36 @@ from rrseq.numtheory import FactorBudget, factorize, is_prime
 from rrseq.sequence import (
     MAX_LENGTH,
     ROW_DOUBLING,
+    ROW_KINDS,
     ROW_POWERS,
     _doubling_tail,
     _is_doubling,
     as_elements,
     build_seed,
-    doubling_seed,
-    power_seed,
 )
 from rrseq.verify import check_rr, enumerate_binary_ideal, gram_check, scan_masks
 
 
-def test_power_seed_elements():
-    assert power_seed(2, 4) == (2, 4, 8, 16)
-    assert power_seed(3, 3) == (3, 9, 27)
-
-
-def test_doubling_seed_elements():
-    assert doubling_seed(2, 4) == (2, 2, 4, 8)
-    assert doubling_seed(29, 5) == (29, 2, 4, 8, 16)
-    assert doubling_seed(7, 16) == (7,) + tuple(2**j for j in range(1, 16))
+@pytest.mark.parametrize(
+    ("p", "n", "kind", "row"),
+    [
+        (2, 4, ROW_POWERS, (2, 4, 8, 16)),
+        (3, 3, ROW_POWERS, (3, 9, 27)),
+        (5, 3, ROW_POWERS, (5, 25, 125)),
+        (2, 4, ROW_DOUBLING, (2, 2, 4, 8)),
+        (29, 5, ROW_DOUBLING, (29, 2, 4, 8, 16)),
+        (5, 3, ROW_DOUBLING, (5, 2, 4)),
+    ],
+)
+def test_build_seed_elements(p, n, kind, row):
+    assert build_seed(p, n, kind) == row
 
 
 def test_doubling_tail_cache_is_bounded():
     maxsize = _doubling_tail.cache_info().maxsize
     assert maxsize is not None and maxsize <= 8
     for n in range(2, 40):
-        row = doubling_seed(3, n)
+        row = build_seed(3, n)
         assert row == (3,) + tuple(2**j for j in range(1, n))
         assert _is_doubling(row)
     assert _doubling_tail.cache_info().currsize <= maxsize
@@ -56,31 +59,31 @@ def test_recogniser_reads_only_the_tail():
 
 
 def test_build_seed_dispatch():
-    assert build_seed(5, 3) == doubling_seed(5, 3)
-    assert build_seed(5, 3, ROW_POWERS) == power_seed(5, 3)
-    assert build_seed(5, 3, ROW_DOUBLING) == (5, 2, 4)
-    with pytest.raises(ValueError):
+    # doubling is the default kind
+    assert build_seed(5, 3) == (5, 2, 4)
+    assert build_seed(7, 16) == (7,) + tuple(2**j for j in range(1, 16))
+    with pytest.raises(ValueError, match="unknown row kind 'fibonacci'"):
         build_seed(5, 3, "fibonacci")
 
 
+@pytest.mark.parametrize("kind", ROW_KINDS)
 @pytest.mark.parametrize("p", [0, 1, 4, 6, 9, 15, 100])
-def test_constructors_reject_composite_start(p):
-    with pytest.raises(ValueError, match="not prime"):
-        build_seed(p, 4)
+def test_constructors_reject_composite_start(p, kind):
+    with pytest.raises(ValueError, match=f"starting value {p} is not prime"):
+        build_seed(p, 4, kind)
 
 
+@pytest.mark.parametrize("kind", ROW_KINDS)
 @pytest.mark.parametrize("n", [-1, 0, 1])
-def test_constructors_reject_short_rows(n):
-    with pytest.raises(ValueError):
-        power_seed(2, n)
-    with pytest.raises(ValueError):
-        doubling_seed(2, n)
+def test_constructors_reject_short_rows(n, kind):
+    with pytest.raises(ValueError, match=f"row length must be at least 2, got {n}"):
+        build_seed(2, n, kind)
 
 
 def test_as_elements_accepts_plain_sequences():
     assert as_elements([1, 2, 3]) == (1, 2, 3)
     assert as_elements((4, 5)) == (4, 5)
-    assert as_elements(power_seed(2, 3)) == (2, 4, 8)
+    assert as_elements(build_seed(2, 3, ROW_POWERS)) == (2, 4, 8)
 
 
 @pytest.mark.parametrize("n", [MAX_LENGTH + 1, 10**9])

@@ -14,7 +14,7 @@ from rrseq import verify
 from rrseq.correlation import periodic_autocorr
 from rrseq.modsearch import find_modulus
 from rrseq.numtheory import FactorBudget, factorize
-from rrseq.sequence import build_seed, doubling_seed, power_seed
+from rrseq.sequence import ROW_POWERS, build_seed
 from rrseq.verify import (
     BinaryWitness,
     RRCertificate,
@@ -83,29 +83,29 @@ def _max_residue_row(size, n):
 
 
 def test_certificate_for_reference_row():
-    cert = check_rr(doubling_seed(2, 16), 331)
+    cert = check_rr(build_seed(2, 16), 331)
     assert cert.verified
     assert cert.offpeak_ok
     assert cert.peak != 0
     assert cert.modulus == 331
     assert len(cert.residues) == 16
-    assert gram_check(doubling_seed(2, 16), 331)
+    assert gram_check(build_seed(2, 16), 331)
 
 
 def test_wrong_modulus_fails():
-    cert = check_rr(doubling_seed(2, 16), 7)  # 7 is not a candidate here
+    cert = check_rr(build_seed(2, 16), 7)  # 7 is not a candidate here
     assert not cert.offpeak_ok
     assert not cert.verified
-    assert not gram_check(doubling_seed(2, 16), 7)
+    assert not gram_check(build_seed(2, 16), 7)
 
 
 def test_peak_killed_by_modulus():
     # [2,4,8,16] mod 5: off-peak all vanish but so does the peak
-    cert = check_rr(power_seed(2, 4), 5)
+    cert = check_rr(build_seed(2, 4, ROW_POWERS), 5)
     assert cert.offpeak_ok
     assert cert.peak == 0
     assert not cert.verified
-    assert not gram_check(power_seed(2, 4), 5)
+    assert not gram_check(build_seed(2, 4, ROW_POWERS), 5)
 
 
 def test_degenerate_row_not_verified():
@@ -116,9 +116,9 @@ def test_degenerate_row_not_verified():
 
 def test_nonprime_modulus_rejected():
     with pytest.raises(ValueError, match="not prime"):
-        check_rr(doubling_seed(2, 16), 332)
+        check_rr(build_seed(2, 16), 332)
     with pytest.raises(ValueError, match="not prime"):
-        gram_check(doubling_seed(2, 16), 332)
+        gram_check(build_seed(2, 16), 332)
 
 
 def test_gram_exact_path_large_modulus():
@@ -379,7 +379,15 @@ def test_witness_profiles_are_two_valued():
         for w in enumerate_binary_ideal(n):
             assert w.profile_mod2[0] == 1
             assert all(v == 0 for v in w.profile_mod2[1:])
-            assert w.weight % 2 == 1  # peak = weight mod 2 must be 1
+            assert sum(w.bits) % 2 == 1  # peak = weight mod 2 must be 1
+
+
+def test_length_1_is_a_witness_but_not_a_row():
+    # The scan lists length 1; the row functions take 2..MAX_LENGTH
+    # elements, as a length-1 row has no off-peak lag.
+    assert [w.bits for w in enumerate_binary_ideal(1)] == [(1,)]
+    with pytest.raises(ValueError, match="row length must be at least 2, got 1"):
+        periodic_autocorr((1,))
 
 
 def test_delta_rows_always_witness():
