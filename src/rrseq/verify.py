@@ -28,10 +28,12 @@ as u in F2[x]/(x^n - 1), such a row is exactly a unitary unit, u(x)
 u(x^-1) = 1 (Bovdi & Kovacs 1994), so `scan_masks` lists that group
 directly: the field components of F2[C_m], m odd, give its unitary
 units, and each factor 2 of n = 2**k m doubles the length by one
-square-zero lift through s = x^h + 1, n = 2h.  The group is closed under
-bit reversal, so the sorted units are the sorted masks.  Its docstring
-has the theorem and the proofs.  No 2**n-mask pass is made; a popcount
-filter over all 2**n masks is the test oracle.
+square-zero lift through s = x^h + 1, n = 2h.  Each component's units
+form a cyclic group, which `_orbit` lists by byte-table lookups, not by
+one `_mul` per element.  The group is closed under bit reversal, so the
+units, sorted in place as a uint32 array, are the sorted masks.  Its
+docstring has the theorem and the proofs.  No 2**n-mask pass is made; a
+popcount filter over all 2**n masks is the test oracle.
 
 numpy is imported by the functions that use it, so it loads at the first
 Gram check or witness scan.  `check_rr`, the modulus search and the
@@ -87,9 +89,11 @@ def check_rr(seq: Sequence[int], n: int) -> RRCertificate:
     peak is nonzero mod n (so the reduced row is not identically zero).
     """
     n, residues = _reduce(seq, n)
-    # C(N - k) == C(k): lags 0..N/2 are all the distinct values.
-    peak, *offpeak = (v % n for v in residue_profile(residues, n)[: len(residues) // 2 + 1])
-    offpeak_ok = all(v == 0 for v in offpeak)
+    values = residue_profile(residues, n)
+    peak = values[0] % n
+    # C(N - k) == C(k): lags 1..N/2 are all the distinct off-peak values,
+    # and n divides each of them iff it divides their gcd with n.
+    offpeak_ok = math.gcd(n, *values[1 : len(residues) // 2 + 1]) == n
     return RRCertificate(
         modulus=n,
         residues=residues,
@@ -243,6 +247,34 @@ def _primitive(e: int, d: int, m: int) -> int:
     return next(a for a in candidates if a and all(_power(a, c, e, m) != e for c in cofactors))
 
 
+def _orbit(u: int, c: int, size: int, m: int) -> list[int]:
+    """[u, u c, u c**2, ...], the first size elements, in F2[x]/(x^m - 1).
+
+    Multiplying by c is F2-linear, so each step is three table lookups,
+    not a `_mul` (the method of Four Russians: Arlazarov, Dinic, Kronrod
+    and Faradzev, 1970).  The m bits split into three fields of w =
+    max(8, ceil(m / 3)) bits, bytes for every m <= 24, and entry b of
+    table j is c (b << w j).  As c x^k is c rotated left by k places,
+    each table is built by XOR doubling from c's rotations, with no
+    multiplication.  Three fields keep the step unrolled for every m: a
+    loop over ceil(m / 8) byte tables took twice as long at m = 23.  u
+    must be below 2**m.
+    """
+    w = max(8, -(-m // 3))
+    full = (1 << m) - 1
+    t0, t1, t2 = tables = [0], [0], [0]
+    for k in range(m):
+        r = (c << k | c >> (m - k)) & full  # c x^k
+        table = tables[k // w]
+        table += [t ^ r for t in table]
+    low, w2 = (1 << w) - 1, 2 * w
+    out = [u]
+    for _ in range(size - 1):
+        u = t0[u & low] ^ t1[u >> w & low] ^ t2[u >> w2]
+        out.append(u)
+    return out
+
+
 def _odd_units(m: int) -> list[int]:
     """The unitary group {u : u * conj(u) = 1} of F2[x]/(x^m - 1), m odd,
     as the XOR of one element from the unitary group of each class of
@@ -270,21 +302,18 @@ def _odd_units(m: int) -> list[int]:
         while y != xe:
             d, y = d + 1, _mul(y, y, m)
         if ebar == e and d == 1:
-            one, gen, order = e, e, 1  # the coset {0}: conj is trivial, u**2 = 1
+            group = [e]  # the coset {0}: conj is trivial, u**2 = 1
         elif ebar == e:
             # conj is the field's involution a -> a**(2**(d/2)), so u conj(u)
             # = u**(2**(d/2) + 1): the unitary units are that cyclic subgroup.
             a = _primitive(e, d, m)
             half = 1 << d // 2
-            one, gen, order = e, _power(a, half - 1, e, m), half + 1
+            group = _orbit(e, _power(a, half - 1, e, m), half + 1, m)
         else:
             # On e + ebar, u = a + b is unitary iff b = conj(a)**-1.
             a = _primitive(e, d, m)
             order = (1 << d) - 1
-            one, gen = e ^ ebar, a ^ _power(_conj(a, m), order - 1, ebar, m)
-        group = [one]
-        for _ in range(order - 1):
-            group.append(_mul(group[-1], gen, m))
+            group = _orbit(e ^ ebar, a ^ _power(_conj(a, m), order - 1, ebar, m), order, m)
         units = [u ^ g for u in units for g in group]
     return units
 
@@ -335,7 +364,9 @@ def scan_masks(n: int) -> np.ndarray:
     self-conjugate F_{2^d} (d even) gives the cyclic group of order
     2**(d/2) + 1, generated by a**(2**(d/2) - 1) for a primitive a.  A
     conjugate pair gives the cyclic group of order 2**d - 1 generated by
-    a + conj(a)**-1.  U_m is the XOR of one element of each.
+    a + conj(a)**-1.  U_m is the XOR of one element of each.  Each cyclic
+    group is listed by `_orbit`, whose step, a multiplication by the
+    generator, is three byte-table lookups.
 
     Even n = 2h: one square-zero lift from U_h.  Let s = x^h + 1; then
     s**2 = x^n + 1 = 0 and conj(s) = x^-h + 1 = s.  Reducing mod s (x^h
@@ -356,14 +387,17 @@ def scan_masks(n: int) -> np.ndarray:
     Bit n-1-i of a mask holds coefficient i, so the mask of u is the
     element reverse(u) = x^(n-1) conj(u), again in U_n since x^(n-1) and
     conj(u) are.  Reversal therefore permutes U_n, and the sorted
-    elements of U_n are the sorted masks.
+    elements of U_n are the sorted masks: the group goes into a uint32
+    array, which numpy sorts in place.
     """
     n = operator.index(n)
     if not 1 <= n <= 24:
         raise ValueError("mask scan supports lengths 1..24")
     import numpy as np
 
-    return np.array(sorted(_unitary_group(n)), dtype=np.uint32)
+    masks = np.array(_unitary_group(n), dtype=np.uint32)
+    masks.sort()
+    return masks
 
 
 def enumerate_binary_ideal(n: int) -> list[BinaryWitness]:

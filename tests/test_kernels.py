@@ -1,8 +1,9 @@
 """The binary mask scan against two oracles, the coset count formula, the
-lift to lengths past the public cap and the group laws of the unitary
-units of F2[C_n]."""
+lift to lengths past the public cap, the table multiply that lists each
+cyclic component and the group laws of the unitary units of F2[C_n]."""
 
 import functools
+import math
 from collections import Counter
 
 import numpy as np
@@ -183,6 +184,68 @@ def test_lift_past_the_cap_meets_the_definition(n, count):
     got = np.array(group(n), dtype=np.uint64)
     assert len(got) == len(np.unique(got)) == count
     assert passes_uint64(got, n).all()
+
+
+# --- the table multiply ---------------------------------------------------------
+
+
+def mul_chain(u, c, size, m):
+    """[u, u c, u c**2, ...] by one `_mul` per element, as the components
+    were listed before `_orbit`: its oracle."""
+    out = [u]
+    for _ in range(size - 1):
+        out.append(verify._mul(out[-1], c, m))
+    return out
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(st.data())
+def test_table_multiply_matches_mul(data):
+    m = data.draw(st.sampled_from(range(1, 32, 2)))
+    u, c = (data.draw(st.integers(0, (1 << m) - 1)) for _ in range(2))
+    assert verify._orbit(u, c, 3, m) == mul_chain(u, c, 3, m)
+
+
+@pytest.mark.parametrize("m", range(1, 24, 2))
+def test_each_component_is_listed_as_the_mul_chain(monkeypatch, m):
+    orbit = verify._orbit
+    listed = []
+
+    def recording(u, c, size, m):
+        out = orbit(u, c, size, m)
+        listed.append(((u, c, size, m), out))
+        return out
+
+    monkeypatch.setattr(verify, "_orbit", recording)
+    units = verify._odd_units(m)
+    for (u, c, size, _), out in listed:
+        assert out == mul_chain(u, c, size, m)
+        # a cyclic group of exactly size elements: c**size is its identity u
+        assert len(set(out)) == size and verify._mul(out[-1], c, m) == u
+    # the coset {0} gives one unit; every other unit comes from an orbit
+    assert math.prod(size for (_, _, size, _), _ in listed) == len(units) == coset_count(m)
+
+
+# `_mul` calls of one scan_masks(n): the idempotents, the primitive
+# elements and their powers, and the even lift.  Listing the cyclic
+# components by one `_mul` per element made these 386, 185, 508 and 2 143.
+MUL_CALLS = {20: 382, 21: 115, 22: 476, 23: 97}
+
+
+def test_mul_calls_of_the_scan(monkeypatch):
+    mul, calls = verify._mul, []
+
+    def counting(*args):
+        calls.append(args)
+        return mul(*args)
+
+    monkeypatch.setattr(verify, "_mul", counting)
+    got = {}
+    for n in MUL_CALLS:
+        calls.clear()
+        scan_masks(n)
+        got[n] = len(calls)
+    assert got == MUL_CALLS
 
 
 # --- group laws -----------------------------------------------------------------

@@ -108,6 +108,20 @@ def test_peak_killed_by_modulus():
     assert not gram_check(build_seed(2, 4, ROW_POWERS), 5)
 
 
+def test_lag_half_the_length_is_checked():
+    # x^0 + x^(N/2): C(N/2) = 2 is the only off-peak lag that is nonzero
+    # mod 3, so a check that stopped short of lag N/2 would pass the row
+    for size in (2, 4, 16):
+        row = [1] + [0] * (size // 2 - 1) + [1] + [0] * (size // 2 - 1)
+        offpeak = [c % 3 for c in periodic_autocorr(row).offpeak()]
+        assert offpeak == [0] * (size // 2 - 1) + [2] + [0] * (size // 2 - 1)
+        cert = check_rr(row, 3)
+        assert cert.peak == 2
+        assert not cert.offpeak_ok
+        assert not cert.verified
+        assert not gram_check(row, 3)
+
+
 def test_degenerate_row_not_verified():
     cert = check_rr([5, 25, 125], 5)
     assert cert.residues == (0, 0, 0)
