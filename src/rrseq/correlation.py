@@ -4,11 +4,11 @@ The profile is kept as unnormalized integer sums: divisibility reasoning
 downstream (gcd of off-peak values) needs exact integers, so no 1/N
 prefactor is ever applied.
 
-Two paths form it.  `profile_values` takes the exact profile of any row,
-one elementwise product per lag.  `residue_profile` takes the profile of
-residues 0 <= r_i < n, as the certificates and `autocorr_mod` need it,
-by Kronecker substitution: the residues become the digits of two big
-integers, whose one product, made in C, holds every lag as a digit.
+One kernel forms it.  `residue_profile` takes the profile of residues
+0 <= r_i < n by Kronecker substitution: the residues become the digits
+of two big integers, whose one product, made in C, holds every lag as a
+digit.  The certificates and `autocorr_mod` call it on residues mod n;
+`profile_values` calls it on any row, shifted up to nonnegative entries.
 """
 
 from __future__ import annotations
@@ -41,14 +41,18 @@ class CorrProfile:
 def profile_values(a: tuple[int, ...]) -> tuple[int, ...]:
     """C(0..N-1) of a row `as_elements` has already normalised.
 
-    Lag k pairs the row with its rotation a[k:] + a[:k], so C(k) is
-    sum(map(operator.mul, a, a[k:] + a[:k])): one elementwise product of
-    two tuples, with no per-term index arithmetic.  Only lags 0..N/2 are
-    computed; C(N-k) == C(k) fills in the rest.
+    The row is shifted by D = max(0, -min a) to r = a + D, whose entries
+    are residues below max(r) + 1, and its profile is one
+    `residue_profile` product.  Expanding (a_j + D)(a_(j+k) + D) summed
+    over j gives C_r(k) = C(k) + 2 D S + N D**2, with S = sum(a), so
+    C(k) = C_r(k) - 2 D S - N D**2, and C = C_r when D = 0.
     """
-    n = len(a)
-    values = [sum(map(operator.mul, a, a[k:] + a[:k])) for k in range(n // 2 + 1)]
-    return tuple(values + values[(n - 1) // 2 : 0 : -1])
+    d = -min(a)
+    if d <= 0:
+        return residue_profile(a, max(a) + 1)
+    r = tuple([e + d for e in a])
+    shift = d * (2 * sum(a) + len(a) * d)
+    return tuple([v - shift for v in residue_profile(r, max(r) + 1)])
 
 
 # struct codes of the digit sizes, in bytes, that struct packs natively.
@@ -71,8 +75,8 @@ def residue_profile(r: tuple[int, ...], n: int) -> tuple[int, ...]:
     or 8 when 8B bits suffice, packed by struct; a wider digit has the
     fewest bytes that suffice and is packed by int.to_bytes.
 
-    Against the per-lag loop of `profile_values` on the same residues it
-    is 2.7x faster at N = 16 with 16-bit n and 23x at N = 1024, but
+    Against a per-lag loop of elementwise products on the same residues,
+    it is 2.7x faster at N = 16 with 16-bit n and 23x at N = 1024, but
     slower for wide n on short rows: 0.9x at N = 16 with 127-bit n, 0.5x
     with 521-bit n, and 0.8x at N = 128 with 521-bit n (README.md).
     """

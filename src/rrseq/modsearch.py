@@ -29,7 +29,7 @@ terms divides (1 + 2**(N-2)) - (1 + 2**(N-4)) = 3 * 2**(N-4), so it is
 is iff N is odd; N = 3 and N = 4 give 6 and 2 directly.)  The gcd is an
 integer because 3 | M for even N, and M = 0 makes every off-peak value
 zero.  So a doubling row's search front end is O(N) integer operations
-instead of the N**2 / 2 products of the profile.
+instead of the profile's product of two integers of about 2 N**2 bits.
 """
 
 from __future__ import annotations

@@ -15,7 +15,7 @@ for every library entry point.  A length-1 row has no off-peak lag, so
 no row function takes one; the binary witness scan alone lists length 1
 (`enumerate_binary_ideal(1)` returns the witness ``(1,)``).  The
 elements of a constructed row grow to about N bits and the exact
-autocorrelation takes about N**2 / 2 products of them, so
+autocorrelation is one product of two integers of about 2 N**2 bits, so
 `periodic_autocorr` on a long row takes seconds, while `autocorr_mod`
 and the certificates reduce the row mod q first (README.md gives the
 costs).  The modulus search recognises a doubling row and reads its

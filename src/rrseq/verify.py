@@ -289,7 +289,7 @@ def _odd_units(m: int) -> list[int]:
     # the Boolean algebra they generate.
     atoms = [1]
     for eta in etas:
-        atoms = [f for e in atoms for f in (_mul(e, eta, m), e ^ _mul(e, eta, m)) if f]
+        atoms = [f for e in atoms for g in [_mul(e, eta, m)] for f in (g, e ^ g) if f]
 
     units = [0]
     for e in atoms:

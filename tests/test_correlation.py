@@ -49,17 +49,42 @@ def test_matches_oracle_on_random_rows():
 @pytest.mark.parametrize("size", [2, 3, 15, 16, 24, 128])
 def test_matches_oracle_at_paper_and_bench_lengths(size):
     rng = random.Random(size)
+    bumped = []
+    for step in (1, -1):
+        row = list(build_seed(3, size))
+        row[rng.randrange(1, size)] += step
+        bumped.append(row)
     rows = [
         build_seed(3, size),
         build_seed(5, size, ROW_POWERS),
         [rng.randrange(-(2**70), 2**70) for _ in range(size)],
         np.array([rng.randrange(-1000, 1000) for _ in range(size)], dtype=np.int64),
+        *bumped,
+        [-rng.randrange(1, 2**70) for _ in range(size)],
+        [0] * size,
+        # the offset that makes the row nonnegative is far wider than most entries
+        [-(2**200)] + [rng.choice((0, 0, 0, 2**200)) for _ in range(size - 1)],
     ]
     for row in rows:
         expected = oracle_autocorr([int(x) for x in row])
         values = periodic_autocorr(row).values
         assert list(values) == expected
         assert all(type(v) is int for v in values)
+
+
+@st.composite
+def _signed_rows(draw):
+    bound = draw(st.integers(1, 2**200) | st.integers(1, 2**20))
+    size = draw(st.integers(2, 64))
+    return draw(st.lists(st.integers(-bound, bound), min_size=size, max_size=size))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_signed_rows())
+def test_signed_rows_match_oracle(row):
+    values = periodic_autocorr(row).values
+    assert list(values) == oracle_autocorr(row)
+    assert all(type(v) is int for v in values)
 
 
 def test_symmetry():

@@ -226,10 +226,12 @@ def test_each_component_is_listed_as_the_mul_chain(monkeypatch, m):
     assert math.prod(size for (_, _, size, _), _ in listed) == len(units) == coset_count(m)
 
 
-# `_mul` calls of one scan_masks(n): the idempotents, the primitive
-# elements and their powers, and the even lift.  Listing the cyclic
-# components by one `_mul` per element made these 386, 185, 508 and 2 143.
-MUL_CALLS = {20: 382, 21: 115, 22: 476, 23: 97}
+# `_mul` calls of one scan_masks(n): the idempotents, one product per
+# atom and idempotent, the primitive elements and their powers, and the
+# even lift.  Listing the cyclic components by one `_mul` per element
+# made these 386, 185, 508 and 2 143; forming each atom's split product
+# twice made them 382, 115, 476 and 97.
+MUL_CALLS = {20: 380, 21: 97, 22: 474, 23: 93}
 
 
 def test_mul_calls_of_the_scan(monkeypatch):

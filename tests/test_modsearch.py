@@ -107,11 +107,16 @@ def test_numpy_int64_doubling_row_takes_closed_form(profile_calls):
 
 @pytest.mark.parametrize("n", [2, 3, 4, 16, 17, 64])
 def test_changed_tail_takes_generic_path(n, profile_calls):
+    # every doubling row with one tail element bumped, and the powers rows
+    rows = []
     for j in range(1, n):
         row = list(doubling_row(50021, n))
         row[j] += 1
-        assert find_modulus(row, budget=TRIAL_ONLY) == oracle_outcome(row, TRIAL_ONLY), (n, j)
-    assert profile_calls == [n] * (n - 1)
+        rows.append(row)
+    rows += [build_seed(p, n, ROW_POWERS) for p in (2, 3, 101)]
+    for row in rows:
+        assert find_modulus(row, budget=TRIAL_ONLY) == oracle_outcome(row, TRIAL_ONLY), (n, row[:3])
+    assert profile_calls == [n] * len(rows)
 
 
 def test_hand_oracle_failure_case():
