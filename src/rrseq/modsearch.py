@@ -101,12 +101,12 @@ class SweepRow:
         return c is not None and c <= self.length
 
 
-def _select_canonical(valid: tuple[int, ...], policy: SelectionPolicy) -> int | None:
-    if policy is SelectionPolicy.SMALLEST:
-        return min(valid)
-    if policy is SelectionPolicy.LARGEST:
-        return max(valid)
-    return None  # ALL: report the full set, no single pick
+# The members `_outcome` reads once a row, bound once: looking a member
+# up on its class costs ~0.15 us on Python 3.11.
+_SMALLEST, _LARGEST = SelectionPolicy.SMALLEST, SelectionPolicy.LARGEST
+_FOUND = SearchStatus.FOUND
+_NO_VALID_MODULUS = SearchStatus.NO_VALID_MODULUS
+_INCOMPLETE = SearchStatus.INCOMPLETE_FACTORIZATION
 
 
 def _policy(policy: SelectionPolicy | str) -> SelectionPolicy:
@@ -183,21 +183,19 @@ def _outcome(peak: int, g: int, policy: SelectionPolicy, budget: FactorBudget) -
             status=SearchStatus.NO_SEQUENCE,
         )
     fact = factorize(g, budget)
-    candidates = tuple([CandidateModulus(q, peak % q) for q, _ in fact.factors])
-    valid = tuple([c.q for c in candidates if c.peak_residue])
-    if valid:
-        status = SearchStatus.FOUND
-    elif not fact.complete:
-        status = SearchStatus.INCOMPLETE_FACTORIZATION
-    else:
-        status = SearchStatus.NO_VALID_MODULUS
-    return ModulusSearchOutcome(
-        gcd_value=g,
-        factorization=fact,
-        candidates=candidates,
-        status=status,
-        canonical=_select_canonical(valid, policy) if status is SearchStatus.FOUND else None,
-    )
+    candidates = []
+    valid = []
+    for q, _ in fact.factors:
+        residue = peak % q
+        candidates.append(CandidateModulus(q, residue))
+        if residue:
+            valid.append(q)
+    if not valid:
+        status = _NO_VALID_MODULUS if fact.complete else _INCOMPLETE
+        return ModulusSearchOutcome(g, fact, tuple(candidates), status)
+    # the factors ascend, so valid does; under ALL there is no single pick
+    canonical = valid[0] if policy is _SMALLEST else valid[-1] if policy is _LARGEST else None
+    return ModulusSearchOutcome(g, fact, tuple(candidates), _FOUND, canonical)
 
 
 def search_prime(

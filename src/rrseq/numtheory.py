@@ -13,7 +13,11 @@ in chunks of 512, one gcd of the remainder with each chunk's product,
 and looks inside a chunk only when that gcd is above 1 (Bernstein, *How
 to find smooth parts of integers*, 2004).  It stops once the remainder
 is below the square of the next chunk's first prime, and its chunk table
-reaches only the power of two above the remainder's square root.
+reaches only the power of two above the remainder's square root.  It
+also returns a bound below which no prime divides the remainder; a
+remainder below that bound's square is prime without a Miller-Rabin
+test, which covers every row at N = 16 and N = 24 under the default
+bound.
 
 Every sieve, and so every trial bound, is capped at SIEVE_LIMIT (10**7),
 because a sieve to B takes B bytes.
@@ -55,12 +59,12 @@ _MR_PREFIXES = (
 )
 
 # Answers `is_prime` keeps, least recently used out first.  A certified
-# row's modulus is found again by both certificates when `factorize` tested
-# at most this many distinct pieces from the modulus on: 1 at N = 16
-# (p <= 10**5) and N = 24 (p <= 3000), at most 2 at N = 64 (p <= 200) and
-# at most 4 at N = 128 (p <= 400).  A modulus that trial division removes
-# is never tested (2160 of 9592 rows at N = 16, 106 of 430 at N = 24), so
-# `check_rr` tests it once, below 2**12.
+# row's modulus is tested once: by `factorize` if it tested the modulus,
+# else by `check_rr`, and every later certificate finds it here.
+# `factorize` tests no piece when trial division proves the remainder
+# prime, as at N = 16 (p <= 10**5) and N = 24 (p <= 3000).  Where it
+# tests the modulus, it tests at most this many pieces from it on: at
+# most 2 at N = 64 (p <= 200) and at most 4 at N = 128 (p <= 400).
 _PRIME_MEMO_SIZE = 4
 
 # Trial division takes the primes from 5 on _CHUNK_PRIMES at a time, by
@@ -436,19 +440,24 @@ def _trial_chunks(reach: int) -> tuple[tuple[int, int], ...]:
     return tuple(chunks)
 
 
-def _chunk_trial(rem: int, bound: int, counts: dict[int, int]) -> int:
+def _chunk_trial(rem: int, bound: int, counts: dict[int, int]) -> tuple[int, int]:
     """Divide every prime in [5, bound] out of rem, which must be prime to
-    6, counting each in counts, and return what is left.
+    6, counting each in counts; return what is left and a bound low such
+    that no prime below low divides it.
 
     One gcd with a chunk's product tells whether any of its primes
     divides rem.  The table reaches the least of the powers of two above
     sqrt(rem) and above bound, and SIEVE_LIMIT; its primes past bound are
-    never divided out.
+    never divided out.  The chunks are consecutive from 5, so when the
+    loop stops at a chunk, every prime below its first and up to bound is
+    gone: low is that first prime, or bound + 1 once it is past bound.
+    When the table runs out, every prime up to the lesser of its reach
+    and bound is gone, and low is one past that.
     """
     reach = min(1 << (rem.bit_length() + 1) // 2, 1 << bound.bit_length(), SIEVE_LIMIT)
     for product, first in _trial_chunks(reach):
         if first > bound or first * first > rem:
-            break  # no prime up to bound is left in rem, or rem is 1 or a prime
+            return rem, min(first, bound + 1)
         g = math.gcd(product, rem)
         if g == 1:
             continue
@@ -466,7 +475,7 @@ def _chunk_trial(rem: int, bound: int, counts: dict[int, int]) -> int:
             while rem % g == 0:
                 counts[g] = counts.get(g, 0) + 1
                 rem //= g
-    return rem
+    return rem, min(reach, bound) + 1
 
 
 def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
@@ -475,7 +484,16 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     Trial division to budget.trial_bound (see `FactorBudget`) comes
     first, by gcds with cached products of 512 primes, stopping once the
     remainder is 1 or below the square of the next chunk's first prime.
-    Every composite left then gets a short Brent-rho pass and, if rho
+    It returns the remainder rem and a bound low: no prime below low
+    divides rem.  So a remainder 1 < rem < low**2 is a prime factor,
+    counted without a prime test: were it composite, its least prime
+    factor would be at most sqrt(rem) < low.  The test is strict, since
+    rem = low**2 is composite when low is prime (7**2 with trial_bound
+    6).  Under the default bound this proves the remainder of every
+    doubling row at N = 16 (p <= 10**5) and N = 24 (p <= 3000), 15 of 46
+    at N = 64 (p <= 200) and none at N = 128, whose remainders are far
+    above 10**12.  Any other remainder above 1 is tested with `is_prime`,
+    and every composite left then gets a short Brent-rho pass and, if rho
     cannot split it and ECM is enabled, a perfect-square test and then ECM
     curves (sigma = 6, 7, 8, ...) from one curve budget for the whole
     call.  Whatever no stage splits is reported as `cofactor` rather than
@@ -491,7 +509,10 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
         while rem % d == 0:
             counts[d] = counts.get(d, 0) + 1
             rem //= d
-    rem = _chunk_trial(rem, budget.trial_bound, counts)
+    rem, low = _chunk_trial(rem, budget.trial_bound, counts)
+    if 1 < rem < low * low:
+        counts[rem] = 1  # a prime: see the docstring
+        rem = 1
 
     # Second stage: rho, then ECM, on each composite trial division left.
     pending = [rem] if rem > 1 else []

@@ -11,7 +11,9 @@ in csv and json, both row kinds, and for the subcommands that take
 --policy every policy, at N = 2, 3, 15, 16 and 24, plus `verify` at
 N = 128 with the multi-limb modulus 2**61 - 1.  `search` and `sweep` also
 run at N = 16, 24 and 64 under the trial bounds 5 (the smallest that
-tries a prime past 3), 1000, 2**14 + 1 and the default 10**6.
+tries a prime past 3), 1000, 2**14 + 1 and the default 10**6.  Last
+comes `sweep -n 16 --primes-up-to 100000` in csv and json, the 9592-row
+table that `rrseq sweep` is benchmarked on.
 """
 
 from __future__ import annotations
@@ -36,6 +38,8 @@ PRIMES_UP_TO = "30"
 INLINE_LIMIT = 256
 BOUND_LENGTHS = (16, 24, 64)
 TRIAL_BOUNDS = (5, 1000, 16385, 10**6)
+# The benchmark's sweep: every starting prime up to 10**5 at N = 16.
+FULL_SWEEP = ["sweep", "-n", "16", "--primes-up-to", "100000"]
 
 
 def _verify_modulus(n: int, row: str) -> int:
@@ -73,6 +77,8 @@ def invocations() -> list[list[str]]:
                 tail = ["--trial-bound", str(bound), "--format", fmt]
                 calls.append(["search", "-p", str(PRIME), "-n", str(n)] + tail)
                 calls.append(["sweep", "-n", str(n), "--primes-up-to", PRIMES_UP_TO] + tail)
+    for fmt in FORMATS:
+        calls.append(FULL_SWEEP + ["--format", fmt])
     return calls
 
 

@@ -1,0 +1,137 @@
+"""Mutants of the source that the test suite must kill.
+
+Each mutant is one exact edit of a file under src/: its text `old`,
+found there exactly once, becomes `new`.  It names the tests that must
+fail under that edit.  test_mutants.py checks, in the tier-1 suite, that
+every `old` is still found exactly once, so an edit to the source that
+moves a mutant's text fails there rather than here.
+
+Run the mutants with
+
+    python tests/mutants.py [NAME ...]
+
+Each one is applied to its own copy of src/ and tests/ in a temporary
+directory, never to this tree, and only its tests are run there, with
+pytest.  One line per mutant says whether it was killed, that is whether
+every test it names failed; the exit code is 1 if any mutant survived.
+"""
+
+from __future__ import annotations
+
+import os
+import shutil
+import subprocess
+import sys
+import tempfile
+import xml.etree.ElementTree as ET
+from pathlib import Path
+from typing import NamedTuple
+
+ROOT = Path(__file__).resolve().parents[1]
+
+
+class Mutant(NamedTuple):
+    name: str
+    file: str  # relative to the repository root
+    old: str
+    new: str
+    tests: tuple[str, ...]  # pytest ids that must fail under the edit
+
+
+MUTANTS = (
+    Mutant(
+        "proof-not-strict",
+        "src/rrseq/numtheory.py",
+        "if 1 < rem < low * low:",
+        "if 1 < rem <= low * low:",
+        ("tests/test_numtheory.py::test_trial_stage_matches_prime_oracle",),
+    ),
+    Mutant(
+        "low-one-too-high",
+        "src/rrseq/numtheory.py",
+        "return rem, min(reach, bound) + 1",
+        "return rem, min(reach, bound) + 2",
+        ("tests/test_numtheory.py::test_trial_stage_matches_prime_oracle",),
+    ),
+    Mutant(
+        "low-ignores-bound",
+        "src/rrseq/numtheory.py",
+        "return rem, min(first, bound + 1)",
+        "return rem, first",
+        ("tests/test_numtheory.py::test_trial_stage_matches_prime_oracle",),
+    ),
+    Mutant(
+        "json-bool-as-int",
+        "src/rrseq/cli.py",
+        'items.append("true" if v else "false")',
+        "items.append(int.__repr__(v))",
+        (
+            "tests/test_cli.py::test_json_writer_matches_json_dumps",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden[sweep -n 16 --primes-up-to 100000 --format json]",
+        ),
+    ),
+    Mutant(
+        "statuses-swapped",
+        "src/rrseq/modsearch.py",
+        "_NO_VALID_MODULUS if fact.complete else _INCOMPLETE",
+        "_INCOMPLETE if fact.complete else _NO_VALID_MODULUS",
+        (
+            "tests/test_modsearch.py::test_hand_oracle_failure_case",
+            "tests/test_modsearch.py::test_incomplete_factorization_status",
+            "tests/test_modsearch.py::test_doubling_closed_form_matches_oracle[64]",
+            "tests/test_cli.py::test_search_negative_exit",
+        ),
+    ),
+)
+
+
+def _failed(report: Path) -> set[str]:
+    """The ids of the tests that failed or errored in a junit report."""
+    failed = set()
+    for case in ET.parse(report).iter("testcase"):
+        if case.find("failure") is not None or case.find("error") is not None:
+            module = case.get("classname", "").replace(".", "/")
+            failed.add(f"{module}.py::{case.get('name')}")
+    return failed
+
+
+def run(mutant: Mutant) -> set[str]:
+    """Apply the mutant to a copy of the tree and run its tests; return
+    the named tests that did not fail."""
+    with tempfile.TemporaryDirectory(prefix="rrseq-mutant-") as tmp:
+        work = Path(tmp)
+        skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
+        for part in ("src", "tests"):
+            shutil.copytree(ROOT / part, work / part, ignore=skip)
+        shutil.copy(ROOT / "pyproject.toml", work)
+        target = work / mutant.file
+        text = target.read_text(encoding="utf-8")
+        if text.count(mutant.old) != 1:
+            raise SystemExit(f"{mutant.name}: the text to mutate is not found exactly once in {mutant.file}")
+        target.write_text(text.replace(mutant.old, mutant.new), encoding="utf-8")
+        report = work / "report.xml"
+        env = {**os.environ, "PYTHONPATH": str(work / "src"), "PYTHONDONTWRITEBYTECODE": "1"}
+        subprocess.run(
+            [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={report}", *mutant.tests],
+            cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=600,
+        )
+        return set(mutant.tests) - _failed(report)
+
+
+def main(names: list[str]) -> int:
+    unknown = set(names) - {m.name for m in MUTANTS}
+    if unknown:
+        print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
+        return 2
+    survived = 0
+    for mutant in MUTANTS:
+        if names and mutant.name not in names:
+            continue
+        passing = run(mutant)
+        survived += bool(passing)
+        print(f"{mutant.name}: " + ("survived, not failed: " + ", ".join(sorted(passing)) if passing else "killed"))
+    return 1 if survived else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

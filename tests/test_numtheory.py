@@ -7,6 +7,7 @@ import random
 import numpy as np
 import pytest
 
+import rrseq.modsearch
 import rrseq.numtheory
 from rrseq import build_seed, check_rr, find_modulus, gram_check, sweep
 from rrseq.numtheory import (
@@ -62,16 +63,24 @@ def test_is_prime_memo_is_bounded():
 
 
 @pytest.mark.parametrize("p, n", [(50021, 16), (197, 128)])
-def test_is_prime_memo_carries_the_modulus_into_both_certificates(p, n):
-    # factorize tests q when it is what trial division leaves, and then
-    # check_rr and gram_check each find it in the memo.  At N = 16 q is
-    # the last value factorize tests; at N = 128, p = 197 it tests three
-    # more pieces after q, which the memo must still hold.
+def test_is_prime_memo_carries_the_modulus_into_both_certificates(p, n, monkeypatch):
+    # q is tested once over the search and both certificates.  At N = 16
+    # trial division proves q prime, so check_rr tests it and gram_check
+    # finds it in the memo.  At N = 128, p = 197 factorize tests q and
+    # then three more pieces, and the memo must still hold q for both.
+    tested = []
+    real = rrseq.numtheory._miller_rabin
+
+    def spy(m, bases):
+        tested.append(m)
+        return real(m, bases)
+
+    monkeypatch.setattr(rrseq.numtheory, "_miller_rabin", spy)
+    is_prime.cache_clear()
     row = build_seed(p, n)
     q = find_modulus(row).canonical
-    hits = is_prime.cache_info().hits
     assert check_rr(row, q).verified and gram_check(row, q)
-    assert is_prime.cache_info().hits - hits == 2
+    assert tested.count(q) == 1
 
 
 def _mr_sample(lo, hi, count, rng):
@@ -402,11 +411,24 @@ def test_trial_stage_matches_prime_oracle():
         | {first1, first1 + 1, end1, end1 + 1, r - 1, 10**6}
     )
     pairs = [_prime_pairs(k) for k in range(3, 18)]
+    # Trial division proves a remainder below low**2 prime (see factorize).
+    # At the table's end low is min(reach, bound) + 1, so q**2 for the
+    # first prime q past the bound must stay unproven: 7**2 at bound 6 is
+    # exactly low**2.  1009 * 1013 at bound 1000 is unproven too, and the
+    # prime just below 1001**2 is proven.  Past 2**11 the table holds a
+    # second chunk, starting past 2**11, where trial division to the bound
+    # 2**11 stops with low = bound + 1: the product of the two primes past
+    # 2**11 is below that chunk's first prime squared, yet unproven.
+    past = [next(q for q in itertools.count(b + 1) if is_prime(q)) for b in (2, 5, 6, 1000)]
+    below_low2 = next(m for m in range(1001**2 - 1, 0, -1) if is_prime(m))
+    past_2_11 = [p for p in mid if p > 1 << 11][:2]
+    edges_of_the_proof = [q * q for q in past] + [1009 * 1013, below_low2, math.prod(past_2_11)]
     hand = [
         edges[0][0] ** 2, r * big, end0**2 * big, first1**2 * big, end0**3, first1**3, end1**2 * first2**3 * big,
         in_chunk1[3] ** 2 * in_chunk1[-4] * big, in_chunk1[0] * in_chunk1[1],
         in_chunk1[5] * 999_983, 8 * 999_983, 999_983**2 * 3, 999_983 * 1_000_003,
         2**10 * 3**5 * 5**3 * 7 * 16_381 * 16_411 * big, 997 * 1009 * big, 13 * big, 7 * big,
+        *edges_of_the_proof,
     ]
     near = [below * above * big for below, above in pairs] + [below**2 * above for below, above in pairs]
     rng = random.Random(2004)
@@ -421,6 +443,33 @@ def test_trial_stage_matches_prime_oracle():
     for bound, q in ((5, 7), (6, 7), (r - 1, r)):
         budget = FactorBudget(trial_bound=bound, rho_rounds=0, ecm_curves=0)
         assert factorize(q * big, budget) == Factorization(q * big, (), q * big)
+
+
+def test_paper_lengths_factor_without_a_prime_test(monkeypatch):
+    # At N = 16 and N = 24 trial division proves every remainder prime, so
+    # factorize runs no Miller-Rabin round inside a sweep.
+    inside, factored, tested = [], [], []
+    real_mr, real_factorize = rrseq.numtheory._miller_rabin, rrseq.modsearch.factorize
+
+    def mr_spy(m, bases):
+        if inside:
+            tested.append(m)
+        return real_mr(m, bases)
+
+    def factorize_spy(g, budget):
+        inside.append(g)
+        factored.append(g)
+        try:
+            return real_factorize(g, budget)
+        finally:
+            inside.pop()
+
+    monkeypatch.setattr(rrseq.numtheory, "_miller_rabin", mr_spy)
+    monkeypatch.setattr(rrseq.modsearch, "factorize", factorize_spy)
+    is_prime.cache_clear()
+    rows = sweep(16, 2000) + sweep(24, 200)
+    assert len(factored) == len(rows) == 349
+    assert tested == []
 
 
 def _cached(reaches) -> int:
