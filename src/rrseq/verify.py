@@ -15,12 +15,16 @@ then reduces the N/2 + 1 distinct lags mod n.  `gram_check` stays on
 matrices, so the two certificates share only `_reduce`.
 
 `gram_check` checks every entry of the Gram product exactly, for a
-modulus of any size, with float64 matmuls of the residues or of limbs
-narrow enough that every partial sum stays below 2**53.  A product of
-circulants is circulant, so once each limb product is checked to be,
-only the first row of the Gram matrix is rebuilt as Python ints; its
-docstring has the bounds.  At most two limb circulants are alive at
-once, and no array outlives the call.
+modulus of any size, with float64 matmuls, exact while every partial sum
+stays below 2**53: one product of the residues when the entries fit,
+else one product per word-size prime p of the residues mod p, whose
+first rows the Chinese remainder theorem joins (the multi-modular
+product of FFLAS-FFPACK: Dumas, Giorgi & Pernet, *Dense linear algebra
+over word-size prime fields*, ACM TOMS 35, 2008).  A product of
+circulants is circulant, so once each product is checked to be, only
+the first row of the Gram matrix is rebuilt as Python ints; its
+docstring has the bounds.  One circulant is alive at a time, and only
+the table of primes, sieved once per process, outlives the call.
 
 `enumerate_binary_ideal` exhaustively lists every binary row of a given
 length whose mod-2 correlation is two-valued (peak 1, off-peak 0).  Read
@@ -42,13 +46,14 @@ sweep never touch it, and `import rrseq` does not load it.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .correlation import residue_profile
-from .numtheory import factorize, is_prime
+from .numtheory import _sieve, factorize, is_prime
 from .sequence import as_elements
 
 if TYPE_CHECKING:
@@ -107,17 +112,13 @@ def check_rr(seq: Sequence[int], n: int) -> RRCertificate:
 _FLOAT_EXACT = 2**53
 
 
-def _limb_bits(size: int) -> int:
-    """The widest limb w with size * (2**w - 1)**2 < 2**53."""
-    return (math.isqrt((_FLOAT_EXACT - 1) // size) + 1).bit_length() - 1
+@functools.cache
+def _word_primes() -> np.ndarray:
+    """Every prime in (2**21, 2**22), largest first, as int64."""
+    import numpy as np
 
-
-def _limb_count(size: int, n: int) -> int:
-    """Limbs per residue of a size-element row mod n in its Gram product: 1
-    while size * (n - 1)**2 < 2**53, else ceil(bitlen(n - 1) / _limb_bits(size))."""
-    if size * (n - 1) ** 2 < _FLOAT_EXACT:
-        return 1
-    return -(-(n - 1).bit_length() // _limb_bits(size))
+    primes = np.flatnonzero(np.frombuffer(_sieve(1 << 22), dtype=np.uint8))
+    return primes[primes > 1 << 21][::-1]
 
 
 def _circulant(col: Sequence[int]) -> np.ndarray:
@@ -138,8 +139,8 @@ def _gram_ok(residues: tuple[int, ...], n: int, peak: int) -> bool:
     import numpy as np
 
     size = len(residues)
-    limbs = _limb_count(size, n)
-    if limbs == 1:
+    bound = size * (n - 1) ** 2  # no Gram entry exceeds it
+    if bound < _FLOAT_EXACT:
         # The float64 product of the residues is the exact Gram matrix.
         circ = _circulant(residues)
         gram = (circ @ circ.T).astype(np.int64) % n
@@ -147,20 +148,25 @@ def _gram_ok(residues: tuple[int, ...], n: int, peak: int) -> bool:
         gram.flat[:: size + 1] -= peak
         return not gram.any()
 
-    w = _limb_bits(size)
-    cols = [[r >> w * a & (1 << w) - 1 for r in residues] for a in range(limbs)]
-    # Every limb product is circulant, as the Gram matrix is; once each is
-    # checked to be, the Gram matrix is fixed by its first row.
-    row = [0] * size
-    for a in range(limbs):
-        circ = _circulant(cols[a])
-        for b in range(a, limbs):
-            # Exact: every entry is below size * (2**w - 1)**2 < 2**53.
-            d = (circ @ (circ if a == b else _circulant(cols[b])).T).astype(np.int64)
-            if not ((d[1:, 1:] == d[:-1, :-1]).all() and (d[1:, 0] == d[:-1, -1]).all()):
-                return False
-            first = d[0] if a == b else d[0] + d[:, 0]  # d.T is the (b, a) product
-            row = [x + (v << w * (a + b)) for x, v in zip(row, first.tolist())]
+    # Each prime exceeds 2**21, so k of them multiply past 2**(21 k) > bound.
+    k = bound.bit_length() // 21 + 1
+    if k > len(_word_primes()):
+        raise ValueError(f"the Gram check mod n needs {k} primes in (2**21, 2**22), more than there are")
+    # row is the first row of the Gram matrix mod m, the product of the primes so far.
+    row, m = [0] * size, 1
+    for p in _word_primes()[:k].tolist():
+        # Balanced residues, |r| <= p // 2 < 2**21: every partial sum of the
+        # product is below size * 2**42 <= 2**53, so it is exact.
+        circ = _circulant([(r + p // 2) % p - p // 2 for r in residues])
+        d = circ @ circ.T
+        # d, the Gram matrix of the balanced residues, is circulant and
+        # congruent to the row's mod p; once it is checked to be circulant,
+        # its first row fixes it.
+        if not ((d[1:, 1:] == d[:-1, :-1]).all() and (d[1:, 0] == d[:-1, -1]).all()):
+            return False
+        # Garner's step: each new entry is x mod m and a mod p, in [0, m p).
+        inv = pow(m, -1, p)
+        row, m = [x + m * ((a - x) * inv % p) for x, a in zip(row, map(int, d[0].tolist()))], m * p
     row[0] -= peak
     return all(x % n == 0 for x in row)
 
@@ -171,20 +177,26 @@ def gram_check(seq: Sequence[int], n: int) -> bool:
 
     Every entry of every product is formed as an exact integer and
     checked; nothing is sampled, and no float tolerance is used.  float64
-    matmuls are exact while every partial sum is below 2**53.  When N *
-    (n - 1)**2 < 2**53 the product of the residues is the Gram matrix, and
-    all N**2 entries are reduced mod n.  Otherwise each residue is split
-    into L = ceil(bitlen(n - 1) / w) limbs, w the widest with N * (2**w -
-    1)**2 < 2**53: 24 bits at N = 16, 21 at N = MAX_LENGTH = 2048.  Each
-    limb product must be circulant, as the Gram matrix is (entry (i, j) is
-    C(j - i)): entry (i + 1, j + 1) equals entry (i, j), indices mod N.
-    The (b, a) product is the (a, b) one transposed, so only the L(L + 1)/2
-    pairs a <= b are formed.  Their first rows, and for a < b their first
-    columns, shifted by w * (a + b) bits and summed as Python ints, make
-    the first row of the Gram matrix, whose N entries are reduced mod n.
-    Limb a's circulant is built once and limb b's per product, so at most
-    two are alive: at N = 1024 with 2**521 - 1 (25 limbs, 325 products)
-    the traced peak is 34 MB.  README.md gives the cost at N = 2048.
+    matmuls are exact while every partial sum is below 2**53, and no Gram
+    entry exceeds B = N * (n - 1)**2.  When B < 2**53 the product of the
+    residues is the Gram matrix, and all N**2 entries are reduced mod n.
+    Otherwise it takes the k = bitlen(B) // 21 + 1 largest primes p in
+    (2**21, 2**22), whose product exceeds 2**(21 k) > B.  Reduced mod p
+    to balanced form, |r| <= p // 2 < 2**21, the residues keep every
+    partial sum below N * 2**42 <= 2**53 up to N = MAX_LENGTH = 2048, so
+    the one product per prime is exact and congruent to the Gram matrix
+    mod p.  Each product must be circulant, as the Gram matrix is (entry
+    (i, j) is C(j - i)): entry (i + 1, j + 1) equals entry (i, j),
+    indices mod N.  Its first row is then folded in by Garner's step of
+    the Chinese remainder theorem; as every Gram entry lies in [0, B],
+    the rebuilt first row is exact, and its N entries are reduced mod n.
+    So the number of products grows like 2 bitlen(n) / 21, linearly in
+    the size of n.  A modulus that would need more primes than the
+    140336 in that range, one of ~1.47 million bits, raises ValueError.
+    One circulant is alive at a time: at N = 1024 with 2**521 - 1 (51
+    primes) the traced peak is 25 MB.  The prime table is sieved on the
+    first call that needs it and kept (1.1 MB).  README.md gives the
+    cost at N = 2048.
     """
     n, residues = _reduce(seq, n)
     peak = sum(map(operator.mul, residues, residues)) % n  # C(0)

@@ -9,7 +9,7 @@ Each record holds an argv, its exit code and its stdout, in full when
 short and as a sha256 digest otherwise.  The matrix is every subcommand
 in csv and json, both row kinds, and for the subcommands that take
 --policy every policy, at N = 2, 3, 15, 16 and 24, plus `verify` at
-N = 128 with the multi-limb modulus 2**61 - 1.  `search` and `sweep` also
+N = 128 with the 61-bit modulus 2**61 - 1.  `search` and `sweep` also
 run at N = 16, 24 and 64 under the trial bounds 5 (the smallest that
 tries a prime past 3), 1000, 2**14 + 1 and the default 10**6.  Last
 comes `sweep -n 16 --primes-up-to 100000` in csv and json, the 9592-row

@@ -82,6 +82,61 @@ MUTANTS = (
             "tests/test_cli.py::test_search_negative_exit",
         ),
     ),
+    Mutant(
+        "gram-one-prime-short",
+        "src/rrseq/verify.py",
+        "k = bound.bit_length() // 21 + 1",
+        "k = bound.bit_length() // 21",
+        (
+            "tests/test_verify.py::test_gram_ok_forms_one_product_per_prime",
+            "tests/test_verify.py::test_exact_gram_matches_numpy_gram",
+            "tests/test_verify.py::test_gram_matches_exact_oracle_at_odd_sizes",
+        ),
+    ),
+    Mutant(
+        "gram-crt-without-inverse",
+        "src/rrseq/verify.py",
+        "m * ((a - x) * inv % p)",
+        "m * ((a - x) % p)",
+        (
+            "tests/test_verify.py::test_gram_matches_exact_oracle",
+            "tests/test_verify.py::test_exact_gram_path_on_n128_row",
+            "tests/test_verify.py::test_gram_agrees_with_profile_check_on_wide_moduli",
+            "tests/test_cli.py::test_verify_wide_modulus",
+        ),
+    ),
+    Mutant(
+        "gram-circulant-check-without-wraparound",
+        "src/rrseq/verify.py",
+        "if not ((d[1:, 1:] == d[:-1, :-1]).all() and (d[1:, 0] == d[:-1, -1]).all()):",
+        "if not (d[1:, 1:] == d[:-1, :-1]).all():",
+        ("tests/test_verify.py::test_gram_ok_checks_the_wraparound_of_each_product",),
+    ),
+    Mutant(
+        "profile-digit-one-byte-narrower",
+        "src/rrseq/correlation.py",
+        "b = ((size * (n - 1) ** 2).bit_length() + 7) // 8",
+        "b = ((size * (n - 1) ** 2).bit_length() - 1) // 8",
+        (
+            "tests/test_correlation.py::test_residue_profile_matches_oracle",
+            "tests/test_correlation.py::test_matches_oracle_on_random_rows",
+            "tests/test_verify.py::test_check_rr_matches_exact_profile_oracle",
+        ),
+    ),
+    Mutant(
+        "closed-form-n2-factor",
+        "src/rrseq/modsearch.py",
+        "h = 4 if n == 2 else",
+        "h = 2 if n == 2 else",
+        ("tests/test_modsearch.py::test_doubling_closed_form_matches_oracle[2]",),
+    ),
+    Mutant(
+        "ecm-stage2-drops-baby-steps",
+        "src/rrseq/numtheory.py",
+        "acc = acc * (gx - xs[b]) % n",
+        "acc = acc * gx % n",
+        ("tests/test_numtheory.py::test_ecm_matches_sympy_factorint",),
+    ),
 )
 
 

@@ -180,8 +180,9 @@ def test_verify_failure(capsys):
     assert row["verified"] == "false"
 
 
-def test_verify_multi_limb_modulus(capsys):
-    # the canonical modulus of the N = 128 row for p = 3 has 125 bits
+def test_verify_wide_modulus(capsys):
+    # the canonical modulus of the N = 128 row for p = 3 has 125 bits, so
+    # the Gram check rebuilds its entries from several primes
     m = "37809151880104273718152734159085356829"
     code, out, _ = run(["verify", "-p", "3", "-n", "128", "-m", m], capsys)
     assert code == 0

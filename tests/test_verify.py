@@ -13,17 +13,16 @@ import pytest
 from rrseq import verify
 from rrseq.correlation import periodic_autocorr
 from rrseq.modsearch import find_modulus
-from rrseq.numtheory import FactorBudget, factorize
-from rrseq.sequence import ROW_POWERS, build_seed
+from rrseq.numtheory import FactorBudget, factorize, primes_up_to
+from rrseq.sequence import MAX_LENGTH, ROW_POWERS, build_seed
 from rrseq.verify import (
     BinaryWitness,
     RRCertificate,
     _circulant,
     _gram_ok,
-    _limb_bits,
-    _limb_count,
     _odd_units,
     _rot,
+    _word_primes,
     check_rr,
     enumerate_binary_ideal,
     gram_check,
@@ -72,6 +71,27 @@ def _agree_with_oracle(residues, n, rng):
     bpeak = sum(r * r for r in bumped) % n
     assert _gram_ok(bumped, n, bpeak) == _gram_ok_exact(bumped, n, bpeak), (n, bumped)
     return verdict
+
+
+class _Counted(np.ndarray):
+    """A circulant that counts the products formed from it."""
+
+    products = 0
+
+    def __matmul__(self, other):
+        _Counted.products += 1
+        return np.asarray(self) @ np.asarray(other)
+
+
+def _products(size, n):
+    """The float64 products `_gram_ok` forms mod n on a row of size
+    elements: 1 while size * (n - 1)**2 < 2**53, else one per prime.  A
+    delta row passes, so no product is skipped."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(verify, "_circulant", lambda col: _circulant(col).view(_Counted))
+        _Counted.products = 0
+        assert _gram_ok((1,) + (0,) * (size - 1), n, 1)
+        return _Counted.products
 
 
 def _max_residue_row(size, n):
@@ -136,11 +156,11 @@ def test_nonprime_modulus_rejected():
 
 
 def test_gram_exact_path_large_modulus():
-    # 2 * (n - 1)**2 >= 2**53, so the product runs on three limbs, of 26
-    # bits at N = 2 and of 25 bits at N = 3
+    # 2 * (n - 1)**2 >= 2**53, so the Gram matrix is rebuilt from six
+    # primes: N * (n - 1)**2 has 123 bits at N = 2 and 124 at N = 3
     n = 2**61 - 1
-    assert _limb_count(2, n) == 3
-    assert _limb_count(3, n) == 3
+    assert _products(2, n) == 6
+    assert _products(3, n) == 6
     assert gram_check([1, n], n)
     assert check_rr([1, n], n).verified
     assert not gram_check([1, 2, n], n)
@@ -165,18 +185,18 @@ def test_verified_rows_pass_gram():
 
 
 def test_exact_gram_matches_numpy_gram():
-    # The one-limb/multi-limb boundary for N = 16 sits at 16 * (n - 1)**2 = 2**53:
+    # The one-product/multi-prime boundary for N = 16 sits at 16 * (n - 1)**2 = 2**53:
     # 23726561 is the largest prime below it and 23726569 the smallest above.
     below, above = 23726561, 23726569
     assert 16 * (below - 1) ** 2 < 2**53 <= 16 * (above - 1) ** 2
-    assert _limb_count(16, below) == 1
-    assert _limb_count(16, above) == 2
+    assert _products(16, below) == 1
+    assert _products(16, above) == 3  # 54 bits: 54 // 21 + 1
     rng = random.Random(7)
     for n in (below, above):
         assert _agree_with_oracle(_max_residue_row(16, n), n, rng)
         assert gram_check(_max_residue_row(16, n), n)
     for p, size, m in ((2, 16, 331), (11, 16, 47), (29, 15, 19), (31, 16, 7)):
-        assert _limb_count(size, m) == 1
+        assert _products(size, m) == 1
         for _ in range(20):
             assert _agree_with_oracle([e % m for e in build_seed(p, size)], m, rng)
 
@@ -184,17 +204,17 @@ def test_exact_gram_matches_numpy_gram():
 def test_exact_gram_path_on_n128_row():
     row = build_seed(2, 128)
     m = find_modulus(row).canonical
-    assert 128 * (m - 1) ** 2 >= 2**53  # past the one-limb bound
-    assert _limb_count(128, m) == 6  # a 126-bit modulus on 23-bit limbs
+    assert 128 * (m - 1) ** 2 >= 2**53  # past the one-product bound
+    assert _products(128, m) == 13  # a 126-bit modulus: 258 // 21 + 1
     assert gram_check(row, m)
     bumped = (row[0] + 1,) + row[1:]
     assert not gram_check(bumped, m)
 
 
-# Fixed primes for 1 to 7 limbs at every size, then the P-192 prime for 8
-# limbs up to N = 16 and 9 at N = 128; 2**160 - 2**31 - 1 is the secp160r1
-# prime.  The canonical moduli of N = 128 doubling rows take 2 (p = 5, 36
-# bits), 3 to 4 (p = 37, 72 bits) and 5 to 6 (p = 2, 126 bits) limbs.
+# Fixed primes from one product (331) to 19 primes (the P-192 prime);
+# 2**160 - 2**31 - 1 is the secp160r1 prime.  The canonical moduli of
+# N = 128 doubling rows take 4 (p = 5, 36 bits), 7 to 8 (p = 37, 72 bits)
+# and 13 (p = 2, 126 bits) primes.
 GRAM_MODULI = (
     331,
     2**31 - 1,
@@ -206,17 +226,19 @@ GRAM_MODULI = (
     2**192 - 2**64 - 1,
 )
 N128_ROWS = (5, 37, 2)
+# The Gram products those moduli take at N = 2, 3, 16 and 127 to 130
+PRODUCTS_SEEN = {1, 4, 6, 7, 8, 9, 11, 13, 16, 19}
 
 
 def test_gram_matches_exact_oracle():
     rng = random.Random(5)
     canonical = {p: find_modulus(build_seed(p, 128)).canonical for p in N128_ROWS}
-    limbs_seen = set()
+    products_seen = set()
     for k, n in enumerate(GRAM_MODULI + tuple(canonical.values())):
         # the oracle takes ~0.2 s per passing row of 128 elements, so each
         # modulus gets one of the three large sizes
         for size in (2, 3, 16, (127, 128, 130)[k % 3]):
-            limbs_seen.add(_limb_count(size, n))
+            products_seen.add(_products(size, n))
             c = rng.randrange(1, n)
             assert _agree_with_oracle([c] + [0] * (size - 1), n, rng)
             assert _agree_with_oracle(_max_residue_row(size, n), n, rng)
@@ -226,22 +248,22 @@ def test_gram_matches_exact_oracle():
     for p, n in canonical.items():
         c = rng.randrange(1, n)
         assert _agree_with_oracle([c * e % n for e in build_seed(p, 128)], n, rng)
-    # the all-zero row is peak 0 times I on one limb and on several
+    # the all-zero row is peak 0 times I on one product and on several
     for n in (331, 2**61 - 1):
         assert _agree_with_oracle((0,) * 16, n, rng)
-    assert limbs_seen == set(range(1, 10))
+    assert products_seen == PRODUCTS_SEEN
 
 
 def test_check_rr_matches_exact_profile_oracle():
-    # the rows of test_gram_matches_exact_oracle, 1 to 9 limbs, each entry
-    # moved by a multiple of n so the row has negative entries and entries
-    # above n while its residues stay the same
+    # the rows of test_gram_matches_exact_oracle, 1 to 19 Gram products,
+    # each entry moved by a multiple of n so the row has negative entries
+    # and entries above n while its residues stay the same
     rng = random.Random(16)
     canonical = {p: find_modulus(build_seed(p, 128)).canonical for p in N128_ROWS}
-    limbs_seen, verified = set(), 0
+    products_seen, verified = set(), 0
     for k, n in enumerate(GRAM_MODULI + tuple(canonical.values())):
         for size in (2, 3, 16, (127, 128, 130)[k % 3]):
-            limbs_seen.add(_limb_count(size, n))
+            products_seen.add(_products(size, n))
             rows = (
                 [rng.randrange(1, n)] + [0] * (size - 1),
                 _max_residue_row(size, n),
@@ -260,22 +282,36 @@ def test_check_rr_matches_exact_profile_oracle():
         assert check_rr(row, n).verified
         row = [-e for e in row]
         assert check_rr(row, n) == _check_rr_exact(row, n)
-    assert limbs_seen == set(range(1, 10))
+    assert products_seen == PRODUCTS_SEEN
     assert verified >= 2 * len(GRAM_MODULI + N128_ROWS)
 
 
-def test_gram_ok_checks_every_limb_product_is_circulant(monkeypatch):
-    # A delta row (c, 0, ..., 0) passes on three limbs.  Row 0 of a limb
-    # product A @ B.T is A[0, 0] * B[:, 0] and column 0 is B[0, 0] * A[:, 0],
-    # as A[0] = (c_a, 0, ..., 0) and B[0] = (c_b, 0, ..., 0), so bumping
-    # entry (1, 1) of each limb circulant leaves every first row and first
-    # column, and a check that rebuilt the Gram matrix from those alone
-    # would still pass.  Row 1 of the products moves, so they are no longer
-    # circulant.
+def test_gram_agrees_with_profile_check_on_wide_moduli():
+    # test_gram_agrees_with_profile_check past the one-product bound:
+    # every candidate of the N = 128 doubling rows, then a passing and a
+    # random row mod each fixed prime of GRAM_MODULI above 331
+    rng = random.Random(128)
+    for p in N128_ROWS:
+        row = build_seed(p, 128)
+        for q in find_modulus(row).all_moduli():
+            assert gram_check(row, q) == check_rr(row, q).verified, (p, q)
+    for n in GRAM_MODULI[1:]:
+        for size in (2, 5, 16):
+            rows = (_max_residue_row(size, n), [rng.randrange(-n, 2 * n) for _ in range(size)])
+            for row in rows:
+                assert gram_check(row, n) == check_rr(row, n).verified, (n, row)
+
+
+def test_gram_ok_checks_every_prime_product_is_circulant(monkeypatch):
+    # A delta row (c, 0, ..., 0) passes on seven primes.  Row 0 of a
+    # product A @ A.T is A[0, 0] * A[:, 0], as A[0] = (c_p, 0, ..., 0), so
+    # bumping entry (1, 1) of each circulant leaves every first row, and a
+    # check that rebuilt the Gram matrix from those alone would still
+    # pass.  Row 1 of the products moves, so they are no longer circulant.
     n = 2**61 - 1
     residues = (2**40 + 12345,) + (0,) * 15
     peak = residues[0] ** 2 % n
-    assert _limb_count(16, n) == 3
+    assert _products(16, n) == 7
     assert _gram_ok(residues, n, peak)
 
     def bumped(col):
@@ -287,52 +323,86 @@ def test_gram_ok_checks_every_limb_product_is_circulant(monkeypatch):
     assert not _gram_ok(residues, n, peak)
 
 
-def test_limb_width_is_the_widest_exact_one():
-    # the largest w with N * (2**w - 1)**2 < 2**53, found by counting up
-    widths = {}
-    for size in range(2, 2049):
-        w = 1
-        while size * (2 ** (w + 1) - 1) ** 2 < 2**53:
-            w += 1
-        widths[size] = w
-        assert _limb_bits(size) == w, size
-        assert _limb_count(size, 2**127 - 1) == -(-127 // w), size
-    assert [widths[size] for size in (2, 16, 128, 2048)] == [26, 24, 23, 21]
-
-
-def test_gram_ok_forms_each_limb_pair_once(monkeypatch):
-    # The (b, a) limb product is the (a, b) one transposed, so L limbs take
-    # L * (L + 1) / 2 products, not L**2; one limb takes one product.
-    class Counted(np.ndarray):
-        products = 0
-
+def test_gram_ok_checks_the_wraparound_of_each_product(monkeypatch):
+    # Adding 1 below the diagonal keeps every product constant along its
+    # diagonals (Toeplitz) and keeps its first row, but entry (i + 1, 0) no
+    # longer equals entry (i, N - 1): the product is not circulant.
+    class Skewed(np.ndarray):
         def __matmul__(self, other):
-            Counted.products += 1
-            return np.asarray(self) @ np.asarray(other)
+            d = np.asarray(self) @ np.asarray(other)
+            return d + np.tri(*d.shape, -1)
 
-    monkeypatch.setattr("rrseq.verify._circulant", lambda col: _circulant(col).view(Counted))
+    row = build_seed(2, 128)
+    m = find_modulus(row).canonical
+    residues = tuple(e % m for e in row)
+    peak = sum(r * r for r in residues) % m
+    assert _products(128, m) == 13 and _gram_ok(residues, m, peak)
+    monkeypatch.setattr("rrseq.verify._circulant", lambda col: _circulant(col).view(Skewed))
+    assert not _gram_ok(residues, m, peak)
+
+
+def test_word_primes_keep_every_product_exact():
+    # Every prime in (2**21, 2**22), largest first: none has a prime factor
+    # up to 2**11, its square root, and there are pi(2**22) - pi(2**21) =
+    # 295947 - 155611 of them.  A balanced residue has |r| <= p // 2 <
+    # 2**21, so a row of up to MAX_LENGTH = 2048 elements keeps every
+    # partial sum within 2**53.
+    primes = _word_primes()
+    assert len(primes) == 295947 - 155611
+    assert (np.diff(primes) < 0).all()
+    assert 2**21 < primes[-1] and primes[0] < 2**22
+    for q in primes_up_to(2**11):
+        assert (primes % q).all(), q
+    assert MAX_LENGTH * (2**21) ** 2 <= 2**53
+    assert MAX_LENGTH * (int(primes[0]) // 2) ** 2 < 2**53
+
+
+def test_gram_ok_forms_one_product_per_prime(monkeypatch):
+    # k = bitlen(N * (n - 1)**2) // 21 + 1 primes above 2**21 multiply past
+    # every Gram entry, and each takes one product; below 2**53 one product
+    # of the residues is the Gram matrix.
+    monkeypatch.setattr("rrseq.verify._circulant", lambda col: _circulant(col).view(_Counted))
     row = build_seed(2, 128)
     m = find_modulus(row).canonical
     q = 2**61 - 1
-    cases = ((build_seed(2, 16), 331, 1), (_max_residue_row(16, q), q, 3), (row, m, 6))
-    for seq, n, limbs in cases:
+    cases = (
+        (build_seed(2, 16), 331, 1),
+        (_max_residue_row(16, 23726561), 23726561, 1),  # 16 * (n - 1)**2 just below 2**53
+        (_max_residue_row(16, 23726569), 23726569, 3),  # and just above: 54 bits
+        (_max_residue_row(2, 2**31 - 1), 2**31 - 1, 4),  # 63 bits, a multiple of 21
+        (_max_residue_row(16, q), q, 7),
+        (row, m, 13),
+    )
+    for seq, n, products in cases:
         residues = tuple(e % n for e in seq)
         peak = sum(r * r for r in residues) % n
-        assert _limb_count(len(residues), n) == limbs
-        Counted.products = 0
+        bits = (len(residues) * (n - 1) ** 2).bit_length()
+        assert products == (1 if bits <= 53 else bits // 21 + 1), (n, bits)
+        _Counted.products = 0
         assert _gram_ok(residues, n, peak)
-        assert Counted.products == limbs * (limbs + 1) // 2, (n, limbs)
+        assert _Counted.products == products, (n, products)
+    assert (2 * (2**31 - 2) ** 2).bit_length() == 63
 
 
-def test_gram_check_memory_does_not_grow_with_limbs():
-    # Only the two limb circulants a product multiplies are alive, so the
-    # traced peak is a few N x N float64 arrays at 5 limbs and at 24 alike.
+def test_gram_ok_refuses_a_modulus_past_its_primes():
+    # 140336 primes lie in (2**21, 2**22); a Gram entry of more bits than
+    # 21 times that many would need more, and raises rather than use too few
+    assert len(_word_primes()) == 140336
+    n = 1 << 21 * 70200
+    with pytest.raises(ValueError, match=r"needs 140401 primes in \(2\*\*21, 2\*\*22\), more than there are"):
+        _gram_ok((1, 0), n, 1)
+
+
+def test_gram_check_memory_does_not_grow_with_primes():
+    # One circulant is alive at a time, so the traced peak is a few N x N
+    # float64 arrays at 9 primes and at 51 alike.  The prime table is built
+    # once per process, before the traced calls.
     size = 256
     circ_bytes = size * size * 8
     row = build_seed(3, size)
-    delta = (2**520 + 12345,) + (0,) * (size - 1)  # nonzero in every limb
-    for seq, q, limbs in ((row, 2**89 - 1, 5), (row, 2**521 - 1, 24), (delta, 2**521 - 1, 24)):
-        assert _limb_count(size, q) == limbs
+    delta = (2**520 + 12345,) + (0,) * (size - 1)  # nonzero mod every prime
+    for seq, q, products in ((row, 2**89 - 1, 9), (row, 2**521 - 1, 51), (delta, 2**521 - 1, 51)):
+        assert _products(size, q) == products
         tracemalloc.start()  # numpy is already imported, so not traced
         try:
             verdict = gram_check(seq, q)
@@ -340,7 +410,7 @@ def test_gram_check_memory_does_not_grow_with_limbs():
         finally:
             tracemalloc.stop()
         assert verdict == check_rr(seq, q).verified
-        assert peak < 6 * circ_bytes, (limbs, peak / circ_bytes)
+        assert peak < 6 * circ_bytes, (products, peak / circ_bytes)
     assert verdict  # the delta row passes
 
 
@@ -349,7 +419,7 @@ def test_gram_check_returns_python_bool():
     row = build_seed(2, 16)
     multi = build_seed(2, 128)
     m = find_modulus(multi).canonical
-    assert _limb_count(16, 331) == 1 and _limb_count(128, m) > 1
+    assert _products(16, 331) == 1 and _products(128, m) > 1
     for seq, n, expected in ((row, 331, True), (row, 7, False), (multi, m, True), (multi, 2**61 - 1, False)):
         verdict = gram_check(seq, n)
         assert type(verdict) is bool and verdict is expected
