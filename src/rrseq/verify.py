@@ -23,8 +23,10 @@ product of FFLAS-FFPACK: Dumas, Giorgi & Pernet, *Dense linear algebra
 over word-size prime fields*, ACM TOMS 35, 2008).  A product of
 circulants is circulant, so once each product is checked to be, only
 the first row of the Gram matrix is rebuilt as Python ints; its
-docstring has the bounds.  One circulant is alive at a time, and only
-the table of primes, sieved once per process, outlives the call.
+docstring has the bounds.  The scalar of the identity is read off the
+product, not computed beside it.  One circulant is alive at a time, and
+only the few primes each count of products takes, found by Miller-Rabin,
+outlive the call.
 
 `enumerate_binary_ideal` exhaustively lists every binary row of a given
 length whose mod-2 correlation is two-valued (peak 1, off-peak 0).  Read
@@ -47,13 +49,14 @@ sweep never touch it, and `import rrseq` does not load it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .correlation import residue_profile
-from .numtheory import _sieve, factorize, is_prime
+from .numtheory import _miller_rabin, factorize, is_prime
 from .sequence import as_elements
 
 if TYPE_CHECKING:
@@ -113,12 +116,12 @@ _FLOAT_EXACT = 2**53
 
 
 @functools.cache
-def _word_primes() -> np.ndarray:
-    """Every prime in (2**21, 2**22), largest first, as int64."""
-    import numpy as np
-
-    primes = np.flatnonzero(np.frombuffer(_sieve(1 << 22), dtype=np.uint8))
-    return primes[primes > 1 << 21][::-1]
+def _word_primes(k: int) -> tuple[int, ...]:
+    """The k largest primes below 2**22, largest first.  The odd numbers
+    below 2**22 are tested to the bases 2, 3, 5 and 7, exact below psi_4
+    ~ 3.2e9 (Jaeschke 1993), so no table is sieved or kept."""
+    odd = range((1 << 22) - 1, 1 << 21, -2)
+    return tuple(itertools.islice((c for c in odd if _miller_rabin(c, (2, 3, 5, 7))), k))
 
 
 def _circulant(col: Sequence[int]) -> np.ndarray:
@@ -133,9 +136,10 @@ def _circulant(col: Sequence[int]) -> np.ndarray:
     return np.ndarray((size, size), np.float64, ext, 0, (ext.itemsize, ext.itemsize)).copy()
 
 
-def _gram_ok(residues: tuple[int, ...], n: int, peak: int) -> bool:
-    """True iff circ(residues) @ circ(residues).T is peak * I mod n, with
-    every one of the size**2 entries formed as an exact integer."""
+def _gram_ok(residues: tuple[int, ...], n: int) -> bool:
+    """True iff circ(residues) @ circ(residues).T is c * I mod n for some c
+    != 0 mod n, with every one of the size**2 entries formed as an exact
+    integer.  c is read off the product: its entry (0, 0)."""
     import numpy as np
 
     size = len(residues)
@@ -144,17 +148,18 @@ def _gram_ok(residues: tuple[int, ...], n: int, peak: int) -> bool:
         # The float64 product of the residues is the exact Gram matrix.
         circ = _circulant(residues)
         gram = (circ @ circ.T).astype(np.int64) % n
-        # peak * I: with peak taken off the diagonal, nothing is nonzero.
-        gram.flat[:: size + 1] -= peak
-        return not gram.any()
+        # c * I: with c taken off the diagonal, nothing is nonzero.
+        c = int(gram[0, 0])
+        gram.flat[:: size + 1] -= c
+        return c != 0 and not gram.any()
 
     # Each prime exceeds 2**21, so k of them multiply past 2**(21 k) > bound.
     k = bound.bit_length() // 21 + 1
-    if k > len(_word_primes()):
+    if k > 140336:  # pi(2**22) - pi(2**21), the primes in (2**21, 2**22)
         raise ValueError(f"the Gram check mod n needs {k} primes in (2**21, 2**22), more than there are")
     # row is the first row of the Gram matrix mod m, the product of the primes so far.
     row, m = [0] * size, 1
-    for p in _word_primes()[:k].tolist():
+    for p in _word_primes(k):
         # Balanced residues, |r| <= p // 2 < 2**21: every partial sum of the
         # product is below size * 2**42 <= 2**53, so it is exact.
         circ = _circulant([(r + p // 2) % p - p // 2 for r in residues])
@@ -167,13 +172,15 @@ def _gram_ok(residues: tuple[int, ...], n: int, peak: int) -> bool:
         # Garner's step: each new entry is x mod m and a mod p, in [0, m p).
         inv = pow(m, -1, p)
         row, m = [x + m * ((a - x) * inv % p) for x, a in zip(row, map(int, d[0].tolist()))], m * p
-    row[0] -= peak
-    return all(x % n == 0 for x in row)
+    # The rebuilt row is exact, so the Gram matrix is circulant with c = row[0].
+    return row[0] % n != 0 and all(x % n == 0 for x in row[1:])
 
 
 def gram_check(seq: Sequence[int], n: int) -> bool:
     """True iff the circulant of seq times its transpose, mod n, equals
-    a nonzero scalar (the peak correlation mod n) times the identity.
+    a nonzero scalar times the identity.  The scalar, the peak
+    correlation mod n, is read off the product itself, from its entry (0,
+    0), and no other computation of it is made.
 
     Every entry of every product is formed as an exact integer and
     checked; nothing is sampled, and no float tolerance is used.  float64
@@ -193,16 +200,13 @@ def gram_check(seq: Sequence[int], n: int) -> bool:
     So the number of products grows like 2 bitlen(n) / 21, linearly in
     the size of n.  A modulus that would need more primes than the
     140336 in that range, one of ~1.47 million bits, raises ValueError.
-    One circulant is alive at a time: at N = 1024 with 2**521 - 1 (51
-    primes) the traced peak is 25 MB.  The prime table is sieved on the
-    first call that needs it and kept (1.1 MB).  README.md gives the
-    cost at N = 2048.
+    The primes are found by Miller-Rabin, downward from 2**22, and the k
+    of each count are kept.  One circulant is alive at a time: at N =
+    1024 with 2**521 - 1 (51 primes) the traced peak is 25 MB.  README.md
+    gives the cost at N = 2048.
     """
     n, residues = _reduce(seq, n)
-    peak = sum(map(operator.mul, residues, residues)) % n  # C(0)
-    if peak == 0:
-        return False
-    return _gram_ok(residues, n, peak)
+    return _gram_ok(residues, n)
 
 
 def _rot(m: np.ndarray, k: int, n: int) -> np.ndarray:
@@ -434,8 +438,8 @@ def enumerate_binary_ideal(n: int) -> list[BinaryWitness]:
     masks = scan_masks(n)
     profiles = np.stack([np.bitwise_count(masks & _rot(masks, k, n)) & 1 for k in range(n)], axis=1)
     delta = (1,) + (0,) * (n - 1)
-    bad = np.flatnonzero((profiles != delta).any(axis=1))
-    if bad.size:
-        raise RuntimeError(f"length {n}: mask {int(masks[bad[0]]):0{n}b} fails the mod-2 two-valued test")
+    bad = (profiles != delta).any(axis=1)
+    if bad.any():
+        raise RuntimeError(f"length {n}: mask {int(masks[bad.argmax()]):0{n}b} fails the mod-2 two-valued test")
     bits = (masks[:, None] >> np.arange(n - 1, -1, -1, dtype=np.uint32)) & 1
     return [BinaryWitness(b, delta) for b in map(tuple, bits.tolist())]

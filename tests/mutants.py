@@ -113,6 +113,94 @@ MUTANTS = (
         ("tests/test_verify.py::test_gram_ok_checks_the_wraparound_of_each_product",),
     ),
     Mutant(
+        "gram-zero-scalar-passes",
+        "src/rrseq/verify.py",
+        "return c != 0 and not gram.any()",
+        "return not gram.any()",
+        (
+            "tests/test_verify.py::test_peak_killed_by_modulus",
+            "tests/test_verify.py::test_gram_agrees_with_profile_check",
+            "tests/test_verify.py::test_gram_matches_exact_oracle",
+            "tests/test_verify.py::test_zero_scalar_rows_fail_on_both_branches",
+        ),
+    ),
+    Mutant(
+        "gram-zero-scalar-passes-on-primes",
+        "src/rrseq/verify.py",
+        "return row[0] % n != 0 and all(",
+        "return all(",
+        (
+            "tests/test_verify.py::test_gram_matches_exact_oracle",
+            "tests/test_verify.py::test_zero_scalar_rows_fail_on_both_branches",
+        ),
+    ),
+    Mutant(
+        "gram-scalar-off-the-diagonal",
+        "src/rrseq/verify.py",
+        "c = int(gram[0, 0])",
+        "c = int(gram[0, 1])",
+        (
+            "tests/test_verify.py::test_certificate_for_reference_row",
+            "tests/test_verify.py::test_verified_rows_pass_gram",
+            "tests/test_verify.py::test_gram_ok_checks_the_whole_one_product",
+        ),
+    ),
+    Mutant(
+        "word-primes-without-miller-rabin",
+        "src/rrseq/verify.py",
+        "if _miller_rabin(c, (2, 3, 5, 7))",
+        "if c",
+        (
+            "tests/test_verify.py::test_word_primes_keep_every_product_exact",
+            "tests/test_verify.py::test_gram_exact_path_large_modulus",
+            "tests/test_verify.py::test_exact_gram_path_on_n128_row",
+        ),
+    ),
+    Mutant(
+        "doubling-peak-constant-off-by-one",
+        "src/rrseq/modsearch.py",
+        "((1 << 2 * n) - 4) // 3",
+        "((1 << 2 * n) - 1) // 3",
+        (
+            "tests/test_modsearch.py::test_doubling_closed_form_matches_oracle[2]",
+            "tests/test_modsearch.py::test_doubling_closed_form_matches_oracle[16]",
+            "tests/test_modsearch.py::test_doubling_closed_form_matches_oracle[128]",
+        ),
+    ),
+    Mutant(
+        "doubling-gcd-without-abs",
+        "src/rrseq/modsearch.py",
+        "abs(m) * h // 3",
+        "m * h // 3",
+        (
+            "tests/test_modsearch.py::test_doubling_closed_form_matches_oracle[2]",
+            "tests/test_modsearch.py::test_doubling_closed_form_matches_oracle[16]",
+            "tests/test_modsearch.py::test_doubling_closed_form_matches_oracle[17]",
+        ),
+    ),
+    Mutant(
+        "doubling-recogniser-ignores-last-element",
+        "src/rrseq/sequence.py",
+        "elems[1:] == _doubling_tail(len(elems))",
+        "elems[1:-1] == _doubling_tail(len(elems))[:-1]",
+        (
+            "tests/test_sequence.py::test_recogniser_reads_only_the_tail",
+            "tests/test_modsearch.py::test_changed_tail_takes_generic_path[3]",
+            "tests/test_modsearch.py::test_changed_tail_takes_generic_path[16]",
+        ),
+    ),
+    Mutant(
+        "orbit-tables-from-right-rotations",
+        "src/rrseq/verify.py",
+        "r = (c << k | c >> (m - k)) & full",
+        "r = (c >> k | c << (m - k)) & full",
+        (
+            "tests/test_kernels.py::test_scan_matches_brute_force_oracle[15]",
+            "tests/test_kernels.py::test_scan_matches_popcount_oracle[10]",
+            "tests/test_kernels.py::test_each_component_is_listed_as_the_mul_chain[11]",
+        ),
+    ),
+    Mutant(
         "profile-digit-one-byte-narrower",
         "src/rrseq/correlation.py",
         "b = ((size * (n - 1) ** 2).bit_length() + 7) // 8",

@@ -1,6 +1,7 @@
 """Certification: modular profile check, Gram cross-check, binary witnesses."""
 
 import csv
+import itertools
 import math
 import operator
 import random
@@ -13,7 +14,7 @@ import pytest
 from rrseq import verify
 from rrseq.correlation import periodic_autocorr
 from rrseq.modsearch import find_modulus
-from rrseq.numtheory import FactorBudget, factorize, primes_up_to
+from rrseq.numtheory import FactorBudget, _sieve, factorize, is_prime
 from rrseq.sequence import MAX_LENGTH, ROW_POWERS, build_seed
 from rrseq.verify import (
     BinaryWitness,
@@ -32,15 +33,20 @@ from rrseq.verify import (
 DATA = Path(__file__).parent / "data"
 
 
-def _gram_ok_exact(residues: tuple[int, ...], n: int, peak: int) -> bool:
+def _gram_ok_exact(residues: tuple[int, ...], n: int) -> bool:
     """Oracle for `_gram_ok`: every entry of the upper triangle of the
-    circulant Gram product as a plain Python sum, one reduction each."""
+    circulant Gram product as a plain Python sum, one reduction each.  It
+    passes iff every diagonal entry is the same scalar, that scalar is
+    nonzero mod n, and every other entry is 0 mod n."""
     size = len(residues)
     rows = [residues[i:] + residues[:i] for i in range(size)]
+    scalar = sum(map(operator.mul, rows[0], rows[0])) % n
+    if scalar == 0:
+        return False
     for i in range(size):
         ri = rows[i]
         for j in range(i, size):
-            if sum(map(operator.mul, ri, rows[j])) % n != (peak if i == j else 0):
+            if sum(map(operator.mul, ri, rows[j])) % n != (scalar if i == j else 0):
                 return False
     return True
 
@@ -57,19 +63,16 @@ def _check_rr_exact(row, n: int) -> RRCertificate:
 
 
 def _agree_with_oracle(residues, n, rng):
-    """_gram_ok and the oracle agree on residues, on one bumped copy and
-    against a wrong peak; returns the verdict on the unbumped residues."""
+    """_gram_ok and the oracle agree on residues and on one bumped copy;
+    returns the verdict on the unbumped residues."""
     residues = tuple(residues)
-    peak = sum(r * r for r in residues) % n
-    verdict = _gram_ok_exact(residues, n, peak)
-    assert _gram_ok(residues, n, peak) == verdict, (n, residues)
-    assert not _gram_ok(residues, n, (peak + 1) % n)
+    verdict = _gram_ok_exact(residues, n)
+    assert _gram_ok(residues, n) == verdict, (n, residues)
     bumped = list(residues)
     i = rng.randrange(len(bumped))
     bumped[i] = (bumped[i] + rng.randrange(1, n)) % n
     bumped = tuple(bumped)
-    bpeak = sum(r * r for r in bumped) % n
-    assert _gram_ok(bumped, n, bpeak) == _gram_ok_exact(bumped, n, bpeak), (n, bumped)
+    assert _gram_ok(bumped, n) == _gram_ok_exact(bumped, n), (n, bumped)
     return verdict
 
 
@@ -90,14 +93,15 @@ def _products(size, n):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(verify, "_circulant", lambda col: _circulant(col).view(_Counted))
         _Counted.products = 0
-        assert _gram_ok((1,) + (0,) * (size - 1), n, 1)
+        assert _gram_ok((1,) + (0,) * (size - 1), n)
         return _Counted.products
 
 
 def _max_residue_row(size, n):
-    """All residues n - 1 but the first, (size / 2 - 1) mod n.  Off-peak it
-    correlates to size - 2 * (size / 2) = 0 mod n, and its peak is
-    size**2 / 4 mod n, so it passes whenever n > size; its entries, nearly
+    """All residues n - 1 but the first, (size / 2 - 1) mod n (size / 2 is
+    size times the inverse of 2 mod n for odd n).  Off-peak it correlates
+    to size - 2 * (size / 2) = 0 mod n, and its peak is size**2 / 4 mod n,
+    so it passes iff n does not divide size; its entries, nearly
     size * (n - 1)**2, are the largest a row mod n can give."""
     return [(size * (n + 1) // 2 - 1) % n] + [n - 1] * (size - 1)
 
@@ -248,9 +252,10 @@ def test_gram_matches_exact_oracle():
     for p, n in canonical.items():
         c = rng.randrange(1, n)
         assert _agree_with_oracle([c * e % n for e in build_seed(p, 128)], n, rng)
-    # the all-zero row is peak 0 times I on one product and on several
+    # the all-zero row is 0 times I on one product and on several: its
+    # scalar is 0 mod n, so it fails
     for n in (331, 2**61 - 1):
-        assert _agree_with_oracle((0,) * 16, n, rng)
+        assert not _agree_with_oracle((0,) * 16, n, rng)
     assert products_seen == PRODUCTS_SEEN
 
 
@@ -302,6 +307,13 @@ def test_gram_agrees_with_profile_check_on_wide_moduli():
                 assert gram_check(row, n) == check_rr(row, n).verified, (n, row)
 
 
+def _bumped(col):
+    """The circulant of col with 1 added to entry (1, 1)."""
+    circ = _circulant(col)
+    circ[1, 1] += 1
+    return circ
+
+
 def test_gram_ok_checks_every_prime_product_is_circulant(monkeypatch):
     # A delta row (c, 0, ..., 0) passes on seven primes.  Row 0 of a
     # product A @ A.T is A[0, 0] * A[:, 0], as A[0] = (c_p, 0, ..., 0), so
@@ -310,17 +322,22 @@ def test_gram_ok_checks_every_prime_product_is_circulant(monkeypatch):
     # pass.  Row 1 of the products moves, so they are no longer circulant.
     n = 2**61 - 1
     residues = (2**40 + 12345,) + (0,) * 15
-    peak = residues[0] ** 2 % n
     assert _products(16, n) == 7
-    assert _gram_ok(residues, n, peak)
+    assert _gram_ok(residues, n)
+    monkeypatch.setattr("rrseq.verify._circulant", _bumped)
+    assert not _gram_ok(residues, n)
 
-    def bumped(col):
-        circ = _circulant(col)
-        circ[1, 1] += 1
-        return circ
 
-    monkeypatch.setattr("rrseq.verify._circulant", bumped)
-    assert not _gram_ok(residues, n, peak)
+def test_gram_ok_checks_the_whole_one_product(monkeypatch):
+    # The same bump on the one-product branch: entry (0, 0) of the Gram
+    # matrix, the scalar, stays c**2, but entry (1, 1) becomes c**2 + 1, so
+    # the diagonal is no longer one scalar.
+    n = 331
+    residues = (5,) + (0,) * 15
+    assert _products(16, n) == 1
+    assert _gram_ok(residues, n)
+    monkeypatch.setattr("rrseq.verify._circulant", _bumped)
+    assert not _gram_ok(residues, n)
 
 
 def test_gram_ok_checks_the_wraparound_of_each_product(monkeypatch):
@@ -335,26 +352,32 @@ def test_gram_ok_checks_the_wraparound_of_each_product(monkeypatch):
     row = build_seed(2, 128)
     m = find_modulus(row).canonical
     residues = tuple(e % m for e in row)
-    peak = sum(r * r for r in residues) % m
-    assert _products(128, m) == 13 and _gram_ok(residues, m, peak)
+    assert _products(128, m) == 13 and _gram_ok(residues, m)
     monkeypatch.setattr("rrseq.verify._circulant", lambda col: _circulant(col).view(Skewed))
-    assert not _gram_ok(residues, m, peak)
+    assert not _gram_ok(residues, m)
 
 
 def test_word_primes_keep_every_product_exact():
-    # Every prime in (2**21, 2**22), largest first: none has a prime factor
-    # up to 2**11, its square root, and there are pi(2**22) - pi(2**21) =
-    # 295947 - 155611 of them.  A balanced residue has |r| <= p // 2 <
-    # 2**21, so a row of up to MAX_LENGTH = 2048 elements keeps every
-    # partial sum within 2**53.
-    primes = _word_primes()
-    assert len(primes) == 295947 - 155611
-    assert (np.diff(primes) < 0).all()
-    assert 2**21 < primes[-1] and primes[0] < 2**22
-    for q in primes_up_to(2**11):
-        assert (primes % q).all(), q
+    # The sieve is the oracle: _word_primes(k) is the k largest primes in
+    # (2**21, 2**22), of which there are pi(2**22) - pi(2**21) = 295947 -
+    # 155611.  A balanced residue has |r| <= p // 2 < 2**21, so a row of up
+    # to MAX_LENGTH = 2048 elements keeps every partial sum within 2**53.
+    low = (1 << 21) + 1
+    primes = list(itertools.compress(range(low, 1 << 22), _sieve(1 << 22)[low:]))[::-1]
+    assert len(primes) == 295947 - 155611 == 140336
+    for k in (1, 2, 4, 7, 13, 51, 400):
+        assert _word_primes(k) == tuple(primes[:k]), k
     assert MAX_LENGTH * (2**21) ** 2 <= 2**53
-    assert MAX_LENGTH * (int(primes[0]) // 2) ** 2 < 2**53
+    assert MAX_LENGTH * (primes[0] // 2) ** 2 < 2**53
+
+
+def test_word_primes_leave_the_is_prime_memo_alone():
+    # The certificates rely on is_prime's memo still holding the modulus
+    # factorize tested; finding the word-size primes must not push it out.
+    is_prime(8515195201)
+    before = is_prime.cache_info()
+    assert _word_primes.__wrapped__(13) == _word_primes(13)
+    assert is_prime.cache_info() == before
 
 
 def test_gram_ok_forms_one_product_per_prime(monkeypatch):
@@ -375,28 +398,30 @@ def test_gram_ok_forms_one_product_per_prime(monkeypatch):
     )
     for seq, n, products in cases:
         residues = tuple(e % n for e in seq)
-        peak = sum(r * r for r in residues) % n
         bits = (len(residues) * (n - 1) ** 2).bit_length()
         assert products == (1 if bits <= 53 else bits // 21 + 1), (n, bits)
         _Counted.products = 0
-        assert _gram_ok(residues, n, peak)
+        assert _gram_ok(residues, n)
         assert _Counted.products == products, (n, products)
     assert (2 * (2**31 - 2) ** 2).bit_length() == 63
 
 
-def test_gram_ok_refuses_a_modulus_past_its_primes():
-    # 140336 primes lie in (2**21, 2**22); a Gram entry of more bits than
-    # 21 times that many would need more, and raises rather than use too few
-    assert len(_word_primes()) == 140336
+def test_gram_ok_refuses_a_modulus_past_its_primes(monkeypatch):
+    # 140336 primes lie in (2**21, 2**22) (test_word_primes_keep_every_product_exact);
+    # a Gram entry of more bits than 21 times that many would need more, and
+    # raises, before any product, rather than use too few
+    monkeypatch.setattr("rrseq.verify._circulant", lambda col: _circulant(col).view(_Counted))
+    _Counted.products = 0
     n = 1 << 21 * 70200
     with pytest.raises(ValueError, match=r"needs 140401 primes in \(2\*\*21, 2\*\*22\), more than there are"):
-        _gram_ok((1, 0), n, 1)
+        _gram_ok((1, 0), n)
+    assert _Counted.products == 0
 
 
 def test_gram_check_memory_does_not_grow_with_primes():
     # One circulant is alive at a time, so the traced peak is a few N x N
-    # float64 arrays at 9 primes and at 51 alike.  The prime table is built
-    # once per process, before the traced calls.
+    # float64 arrays at 9 primes and at 51 alike.  The primes of each count
+    # are found by `_products`, before the traced calls.
     size = 256
     circ_bytes = size * size * 8
     row = build_seed(3, size)
@@ -412,6 +437,47 @@ def test_gram_check_memory_does_not_grow_with_primes():
         assert verdict == check_rr(seq, q).verified
         assert peak < 6 * circ_bytes, (products, peak / circ_bytes)
     assert verdict  # the delta row passes
+
+
+def test_zero_scalar_rows_fail_on_both_branches():
+    # (1, g, g**2, g**3) with g**2 = -1 mod n, for a prime n = 1 mod 4:
+    # every correlation, the peak among them, is a multiple of 1 + g**2 = 0
+    # mod n, so its Gram matrix is 0 * I and both certificates refuse it,
+    # on one product (n = 5) and on four primes (n = 8515195201); so does
+    # the all-zero row
+    for n, products in ((5, 1), (8515195201, 4)):
+        g = next(g for g in (pow(h, (n - 1) // 4, n) for h in range(2, n)) if g * g % n == n - 1)
+        row = [1, g, g * g % n, pow(g, 3, n)]
+        assert _products(4, n) == products
+        cert = check_rr(row, n)
+        assert cert.offpeak_ok and cert.peak == 0 and not cert.verified
+        assert not _gram_ok_exact(tuple(row), n)
+        assert gram_check(row, n) is False
+        zero = [0, n, -n, 2 * n]
+        assert gram_check(zero, n) is False and not check_rr(zero, n).verified
+
+
+def test_first_wide_gram_check_keeps_no_table(fresh_python):
+    # In a fresh process, the first multi-prime Gram check finds its four
+    # primes by Miller-Rabin: its traced peak is a few small arrays, not a
+    # sieve of 2**22 (~6.4 MB traced), and it keeps ~2 KB, not a table of
+    # every prime in (2**21, 2**22) (~1.1 MB).
+    code = (
+        "import tracemalloc\n"
+        "import numpy\n"
+        "from rrseq.sequence import build_seed\n"
+        "from rrseq.verify import gram_check\n"
+        "row = build_seed(3, 60)\n"
+        "tracemalloc.start()\n"
+        "verdict = gram_check(row, 8515195201)\n"
+        "print(verdict, *tracemalloc.get_traced_memory())\n"
+    )
+    proc = fresh_python("-c", code)
+    assert proc.returncode == 0, proc.stderr
+    verdict, kept, peak = proc.stdout.split()
+    assert verdict == "True"
+    assert int(peak) < 1 << 20, peak
+    assert int(kept) < 64 << 10, kept
 
 
 def test_gram_check_returns_python_bool():
@@ -432,6 +498,9 @@ def test_gram_matches_exact_oracle_at_odd_sizes():
         for n in (3, 19, 331, 2**31 - 1, 2**61 - 1):
             c = rng.randrange(1, n)
             assert _agree_with_oracle([c] + [0] * (size - 1), n, rng)
+            # its off-peak entries are nonzero multiples of n, as large as
+            # a row mod n gives, so the primes must cover them
+            assert _agree_with_oracle(_max_residue_row(size, n), n, rng) == (size % n != 0)
             for _ in range(5):
                 _agree_with_oracle([rng.randrange(n) for _ in range(size)], n, rng)
     # doubling rows of length 15 that pass, from the reference table
