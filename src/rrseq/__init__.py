@@ -10,13 +10,11 @@ the reference tables.
 
 from .correlation import CorrProfile, autocorr_mod, periodic_autocorr
 from .modsearch import (
-    CandidateModulus,
     ModulusSearchOutcome,
     SearchStatus,
     SelectionPolicy,
     SweepRow,
     find_modulus,
-    search_prime,
     sweep,
 )
 from .numtheory import (
@@ -47,7 +45,6 @@ __version__ = "0.1.0"
 
 __all__ = [
     "BinaryWitness",
-    "CandidateModulus",
     "CorrProfile",
     "DEFAULT_BUDGET",
     "FactorBudget",
@@ -72,6 +69,5 @@ __all__ = [
     "periodic_autocorr",
     "primes_up_to",
     "scan_masks",
-    "search_prime",
     "sweep",
 ]

@@ -35,7 +35,7 @@ import sys
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .modsearch import SearchStatus, SelectionPolicy, SweepRow, _sweep_rows, search_prime
+from .modsearch import SearchStatus, SelectionPolicy, SweepRow, _sweep_rows, find_modulus
 from .numtheory import DEFAULT_BUDGET, SIEVE_LIMIT, FactorBudget
 from .sequence import MAX_LENGTH, ROW_DOUBLING, ROW_KINDS, build_seed, check_length
 from .correlation import periodic_autocorr
@@ -212,9 +212,9 @@ def _values(values) -> tuple[int, list[str]]:
 def _row_record(row: SweepRow) -> dict:
     o = row.outcome
     valid, every = [], []
-    for c in o.candidates:
-        every.append(str(c.q))
-        if c.peak_residue:
+    for q, r in o.candidates:
+        every.append(str(q))
+        if r:
             valid.append(every[-1])
     return {
         "index": row.index,
@@ -252,9 +252,10 @@ def _parse_seq(text: str) -> tuple[int, ...]:
 
 
 def _cmd_autocorr(args: argparse.Namespace) -> tuple[int, list[str]]:
-    if (args.seq is None) == (args.prime is None or args.length is None):
+    with_seq = args.seq is not None
+    if (args.prime is None) != with_seq or (args.length is None) != with_seq:
         raise ValueError("give either --seq or both -p and -n")
-    if args.seq is not None:
+    if with_seq:
         if args.row is not None:
             raise ValueError("--row builds the row from -p and -n; --seq gives it whole")
         elems = _parse_seq(args.seq)
@@ -264,7 +265,7 @@ def _cmd_autocorr(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 
 def _cmd_search(args: argparse.Namespace) -> tuple[int, dict]:
-    outcome = search_prime(args.prime, args.length, *_factoring(args), args.row)
+    outcome = find_modulus(build_seed(args.prime, args.length, args.row), *_factoring(args))
     fact = outcome.factorization
     record = {
         **_row_record(SweepRow(index=1, start_prime=args.prime, length=args.length, outcome=outcome)),
@@ -273,8 +274,8 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, dict]:
         "factorization": [f"{p}^{e}" for p, e in fact.factors],
         "cofactor": str(fact.cofactor),
         "candidates": [
-            {"q": str(c.q), "peak_residue": str(c.peak_residue), "valid": c.valid}
-            for c in outcome.candidates
+            {"q": str(q), "peak_residue": str(r), "valid": r != 0}
+            for q, r in outcome.candidates
         ],
     }
     return _STATUS_EXIT[outcome.status], record

@@ -1,11 +1,12 @@
 """Prime modulus search for seed rows.
 
 Pipeline per row: find the peak C(0) and the gcd of the off-peak
-autocorrelation values, factor the gcd within budget, and keep the
-prime factors whose peak residue C(0) mod q is nonzero.  Those primes
-are exactly the moduli that make the row's correlation two-valued: q
-dividing the gcd forces every off-peak value to 0 mod q, and the peak
-condition keeps the sequence itself from vanishing.
+autocorrelation values, factor the gcd within budget, and pair each
+prime factor q with its peak residue C(0) mod q.  The primes whose
+residue is nonzero are exactly the moduli that make the row's
+correlation two-valued: q dividing the gcd forces every off-peak value
+to 0 mod q, and the peak condition keeps the sequence itself from
+vanishing.
 
 A doubling row (p, 2, 4, ..., 2**(N-1)) needs no profile.  For
 1 <= k <= N - 1 its off-peak value is
@@ -61,30 +62,18 @@ class SearchStatus(enum.Enum):
 
 
 @dataclass(frozen=True)
-class CandidateModulus:
-    """A prime factor q of the off-peak gcd, with its peak residue C(0) mod q."""
-
-    q: int
-    peak_residue: int
-
-    @property
-    def valid(self) -> bool:
-        return self.peak_residue != 0
-
-
-@dataclass(frozen=True)
 class ModulusSearchOutcome:
+    """One row's search result.  `candidates` holds the pair (q, C(0) mod q)
+    for each prime q of `factorization.factors`, in the same order."""
+
     gcd_value: int
     factorization: Factorization
-    candidates: tuple[CandidateModulus, ...]
+    candidates: tuple[tuple[int, int], ...]
     status: SearchStatus
     canonical: int | None = None
 
     def valid_moduli(self) -> tuple[int, ...]:
-        return tuple(c.q for c in self.candidates if c.valid)
-
-    def all_moduli(self) -> tuple[int, ...]:
-        return tuple(c.q for c in self.candidates)
+        return tuple(q for q, r in self.candidates if r)
 
 
 @dataclass(frozen=True)
@@ -129,6 +118,12 @@ def find_modulus(
     budget: FactorBudget = DEFAULT_BUDGET,
 ) -> ModulusSearchOutcome:
     """Search for prime moduli giving the row a two-valued correlation.
+
+    The outcome holds the off-peak gcd (`gcd_value`), its factorization,
+    one candidate pair (q, C(0) mod q) per prime factor q, the status and
+    the `canonical` pick; `valid_moduli()` lists the q whose residue is
+    nonzero.  A row built from a starting prime is searched as
+    find_modulus(build_seed(p, n, kind)).
 
     Statuses:
       NO_SEQUENCE               -- the off-peak gcd is 1; no modulus exists.
@@ -187,7 +182,7 @@ def _outcome(peak: int, g: int, policy: SelectionPolicy, budget: FactorBudget) -
     valid = []
     for q, _ in fact.factors:
         residue = peak % q
-        candidates.append(CandidateModulus(q, residue))
+        candidates.append((q, residue))
         if residue:
             valid.append(q)
     if not valid:
@@ -196,17 +191,6 @@ def _outcome(peak: int, g: int, policy: SelectionPolicy, budget: FactorBudget) -
     # the factors ascend, so valid does; under ALL there is no single pick
     canonical = valid[0] if policy is _SMALLEST else valid[-1] if policy is _LARGEST else None
     return ModulusSearchOutcome(g, fact, tuple(candidates), _FOUND, canonical)
-
-
-def search_prime(
-    p: int,
-    n: int,
-    policy: SelectionPolicy | str = SelectionPolicy.LARGEST,
-    budget: FactorBudget = DEFAULT_BUDGET,
-    row_kind: str = ROW_DOUBLING,
-) -> ModulusSearchOutcome:
-    """find_modulus on the constructed row for starting prime p, length n."""
-    return find_modulus(build_seed(p, n, row_kind), policy, budget)
 
 
 def _sweep_rows(

@@ -25,7 +25,7 @@ import json
 from pathlib import Path
 
 from rrseq.cli import main
-from rrseq.modsearch import search_prime
+from rrseq.modsearch import find_modulus
 from rrseq.sequence import ROW_KINDS, build_seed
 
 OUT = Path(__file__).parent / "data" / "cli_golden.json"
@@ -45,8 +45,8 @@ FULL_SWEEP = ["sweep", "-n", "16", "--primes-up-to", "100000"]
 def _verify_modulus(n: int, row: str) -> int:
     """A modulus worth certifying: the row's largest valid candidate, else
     its largest candidate (a failing certificate), else 7."""
-    outcome = search_prime(PRIME, n, row_kind=row)
-    return max(outcome.valid_moduli() or outcome.all_moduli() or (7,))
+    outcome = find_modulus(build_seed(PRIME, n, row))
+    return max(outcome.valid_moduli() or tuple(q for q, _ in outcome.candidates) or (7,))
 
 
 def invocations() -> list[list[str]]:

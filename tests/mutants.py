@@ -219,6 +219,56 @@ MUTANTS = (
         ("tests/test_modsearch.py::test_doubling_closed_form_matches_oracle[2]",),
     ),
     Mutant(
+        "valid-moduli-from-zero-residues",
+        "src/rrseq/modsearch.py",
+        "return tuple(q for q, r in self.candidates if r)",
+        "return tuple(q for q, r in self.candidates if not r)",
+        (
+            "tests/test_modsearch.py::test_found_with_policies",
+            "tests/test_modsearch.py::test_candidates_pair_each_prime_factor_with_the_peak_residue[doubling-16]",
+            "tests/test_acceptance.py::test_criterion_1_reference_table_len16_membership",
+        ),
+    ),
+    Mutant(
+        "candidate-holds-the-peak",
+        "src/rrseq/modsearch.py",
+        "candidates.append((q, residue))",
+        "candidates.append((q, peak))",
+        (
+            "tests/test_modsearch.py::test_candidates_pair_each_prime_factor_with_the_peak_residue[doubling-16]",
+            "tests/test_modsearch.py::test_doubling_closed_form_matches_oracle[16]",
+            "tests/test_cli.py::test_search_json_fields",
+        ),
+    ),
+    Mutant(
+        "autocorr-seq-beside-p-or-n-accepted",
+        "src/rrseq/cli.py",
+        "if (args.prime is None) != with_seq or (args.length is None) != with_seq:",
+        "if (args.seq is None) == (args.prime is None or args.length is None):",
+        (
+            "tests/test_cli.py::test_options_a_subcommand_does_not_use_exit_2[argv4]",
+            "tests/test_cli.py::test_options_a_subcommand_does_not_use_exit_2[argv5]",
+        ),
+    ),
+    Mutant(
+        "failed-stdout-kept",
+        "src/rrseq/cli.py",
+        "            _drop_stdout()\n",
+        "",
+        ("tests/test_cli.py::test_stdout_on_full_device_exit_4[30]",),
+    ),
+    Mutant(
+        "sweep-rows-a-generator-function",
+        "src/rrseq/modsearch.py",
+        "    return (\n        SweepRow(",
+        "    yield from (\n        SweepRow(",
+        (
+            "tests/test_modsearch.py::test_sweep_rows_checks_its_arguments_at_the_call[low-bound]",
+            "tests/test_modsearch.py::test_sweep_rows_checks_its_arguments_at_the_call[policy]",
+            "tests/test_cli.py::test_refused_run_creates_no_out_file[argv3]",
+        ),
+    ),
+    Mutant(
         "ecm-stage2-drops-baby-steps",
         "src/rrseq/numtheory.py",
         "acc = acc * (gx - xs[b]) % n",

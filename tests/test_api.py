@@ -15,7 +15,6 @@ PERFBENCH_FILES = ("workloads.py", "checks.py")
 
 PUBLIC = {
     "BinaryWitness",
-    "CandidateModulus",
     "CorrProfile",
     "DEFAULT_BUDGET",
     "FactorBudget",
@@ -40,7 +39,6 @@ PUBLIC = {
     "periodic_autocorr",
     "primes_up_to",
     "scan_masks",
-    "search_prime",
     "sweep",
 }
 
@@ -104,7 +102,7 @@ SEARCH_PATH = """
 import sys
 import rrseq
 rrseq.sweep(16, 100)
-rrseq.search_prime(3, 16)
+rrseq.find_modulus(rrseq.build_seed(3, 16))
 assert rrseq.check_rr(rrseq.build_seed(3, 16), 3121).verified
 print("numpy" in sys.modules)
 assert rrseq.gram_check(rrseq.build_seed(3, 16), 3121)

@@ -240,7 +240,7 @@ def test_sweep_csv_round_trip(capsys):
         valid = tuple(int(t) for t in text_row["valid_candidates"].split(";") if t)
         assert valid == o.valid_moduli()
         everything = tuple(int(t) for t in text_row["all_candidates"].split(";") if t)
-        assert everything == o.all_moduli()
+        assert everything == tuple(q for q, _ in o.candidates)
         assert (text_row["efficient"] == "true") == ref.efficient
 
 
@@ -502,11 +502,13 @@ def test_each_subcommand_takes_only_the_options_it_uses():
         ["autocorr", "-p", "3", "-n", "4", "--trial-bound", "5"],
         ["verify", "-p", "2", "-n", "16", "-m", "331", "--policy", "smallest"],
         ["autocorr", "--seq", "2,4,8,16", "--row", "powers"],
+        ["autocorr", "--seq", "1,2,3", "-p", "3"],
+        ["autocorr", "--seq", "1,2,3", "-n", "5"],
     ],
 )
 def test_options_a_subcommand_does_not_use_exit_2(argv, capsys):
     try:
-        code = main(argv)  # --row beside --seq is refused after parsing
+        code = main(argv)  # --row, -p or -n beside --seq is refused after parsing
     except SystemExit as exc:
         code = exc.code
     assert code == 2

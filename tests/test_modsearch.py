@@ -8,14 +8,12 @@ import pytest
 import rrseq.modsearch
 import rrseq.numtheory
 from rrseq.modsearch import (
-    CandidateModulus,
     ModulusSearchOutcome,
     SearchStatus,
     SelectionPolicy,
     SweepRow,
     _sweep_rows,
     find_modulus,
-    search_prime,
     sweep,
 )
 from rrseq.numtheory import DEFAULT_BUDGET, SIEVE_LIMIT, FactorBudget, Factorization, factorize, primes_up_to
@@ -38,8 +36,8 @@ def oracle_outcome(row, budget):
     if g == 1:
         return ModulusSearchOutcome(1, Factorization(1, ()), (), SearchStatus.NO_SEQUENCE)
     fact = factorize(g, budget)
-    candidates = tuple(CandidateModulus(q, values[0] % q) for q, _ in fact.factors)
-    valid = [c.q for c in candidates if c.peak_residue]
+    candidates = tuple((q, values[0] % q) for q, _ in fact.factors)
+    valid = [q for q, r in candidates if r]
     if valid:
         return ModulusSearchOutcome(g, fact, candidates, SearchStatus.FOUND, max(valid))
     status = SearchStatus.NO_VALID_MODULUS if fact.complete else SearchStatus.INCOMPLETE_FACTORIZATION
@@ -125,32 +123,33 @@ def test_hand_oracle_failure_case():
     out = find_modulus(build_seed(2, 4, ROW_POWERS))
     assert out.gcd_value == 40
     assert out.factorization.factors == ((2, 3), (5, 1))
-    assert out.all_moduli() == (2, 5)
+    assert out.candidates == ((2, 0), (5, 0))  # 340 = 2^2 * 5 * 17
     assert out.valid_moduli() == ()
     assert out.status is SearchStatus.NO_VALID_MODULUS
     assert out.canonical is None
 
 
 def test_found_with_policies():
-    largest = search_prime(2, 16)
+    largest = find_modulus(build_seed(2, 16))
     assert largest.status is SearchStatus.FOUND
     assert largest.valid_moduli() == (3, 11, 331)
     assert largest.canonical == 331
 
-    smallest = search_prime(2, 16, SelectionPolicy.SMALLEST)
+    smallest = find_modulus(build_seed(2, 16), SelectionPolicy.SMALLEST)
     assert smallest.canonical == 3
 
-    every = search_prime(2, 16, SelectionPolicy.ALL)
+    every = find_modulus(build_seed(2, 16), SelectionPolicy.ALL)
     assert every.status is SearchStatus.FOUND
     assert every.canonical is None  # reported as a set, no single pick
     assert every.valid_moduli() == (3, 11, 331)
 
 
 def test_policy_given_by_its_value():
-    assert search_prime(3, 16).valid_moduli() == (2, 7, 3121)
-    assert search_prime(3, 16, "smallest").canonical == 2
-    assert search_prime(3, 16, "largest").canonical == 3121
-    assert search_prime(3, 16, "all") == search_prime(3, 16, SelectionPolicy.ALL)
+    row = build_seed(3, 16)
+    assert find_modulus(row).valid_moduli() == (2, 7, 3121)
+    assert find_modulus(row, "smallest").canonical == 2
+    assert find_modulus(row, "largest").canonical == 3121
+    assert find_modulus(row, "all") == find_modulus(row, SelectionPolicy.ALL)
     assert sweep(16, 10, "largest") == sweep(16, 10, SelectionPolicy.LARGEST)
     assert sweep(16, 10, "smallest") == sweep(16, 10, SelectionPolicy.SMALLEST)
     assert find_modulus([1, 2, 2, 3], "smallest").status is SearchStatus.NO_SEQUENCE
@@ -162,7 +161,7 @@ def test_unknown_policy_refused_before_any_factoring(monkeypatch):
 
     monkeypatch.setattr(rrseq.modsearch, "factorize", no_work)
     calls = [
-        lambda: search_prime(3, 16, "bogus"),
+        lambda: find_modulus(build_seed(3, 16), "bogus"),
         lambda: find_modulus(build_seed(3, 16), None),
         lambda: find_modulus([1, 2, 2, 3], "bogus"),  # gcd 1: no policy is ever read
         lambda: sweep(16, 10, "bogus"),
@@ -224,17 +223,32 @@ def test_rejects_degenerate_rows():
         find_modulus([0, 0, 1, 0])  # off-peak identically zero
 
 
-def test_candidate_validity_bookkeeping():
-    out = find_modulus(build_seed(2, 4, ROW_POWERS))
-    for cand in out.candidates:
-        assert cand.valid == (cand.peak_residue != 0)
-        assert 340 % cand.q == cand.peak_residue
+# (row, budget, status): doubling, powers and explicit signed rows, a row
+# with gcd 1, and a constant row whose 1009^2 stays unfactored.
+CANDIDATE_ROWS = [
+    pytest.param(build_seed(2, 16), DEFAULT_BUDGET, SearchStatus.FOUND, id="doubling-16"),
+    pytest.param(build_seed(3, 24), DEFAULT_BUDGET, SearchStatus.FOUND, id="doubling-24"),
+    pytest.param(build_seed(13, 128), DEFAULT_BUDGET, SearchStatus.FOUND, id="doubling-128"),
+    pytest.param(build_seed(2, 4, ROW_POWERS), DEFAULT_BUDGET, SearchStatus.NO_VALID_MODULUS, id="powers-4"),
+    pytest.param(build_seed(101, 6, ROW_POWERS), DEFAULT_BUDGET, SearchStatus.NO_VALID_MODULUS, id="powers-6"),
+    pytest.param([1, -2, 3], DEFAULT_BUDGET, SearchStatus.FOUND, id="signed-3"),
+    pytest.param([-6, 4, 9], DEFAULT_BUDGET, SearchStatus.FOUND, id="signed-3-mixed"),
+    pytest.param([-7, 8, -1, -8], DEFAULT_BUDGET, SearchStatus.FOUND, id="signed-4-mixed"),
+    pytest.param([1, 2, 2, 3], DEFAULT_BUDGET, SearchStatus.NO_SEQUENCE, id="gcd-1"),
+    pytest.param(
+        [2018, 2018], FactorBudget(trial_bound=2, rho_rounds=0, ecm_curves=0),
+        SearchStatus.INCOMPLETE_FACTORIZATION, id="incomplete",
+    ),
+]
 
 
-def test_search_prime_equals_find_modulus_on_built_row():
-    a = search_prime(7, 12)
-    b = find_modulus(build_seed(7, 12))
-    assert a == b
+@pytest.mark.parametrize("row, budget, status", CANDIDATE_ROWS)
+def test_candidates_pair_each_prime_factor_with_the_peak_residue(row, budget, status):
+    out = find_modulus(row, budget=budget)
+    peak = sum(x * x for x in row)
+    assert out.candidates == tuple((q, peak % q) for q, _ in out.factorization.factors)
+    assert out.valid_moduli() == tuple(q for q, r in out.candidates if r != 0)
+    assert out.status is status
 
 
 @pytest.mark.parametrize(

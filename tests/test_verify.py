@@ -298,7 +298,7 @@ def test_gram_agrees_with_profile_check_on_wide_moduli():
     rng = random.Random(128)
     for p in N128_ROWS:
         row = build_seed(p, 128)
-        for q in find_modulus(row).all_moduli():
+        for q, _ in find_modulus(row).candidates:
             assert gram_check(row, q) == check_rr(row, q).verified, (p, q)
     for n in GRAM_MODULI[1:]:
         for size in (2, 5, 16):
