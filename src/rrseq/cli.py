@@ -35,7 +35,7 @@ import sys
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .modsearch import SearchStatus, SelectionPolicy, SweepRow, _sweep_rows, find_modulus
+from .modsearch import ModulusSearchOutcome, SearchStatus, SelectionPolicy, _sweep_rows, find_modulus
 from .numtheory import DEFAULT_BUDGET, SIEVE_LIMIT, FactorBudget
 from .sequence import MAX_LENGTH, ROW_DOUBLING, ROW_KINDS, build_seed, check_length
 from .correlation import periodic_autocorr
@@ -209,23 +209,25 @@ def _values(values) -> tuple[int, list[str]]:
     return 0, [str(v) for v in values]
 
 
-def _row_record(row: SweepRow) -> dict:
-    o = row.outcome
+def _row_record(n: int, p: int, o: ModulusSearchOutcome) -> dict:
+    """The columns that search and sweep share, for the row of length n
+    and starting prime p with search outcome o.  `efficient` says the
+    canonical modulus is no larger than n."""
     valid, every = [], []
     for q, r in o.candidates:
         every.append(str(q))
         if r:
             valid.append(every[-1])
+    c = o.canonical
     return {
-        "index": row.index,
-        "start_prime": str(row.start_prime),
-        "length": row.length,
+        "start_prime": str(p),
+        "length": n,
         "gcd": str(o.gcd_value),
         "status": o.status._value_,  # the Enum.value property costs ~0.2 us
-        "canonical_modulus": None if o.canonical is None else str(o.canonical),
+        "canonical_modulus": None if c is None else str(c),
         "valid_candidates": valid,
         "all_candidates": every,
-        "efficient": row.efficient,
+        "efficient": c is not None and c <= n,
     }
 
 
@@ -268,7 +270,7 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, dict]:
     outcome = find_modulus(build_seed(args.prime, args.length, args.row), *_factoring(args))
     fact = outcome.factorization
     record = {
-        **_row_record(SweepRow(index=1, start_prime=args.prime, length=args.length, outcome=outcome)),
+        **_row_record(args.length, args.prime, outcome),
         "row": args.row,
         "factors": [{"prime": str(p), "exp": e} for p, e in fact.factors],
         "factorization": [f"{p}^{e}" for p, e in fact.factors],
@@ -282,8 +284,9 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, dict]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[int, Iterator[dict]]:
-    rows = _sweep_rows(args.length, args.primes_up_to, *_factoring(args), args.row)
-    return 0, map(_row_record, rows)
+    n = args.length
+    rows = _sweep_rows(n, args.primes_up_to, *_factoring(args), args.row)
+    return 0, ({"index": i, **_row_record(n, p, o)} for i, (p, o) in enumerate(rows, 1))
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
@@ -310,9 +313,9 @@ def _cmd_plotdata(args: argparse.Namespace) -> tuple[int, Iterator[dict]]:
         raise ValueError("plotdata needs a single canonical modulus per prime; use --policy smallest or largest")
     rows = _sweep_rows(args.length, args.primes_up_to, policy, budget, args.row)
     return 0, (
-        {"start_prime": str(r.start_prime), "canonical_modulus": str(r.outcome.canonical)}
-        for r in rows
-        if r.outcome.canonical is not None
+        {"start_prime": str(p), "canonical_modulus": str(o.canonical)}
+        for p, o in rows
+        if o.canonical is not None
     )
 
 

@@ -39,7 +39,7 @@ import enum
 import math
 import operator
 from dataclasses import dataclass
-from typing import Iterator, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 from .correlation import profile_values
 from .numtheory import DEFAULT_BUDGET, FactorBudget, Factorization, _primes, factorize
@@ -76,18 +76,12 @@ class ModulusSearchOutcome:
         return tuple(q for q, r in self.candidates if r)
 
 
-@dataclass(frozen=True)
-class SweepRow:
-    index: int
-    start_prime: int
-    length: int
-    outcome: ModulusSearchOutcome
+class SweepRow(NamedTuple):
+    """One row of a sweep: a starting prime and its search outcome.  A
+    plain pair, unpacked as `for p, outcome in sweep(n, bound)`."""
 
-    @property
-    def efficient(self) -> bool:
-        """Canonical modulus no larger than the row length."""
-        c = self.outcome.canonical
-        return c is not None and c <= self.length
+    start_prime: int
+    outcome: ModulusSearchOutcome
 
 
 # The members `_outcome` reads once a row, bound once: looking a member
@@ -196,8 +190,10 @@ def _outcome(peak: int, g: int, policy: SelectionPolicy, budget: FactorBudget) -
 def _sweep_rows(
     n: int, prime_bound: int, policy: SelectionPolicy | str, budget: FactorBudget, row_kind: str
 ) -> Iterator[SweepRow]:
-    """The rows of a sweep over the starting primes p <= prime_bound,
-    ascending, made one at a time as they are read.
+    """The rows SweepRow(p, outcome) of a sweep over the starting primes
+    p <= prime_bound, ascending, made one at a time as they are read.
+    Rows are not numbered: a reader that wants the 1-based row number
+    takes it from enumerate(rows, 1).
 
     Not a generator function: every argument is checked at the call, n
     and prime_bound must be integers (`operator.index`), and ValueError
@@ -210,15 +206,10 @@ def _sweep_rows(
     if prime_bound < 2:
         raise ValueError("prime bound must be at least 2")
     return (
-        SweepRow(
-            index=i,
-            start_prime=p,
-            length=n,
-            outcome=_outcome(*_doubling_peak_gcd(p, n), policy, budget)
-            if row_kind == ROW_DOUBLING
-            else find_modulus(build_seed(p, n, row_kind), policy, budget),
-        )
-        for i, p in enumerate(_primes(prime_bound), 1)
+        SweepRow(p, _outcome(*_doubling_peak_gcd(p, n), policy, budget))
+        if row_kind == ROW_DOUBLING
+        else SweepRow(p, find_modulus(build_seed(p, n, row_kind), policy, budget))
+        for p in _primes(prime_bound)
     )
 
 
@@ -231,12 +222,13 @@ def sweep(
 ) -> list[SweepRow]:
     """One search per starting prime p <= prime_bound, ascending.
 
-    Each row's outcome equals find_modulus(build_seed(p, n, row_kind),
-    policy, budget).  The starting primes come from a sieve.  A doubling
-    row is never built, so its p is not tested for primality again: its
-    peak and off-peak gcd come straight from the closed form in the
-    module docstring.  Any other kind is built by `build_seed`, which
-    tests p again.  Rows with a negative status are kept, never dropped.
+    Each row is the pair SweepRow(p, outcome), whose outcome equals
+    find_modulus(build_seed(p, n, row_kind), policy, budget).  The
+    starting primes come from a sieve.  A doubling row is never built,
+    so its p is not tested for primality again: its peak and off-peak
+    gcd come straight from the closed form in the module docstring.  Any
+    other kind is built by `build_seed`, which tests p again.  Rows with
+    a negative status are kept, never dropped.
     n and prime_bound must be integers (`operator.index`); every argument
     is checked before the sieve runs.
 

@@ -571,9 +571,10 @@ def _primes(bound: int) -> Iterator[int]:
 
 
 def primes_up_to(bound: int) -> list[int]:
-    """Ascending list of all primes <= bound (empty for bound < 2).
+    """Ascending list of all primes <= bound: empty for bound 0 and 1.
 
-    Raises ValueError above SIEVE_LIMIT, before any sieve is allocated,
-    and TypeError unless bound is an integer (`operator.index`).
+    Raises ValueError for a bound below 0 or above SIEVE_LIMIT, before
+    any sieve is allocated, and TypeError unless bound is an integer
+    (`operator.index`).
     """
     return list(_primes(bound))

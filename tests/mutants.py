@@ -260,12 +260,56 @@ MUTANTS = (
     Mutant(
         "sweep-rows-a-generator-function",
         "src/rrseq/modsearch.py",
-        "    return (\n        SweepRow(",
-        "    yield from (\n        SweepRow(",
+        "    return (\n        SweepRow(p, _outcome(",
+        "    yield from (\n        SweepRow(p, _outcome(",
         (
             "tests/test_modsearch.py::test_sweep_rows_checks_its_arguments_at_the_call[low-bound]",
             "tests/test_modsearch.py::test_sweep_rows_checks_its_arguments_at_the_call[policy]",
             "tests/test_cli.py::test_refused_run_creates_no_out_file[argv3]",
+        ),
+    ),
+    Mutant(
+        "efficient-strict",
+        "src/rrseq/cli.py",
+        '"efficient": c is not None and c <= n,',
+        '"efficient": c is not None and c < n,',
+        (
+            "tests/test_cli.py::test_efficient_flag",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden[search -p 3 -n 2 --row doubling --policy smallest --format csv]",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden[search -p 3 -n 2 --row doubling --policy smallest --format json]",
+        ),
+    ),
+    Mutant(
+        "sweep-rows-numbered-from-zero",
+        "src/rrseq/cli.py",
+        "enumerate(rows, 1)",
+        "enumerate(rows)",
+        (
+            "tests/test_cli.py::test_sweep_csv_round_trip",
+            "tests/test_cli.py::test_sweep_json_round_trip",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden[sweep -n 16 --primes-up-to 100000 --format json]",
+        ),
+    ),
+    Mutant(
+        "check-rr-stops-before-lag-half",
+        "src/rrseq/verify.py",
+        "values[1 : len(residues) // 2 + 1]",
+        "values[1 : len(residues) // 2]",
+        (
+            "tests/test_verify.py::test_lag_half_the_length_is_checked",
+            "tests/test_verify.py::test_check_rr_matches_exact_profile_oracle",
+            "tests/test_verify.py::test_gram_agrees_with_profile_check",
+        ),
+    ),
+    Mutant(
+        "residue-profile-fold-unshifted",
+        "src/rrseq/correlation.py",
+        "((z & ((1 << w * size) - 1)) << w)",
+        "(z & ((1 << w * size) - 1))",
+        (
+            "tests/test_correlation.py::test_residue_profile_matches_oracle",
+            "tests/test_correlation.py::test_hand_oracle_profile",
+            "tests/test_verify.py::test_certificate_for_reference_row",
         ),
     ),
     Mutant(

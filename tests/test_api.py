@@ -96,6 +96,11 @@ def test_factor_budget_fields():
         FactorBudget(rho_iters=1)
 
 
+def test_sweep_row_is_a_pair():
+    # the row number and the length are columns of the CLI, not of a row
+    assert rrseq.SweepRow._fields == ("start_prime", "outcome")
+
+
 # In a fresh interpreter: the search path never loads numpy, and the Gram
 # check and the witness scan load it at first use.
 SEARCH_PATH = """

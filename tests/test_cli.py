@@ -228,11 +228,10 @@ def test_sweep_csv_round_trip(capsys):
     parsed = list(csv.DictReader(io.StringIO(out)))
     reference = sweep(16, prime_bound=60)
     assert len(parsed) == len(reference)
-    for text_row, ref in zip(parsed, reference):
-        o = ref.outcome
-        assert int(text_row["index"]) == ref.index
-        assert int(text_row["start_prime"]) == ref.start_prime
-        assert int(text_row["length"]) == ref.length
+    for i, (text_row, (p, o)) in enumerate(zip(parsed, reference), 1):
+        assert int(text_row["index"]) == i
+        assert int(text_row["start_prime"]) == p
+        assert int(text_row["length"]) == 16
         assert int(text_row["gcd"]) == o.gcd_value
         assert text_row["status"] == o.status.value
         canonical = int(text_row["canonical_modulus"]) if text_row["canonical_modulus"] else None
@@ -241,7 +240,7 @@ def test_sweep_csv_round_trip(capsys):
         assert valid == o.valid_moduli()
         everything = tuple(int(t) for t in text_row["all_candidates"].split(";") if t)
         assert everything == tuple(q for q, _ in o.candidates)
-        assert (text_row["efficient"] == "true") == ref.efficient
+        assert (text_row["efficient"] == "true") == (canonical is not None and canonical <= 16)
 
 
 def test_sweep_json_round_trip(capsys):
@@ -249,12 +248,25 @@ def test_sweep_json_round_trip(capsys):
     objs = json.loads(out)
     reference = sweep(16, prime_bound=30)
     assert len(objs) == len(reference)
-    for obj, ref in zip(objs, reference):
-        assert obj["index"] == ref.index
-        assert int(obj["start_prime"]) == ref.start_prime
-        assert int(obj["gcd"]) == ref.outcome.gcd_value
-        assert [int(q) for q in obj["valid_candidates"]] == list(ref.outcome.valid_moduli())
-        assert obj["efficient"] == ref.efficient
+    for i, (obj, (p, o)) in enumerate(zip(objs, reference), 1):
+        assert obj["index"] == i
+        assert int(obj["start_prime"]) == p
+        assert obj["length"] == 16
+        assert int(obj["gcd"]) == o.gcd_value
+        assert [int(q) for q in obj["valid_candidates"]] == list(o.valid_moduli())
+        assert obj["efficient"] == (o.canonical is not None and o.canonical <= 16)
+
+
+def test_efficient_flag(capsys):
+    # efficient: the canonical modulus is at most the row length N
+    _, out, _ = run(["sweep", "-n", "16", "--primes-up-to", "40"], capsys)
+    rows = {r["start_prime"]: r for r in csv.DictReader(io.StringIO(out))}
+    assert (rows["31"]["canonical_modulus"], rows["31"]["efficient"]) == ("7", "true")
+    assert (rows["2"]["canonical_modulus"], rows["2"]["efficient"]) == ("331", "false")
+    # the boundary, canonical modulus == N
+    _, out, _ = run(["search", "-p", "3", "-n", "2", "--policy", "smallest", "--format", "json"], capsys)
+    record = json.loads(out)
+    assert (record["canonical_modulus"], record["efficient"]) == ("2", True)
 
 
 def test_plotdata_pairs(capsys):

@@ -261,16 +261,16 @@ def test_candidates_pair_each_prime_factor_with_the_peak_residue(row, budget, st
 @pytest.mark.parametrize("budget", [DEFAULT_BUDGET, FactorBudget(trial_bound=5), TRIAL_ONLY])
 def test_sweep_equals_find_modulus_on_built_rows(n, bound, row_kind, policy, budget):
     assert sweep(n, bound, policy, budget, row_kind) == [
-        SweepRow(i, p, n, find_modulus(build_seed(p, n, row_kind), policy, budget))
-        for i, p in enumerate(primes_up_to(bound), start=1)
+        SweepRow(p, find_modulus(build_seed(p, n, row_kind), policy, budget)) for p in primes_up_to(bound)
     ]
 
 
 def test_sweep_shape_and_order():
     rows = sweep(8, prime_bound=30)
     assert [r.start_prime for r in rows] == [2, 3, 5, 7, 11, 13, 17, 19, 23, 29]
-    assert [r.index for r in rows] == list(range(1, 11))
-    assert all(r.length == 8 for r in rows)
+    for row in rows:
+        p, outcome = row
+        assert p == row.start_prime and outcome is row.outcome is row[1]
 
 
 def test_sweep_keeps_negative_rows():
@@ -340,11 +340,3 @@ def test_n128_sweep_factors_every_row():
     assert len(rows) == 17
     assert all(r.outcome.factorization.complete for r in rows)
     assert all(r.outcome.status is SearchStatus.FOUND for r in rows)
-
-
-def test_efficient_flag():
-    rows = {r.start_prime: r for r in sweep(16, prime_bound=40)}
-    assert rows[31].outcome.canonical == 7
-    assert rows[31].efficient  # 7 <= 16
-    assert rows[2].outcome.canonical == 331
-    assert not rows[2].efficient
