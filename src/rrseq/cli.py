@@ -8,15 +8,16 @@ search, sweep and plotdata, which factor, also take --policy and
 Each subcommand checks its arguments, then returns an exit code and its
 records, dicts (or, for seed and autocorr, a bare value list) holding
 only JSON-typed values.  sweep and plotdata return their records as a
-lazy iterator, one per row, made only as it is read.  `_render` alone
-turns the records into pieces of CSV (default) or JSON text, and
-`_emit` writes each piece to stdout or --out as it comes, so a sweep
-holds one row at a time, not the whole table.  Output is byte-identical
-across runs for a fixed invocation:
-rows are emitted in ascending prime order, integers as exact decimals
-(JSON carries them as strings to survive tools that parse numbers as
-doubles), lines end with "\\n", and nothing time- or host-dependent is
-written.
+lazy iterator, one per row, made only as it is read, straight from the
+plain tuples of the search core (`modsearch._sweep_rows`): no
+Factorization, ModulusSearchOutcome or SweepRow is built for a row.
+`_render` alone turns the records into pieces of CSV (default) or JSON
+text, and `_emit` writes each piece to stdout or --out as it comes, so a
+sweep holds one row at a time, not the whole table.  Output is
+byte-identical across runs for a fixed invocation: rows are emitted in
+ascending prime order, integers as exact decimals (JSON carries them as
+strings to survive tools that parse numbers as doubles), lines end with
+"\\n", and nothing time- or host-dependent is written.
 
 Exit codes: 0 success/Found; 1 negative result (no valid modulus, or
 verification failed); 2 usage or domain error, before any output is
@@ -35,7 +36,7 @@ import sys
 from pathlib import Path
 from typing import Iterable, Iterator
 
-from .modsearch import ModulusSearchOutcome, SearchStatus, SelectionPolicy, _sweep_rows, find_modulus
+from .modsearch import SearchStatus, SelectionPolicy, _sweep_rows, find_modulus
 from .numtheory import DEFAULT_BUDGET, SIEVE_LIMIT, FactorBudget
 from .sequence import MAX_LENGTH, ROW_DOUBLING, ROW_KINDS, build_seed, check_length
 from .correlation import periodic_autocorr
@@ -209,25 +210,30 @@ def _values(values) -> tuple[int, list[str]]:
     return 0, [str(v) for v in values]
 
 
-def _row_record(n: int, p: int, o: ModulusSearchOutcome) -> dict:
+def _row_record(
+    index: int | None, n: int, p: int, g: int, candidates: tuple, status: SearchStatus, canonical: int | None
+) -> dict:
     """The columns that search and sweep share, for the row of length n
-    and starting prime p with search outcome o.  `efficient` says the
+    and starting prime p, from its plain search values: the off-peak gcd
+    g, the pairs (q, C(0) mod q), the status and the canonical modulus.
+    index is the sweep's 1-based row number, its first column; search has
+    none, passes None and writes no index column.  `efficient` says the
     canonical modulus is no larger than n."""
     valid, every = [], []
-    for q, r in o.candidates:
+    for q, r in candidates:
         every.append(str(q))
         if r:
             valid.append(every[-1])
-    c = o.canonical
     return {
+        "index": index,
         "start_prime": str(p),
         "length": n,
-        "gcd": str(o.gcd_value),
-        "status": o.status._value_,  # the Enum.value property costs ~0.2 us
-        "canonical_modulus": None if c is None else str(c),
+        "gcd": str(g),
+        "status": status._value_,  # the Enum.value property costs ~0.2 us
+        "canonical_modulus": None if canonical is None else str(canonical),
         "valid_candidates": valid,
         "all_candidates": every,
-        "efficient": c is not None and c <= n,
+        "efficient": canonical is not None and canonical <= n,
     }
 
 
@@ -267,26 +273,29 @@ def _cmd_autocorr(args: argparse.Namespace) -> tuple[int, list[str]]:
 
 
 def _cmd_search(args: argparse.Namespace) -> tuple[int, dict]:
-    outcome = find_modulus(build_seed(args.prime, args.length, args.row), *_factoring(args))
-    fact = outcome.factorization
+    o = find_modulus(build_seed(args.prime, args.length, args.row), *_factoring(args))
+    fact = o.factorization
     record = {
-        **_row_record(args.length, args.prime, outcome),
+        **_row_record(None, args.length, args.prime, o.gcd_value, o.candidates, o.status, o.canonical),
         "row": args.row,
         "factors": [{"prime": str(p), "exp": e} for p, e in fact.factors],
         "factorization": [f"{p}^{e}" for p, e in fact.factors],
         "cofactor": str(fact.cofactor),
         "candidates": [
             {"q": str(q), "peak_residue": str(r), "valid": r != 0}
-            for q, r in outcome.candidates
+            for q, r in o.candidates
         ],
     }
-    return _STATUS_EXIT[outcome.status], record
+    return _STATUS_EXIT[o.status], record
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[int, Iterator[dict]]:
     n = args.length
     rows = _sweep_rows(n, args.primes_up_to, *_factoring(args), args.row)
-    return 0, ({"index": i, **_row_record(n, p, o)} for i, (p, o) in enumerate(rows, 1))
+    return 0, (
+        _row_record(i, n, p, g, candidates, status, canonical)
+        for i, (p, g, _, _, candidates, status, canonical) in enumerate(rows, 1)
+    )
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
@@ -312,11 +321,7 @@ def _cmd_plotdata(args: argparse.Namespace) -> tuple[int, Iterator[dict]]:
     if policy is SelectionPolicy.ALL:
         raise ValueError("plotdata needs a single canonical modulus per prime; use --policy smallest or largest")
     rows = _sweep_rows(args.length, args.primes_up_to, policy, budget, args.row)
-    return 0, (
-        {"start_prime": str(p), "canonical_modulus": str(o.canonical)}
-        for p, o in rows
-        if o.canonical is not None
-    )
+    return 0, ({"start_prime": str(p), "canonical_modulus": str(c)} for p, *_, c in rows if c is not None)
 
 
 _PRIMES_UP_TO_HELP = f"search every starting prime up to B, at most {SIEVE_LIMIT}"

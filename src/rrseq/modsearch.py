@@ -31,6 +31,13 @@ is iff N is odd; N = 3 and N = 4 give 6 and 2 directly.)  The gcd is an
 integer because 3 | M for even N, and M = 0 makes every off-peak value
 zero.  So a doubling row's search front end is O(N) integer operations
 instead of the profile's product of two integers of about 2 N**2 bits.
+
+The search has one plain core, `_search`, which returns a row's result
+as the tuple (gcd, factors, cofactor, candidates, status, canonical).
+The public records are thin wrappers over it: `find_modulus` and `sweep`
+build a ModulusSearchOutcome, holding a Factorization, from those values
+(and `sweep` a SweepRow around it), while the CLI writes its rows from
+the tuples `_sweep_rows` yields and builds none of the three.
 """
 
 from __future__ import annotations
@@ -42,7 +49,7 @@ from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
 from .correlation import profile_values
-from .numtheory import DEFAULT_BUDGET, FactorBudget, Factorization, _primes, factorize
+from .numtheory import DEFAULT_BUDGET, FactorBudget, Factorization, _factor, _primes
 from .sequence import ROW_DOUBLING, _is_doubling, as_elements, build_seed, check_length, check_row_kind
 
 
@@ -84,10 +91,10 @@ class SweepRow(NamedTuple):
     outcome: ModulusSearchOutcome
 
 
-# The members `_outcome` reads once a row, bound once: looking a member
-# up on its class costs ~0.15 us on Python 3.11.
+# The members `_search` reads or returns once a row, bound once: looking
+# a member up on its class costs ~0.15 us on Python 3.11.
 _SMALLEST, _LARGEST = SelectionPolicy.SMALLEST, SelectionPolicy.LARGEST
-_FOUND = SearchStatus.FOUND
+_FOUND, _NO_SEQUENCE = SearchStatus.FOUND, SearchStatus.NO_SEQUENCE
 _NO_VALID_MODULUS = SearchStatus.NO_VALID_MODULUS
 _INCOMPLETE = SearchStatus.INCOMPLETE_FACTORIZATION
 
@@ -104,6 +111,16 @@ def _doubling_peak_gcd(p: int, n: int) -> tuple[int, int]:
     m = 3 * p + (1 << n) - 4
     h = 4 if n == 2 else 6 if n % 2 else 2
     return p * p + ((1 << 2 * n) - 4) // 3, abs(m) * h // 3
+
+
+def _peak_gcd(elems: tuple[int, ...]) -> tuple[int, int]:
+    """C(0) and the off-peak gcd of a normalised row: the closed form for a
+    doubling row, else the exact profile and the gcd of C(1..N/2), which
+    repeat as C(N-k) == C(k)."""
+    if _is_doubling(elems):
+        return _doubling_peak_gcd(elems[0], len(elems))
+    values = profile_values(elems)
+    return values[0], math.gcd(*values[1 : len(elems) // 2 + 1])
 
 
 def find_modulus(
@@ -140,58 +157,57 @@ def find_modulus(
     gets its exact profile, and the gcd of C(1..N/2), which repeat as
     C(N-k) == C(k).  Both give the same outcome.  `sweep` builds no
     doubling rows: it hands each sieved prime straight to the closed form
-    and shares the steps from the gcd on with this function.
+    and shares `_search`, every step from the gcd on, with this function.
 
     `policy` may also be a SelectionPolicy value ("smallest", "largest",
     "all"); any other value raises ValueError before any work.
 
-    Deterministic for fixed inputs.
+    The result is a wrapper over the plain values of `_search`, the core
+    that `sweep` and the CLI share.  Deterministic for fixed inputs.
     """
     policy = _policy(policy)
-    elems = as_elements(seq)
-    if _is_doubling(elems):
-        peak, g = _doubling_peak_gcd(elems[0], len(elems))
-    else:
-        values = profile_values(elems)
-        peak, g = values[0], math.gcd(*values[1 : len(elems) // 2 + 1])
-    return _outcome(peak, g, policy, budget)
+    peak, g = _peak_gcd(as_elements(seq))
+    g, factors, cofactor, candidates, status, canonical = _search(peak, g, policy, budget)
+    return ModulusSearchOutcome(g, Factorization(g, factors, cofactor), candidates, status, canonical)
 
 
-def _outcome(peak: int, g: int, policy: SelectionPolicy, budget: FactorBudget) -> ModulusSearchOutcome:
-    """The search outcome of a row with peak C(0) and off-peak gcd g."""
+def _search(peak: int, g: int, policy: SelectionPolicy, budget: FactorBudget) -> tuple:
+    """The search result of a row with peak C(0) and off-peak gcd g, as the
+    plain tuple (gcd, factors, cofactor, candidates, status, canonical):
+    the fields of a ModulusSearchOutcome, with its Factorization's factors
+    and cofactor in place of the record."""
     if g == 0:
         raise ValueError(
             "every off-peak correlation is zero; the row is two-valued over "
             "the integers and the gcd step does not apply"
         )
     if g == 1:
-        return ModulusSearchOutcome(
-            gcd_value=1,
-            factorization=Factorization(input=1, factors=()),
-            candidates=(),
-            status=SearchStatus.NO_SEQUENCE,
-        )
-    fact = factorize(g, budget)
+        return 1, (), 1, (), _NO_SEQUENCE, None
+    factors, cofactor = _factor(g, budget)
     candidates = []
     valid = []
-    for q, _ in fact.factors:
+    for q, _ in factors:
         residue = peak % q
         candidates.append((q, residue))
         if residue:
             valid.append(q)
     if not valid:
-        status = _NO_VALID_MODULUS if fact.complete else _INCOMPLETE
-        return ModulusSearchOutcome(g, fact, tuple(candidates), status)
+        status = _NO_VALID_MODULUS if cofactor == 1 else _INCOMPLETE
+        return g, factors, cofactor, tuple(candidates), status, None
     # the factors ascend, so valid does; under ALL there is no single pick
     canonical = valid[0] if policy is _SMALLEST else valid[-1] if policy is _LARGEST else None
-    return ModulusSearchOutcome(g, fact, tuple(candidates), _FOUND, canonical)
+    return g, factors, cofactor, tuple(candidates), _FOUND, canonical
 
 
 def _sweep_rows(
     n: int, prime_bound: int, policy: SelectionPolicy | str, budget: FactorBudget, row_kind: str
-) -> Iterator[SweepRow]:
-    """The rows SweepRow(p, outcome) of a sweep over the starting primes
-    p <= prime_bound, ascending, made one at a time as they are read.
+) -> Iterator[tuple]:
+    """The rows of a sweep over the starting primes p <= prime_bound,
+    ascending, made one at a time as they are read.  Each row is the
+    plain tuple (p, gcd, factors, cofactor, candidates, status,
+    canonical): p, then the values `_search` returns, with no record
+    built.  A doubling row's peak and gcd come from the closed form; any
+    other row is built and goes through `_peak_gcd`, as in find_modulus.
     Rows are not numbered: a reader that wants the 1-based row number
     takes it from enumerate(rows, 1).
 
@@ -206,9 +222,9 @@ def _sweep_rows(
     if prime_bound < 2:
         raise ValueError("prime bound must be at least 2")
     return (
-        SweepRow(p, _outcome(*_doubling_peak_gcd(p, n), policy, budget))
+        (p, *_search(*_doubling_peak_gcd(p, n), policy, budget))
         if row_kind == ROW_DOUBLING
-        else SweepRow(p, find_modulus(build_seed(p, n, row_kind), policy, budget))
+        else (p, *_search(*_peak_gcd(build_seed(p, n, row_kind)), policy, budget))
         for p in _primes(prime_bound)
     )
 
@@ -232,8 +248,12 @@ def sweep(
     n and prime_bound must be integers (`operator.index`); every argument
     is checked before the sieve runs.
 
-    The rows come from `_sweep_rows`, which the CLI's sweep and plotdata
-    also call, to write each row as it is made instead of holding the
-    list.
+    Each row wraps the plain tuple of `_sweep_rows`, which the CLI's
+    sweep and plotdata read directly, to write each row as it is made
+    without building these records or holding the list.
     """
-    return list(_sweep_rows(n, prime_bound, policy, budget, row_kind))
+    rows = _sweep_rows(n, prime_bound, policy, budget, row_kind)
+    return [
+        SweepRow(p, ModulusSearchOutcome(g, Factorization(g, factors, cofactor), candidates, status, canonical))
+        for p, g, factors, cofactor, candidates, status, canonical in rows
+    ]

@@ -499,10 +499,21 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
     call.  Whatever no stage splits is reported as `cofactor` rather than
     dropped.  A complete factorization is unique, so it does not depend
     on which stage found which prime.
+
+    The work is done by `_factor`, which returns the plain pair
+    (factors, cofactor); the modulus search calls it directly and builds
+    no Factorization for the rows it only writes out.
     """
     n = operator.index(n)
     if n < 1:
         raise ValueError("factorize requires n >= 1")
+    factors, cofactor = _factor(n, budget)
+    return Factorization(n, factors, cofactor)
+
+
+def _factor(n: int, budget: FactorBudget) -> tuple[tuple[tuple[int, int], ...], int]:
+    """The (factors, cofactor) of `factorize(n, budget)`, for an int n >= 1
+    the caller has checked."""
     counts: dict[int, int] = {}
     rem = n
     for d in (2, 3):
@@ -542,8 +553,7 @@ def factorize(n: int, budget: FactorBudget = DEFAULT_BUDGET) -> Factorization:
         pending.append(f)
         pending.append(m // f)
 
-    factors = tuple(sorted(counts.items()))
-    return Factorization(input=n, factors=factors, cofactor=cofactor)
+    return tuple(sorted(counts.items())), cofactor
 
 
 def _sieve(bound: int) -> bytearray:

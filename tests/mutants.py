@@ -73,8 +73,8 @@ MUTANTS = (
     Mutant(
         "statuses-swapped",
         "src/rrseq/modsearch.py",
-        "_NO_VALID_MODULUS if fact.complete else _INCOMPLETE",
-        "_INCOMPLETE if fact.complete else _NO_VALID_MODULUS",
+        "_NO_VALID_MODULUS if cofactor == 1 else _INCOMPLETE",
+        "_INCOMPLETE if cofactor == 1 else _NO_VALID_MODULUS",
         (
             "tests/test_modsearch.py::test_hand_oracle_failure_case",
             "tests/test_modsearch.py::test_incomplete_factorization_status",
@@ -260,8 +260,8 @@ MUTANTS = (
     Mutant(
         "sweep-rows-a-generator-function",
         "src/rrseq/modsearch.py",
-        "    return (\n        SweepRow(p, _outcome(",
-        "    yield from (\n        SweepRow(p, _outcome(",
+        "    return (\n        (p, *_search(",
+        "    yield from (\n        (p, *_search(",
         (
             "tests/test_modsearch.py::test_sweep_rows_checks_its_arguments_at_the_call[low-bound]",
             "tests/test_modsearch.py::test_sweep_rows_checks_its_arguments_at_the_call[policy]",
@@ -271,8 +271,8 @@ MUTANTS = (
     Mutant(
         "efficient-strict",
         "src/rrseq/cli.py",
-        '"efficient": c is not None and c <= n,',
-        '"efficient": c is not None and c < n,',
+        '"efficient": canonical is not None and canonical <= n,',
+        '"efficient": canonical is not None and canonical < n,',
         (
             "tests/test_cli.py::test_efficient_flag",
             "tests/test_cli_golden.py::test_cli_output_matches_golden[search -p 3 -n 2 --row doubling --policy smallest --format csv]",
@@ -288,6 +288,39 @@ MUTANTS = (
             "tests/test_cli.py::test_sweep_csv_round_trip",
             "tests/test_cli.py::test_sweep_json_round_trip",
             "tests/test_cli_golden.py::test_cli_output_matches_golden[sweep -n 16 --primes-up-to 100000 --format json]",
+        ),
+    ),
+    Mutant(
+        "sweep-wraps-without-cofactor",
+        "src/rrseq/modsearch.py",
+        "SweepRow(p, ModulusSearchOutcome(g, Factorization(g, factors, cofactor),",
+        "SweepRow(p, ModulusSearchOutcome(g, Factorization(g, factors),",
+        (
+            "tests/test_modsearch.py::test_sweep_equals_find_modulus_on_built_rows[bare-trial-SelectionPolicy.LARGEST-64-60-doubling]",
+            "tests/test_modsearch.py::test_sweep_equals_find_modulus_on_built_rows[bare-trial-SelectionPolicy.ALL-16-60-powers]",
+            "tests/test_modsearch.py::test_bare_trial_rows_keep_a_cofactor[64-60-doubling-SearchStatus.FOUND]",
+        ),
+    ),
+    Mutant(
+        "factorize-drops-cofactor",
+        "src/rrseq/numtheory.py",
+        "    return Factorization(n, factors, cofactor)",
+        "    return Factorization(n, factors)",
+        (
+            "tests/test_numtheory.py::test_budget_exhaustion_reports_cofactor",
+            "tests/test_numtheory.py::test_trial_stage_matches_prime_oracle",
+            "tests/test_modsearch.py::test_doubling_closed_form_matches_oracle[64]",
+        ),
+    ),
+    Mutant(
+        "plotdata-reads-the-gcd",
+        "src/rrseq/cli.py",
+        "for p, *_, c in rows",
+        "for p, c, *_ in rows",
+        (
+            "tests/test_cli.py::test_plotdata_pairs",
+            "tests/test_cli.py::test_plotdata_length_15",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden[plotdata -n 16 --primes-up-to 30 --row doubling --policy largest --format csv]",
         ),
     ),
     Mutant(

@@ -1,6 +1,7 @@
 """Command-line surface: arguments, exit codes, output formats."""
 
 import argparse
+import collections
 import contextlib
 import csv
 import errno
@@ -18,7 +19,9 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from rrseq.cli import _STATUS_EXIT, _build_parser, _json, _parse_seq, main
-from rrseq.modsearch import SearchStatus, sweep
+from rrseq.modsearch import ModulusSearchOutcome, SearchStatus, SweepRow, find_modulus, sweep
+from rrseq.numtheory import Factorization, primes_up_to
+from rrseq.sequence import build_seed
 
 
 def run(argv, capsys):
@@ -287,6 +290,79 @@ def test_plotdata_rejects_all_policy(capsys):
     code, _, err = run(["plotdata", "-n", "16", "--policy", "all"], capsys)
     assert code == 2
     assert "policy" in err
+
+
+def _count_search_records(monkeypatch) -> collections.Counter:
+    """Count, by class name, every Factorization, ModulusSearchOutcome and
+    SweepRow constructed from now on, with spies on their constructors."""
+    built = collections.Counter()
+    for cls in (Factorization, ModulusSearchOutcome):
+
+        def init(self, *args, _cls=cls, _real=cls.__init__, **kwargs):
+            built[_cls.__name__] += 1
+            _real(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", init)
+    real_new = SweepRow.__new__
+
+    def new(cls, *args, **kwargs):
+        built["SweepRow"] += 1
+        return real_new(cls, *args, **kwargs)
+
+    monkeypatch.setattr(SweepRow, "__new__", new)
+    return built
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sweep", "-n", "16", "--primes-up-to", "2000", "--format", "json"],
+        ["sweep", "-n", "16", "--primes-up-to", "60", "--row", "powers", "--format", "json"],
+        ["plotdata", "-n", "16", "--primes-up-to", "2000"],
+    ],
+)
+def test_sweep_and_plotdata_build_no_search_records(argv, tmp_path, monkeypatch):
+    # sweep and plotdata write each row from the plain values of the search
+    # core; the library's records are for library callers.
+    built = _count_search_records(monkeypatch)
+    out = tmp_path / "out"
+    assert main([*argv, "--out", str(out)]) == 0
+    assert out.stat().st_size > 100
+    assert built == {}
+    # the spies do see the records the library builds
+    sweep(16, 10)
+    assert built == {"Factorization": 4, "ModulusSearchOutcome": 4, "SweepRow": 4}
+
+
+def _sweep_record(i: int, n: int, p: int, o: ModulusSearchOutcome) -> dict:
+    """Row i of `rrseq sweep -n n --format json`, rebuilt from the search
+    outcome of its starting prime p, keys in the written order."""
+    c = o.canonical
+    return {
+        "index": i,
+        "start_prime": str(p),
+        "length": n,
+        "gcd": str(o.gcd_value),
+        "status": o.status.value,
+        "canonical_modulus": None if c is None else str(c),
+        "valid_candidates": [str(q) for q in o.valid_moduli()],
+        "all_candidates": [str(q) for q, _ in o.candidates],
+        "efficient": c is not None and c <= n,
+    }
+
+
+@pytest.mark.parametrize("kind, bound", [("doubling", 300), ("powers", 30)])
+@pytest.mark.parametrize("policy", ["smallest", "largest", "all"])
+@pytest.mark.parametrize("n", [15, 16, 24])
+def test_sweep_json_rows_equal_records_rebuilt_from_find_modulus(n, policy, kind, bound, capsys):
+    argv = ["sweep", "-n", str(n), "--primes-up-to", str(bound), "--policy", policy, "--row", kind, "--format", "json"]
+    code, out, _ = run(argv, capsys)
+    assert code == 0
+    want = [
+        _sweep_record(i, n, p, find_modulus(build_seed(p, n, kind), policy))
+        for i, p in enumerate(primes_up_to(bound), 1)
+    ]
+    assert [list(rec.items()) for rec in json.loads(out)] == [list(rec.items()) for rec in want]
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])

@@ -23,6 +23,8 @@ from rrseq.verify import check_rr, gram_check
 # Trial division only: the front end is what these tests compare, and
 # rows past N = 40 would otherwise spend seconds in rho and ECM.
 TRIAL_ONLY = FactorBudget(trial_bound=10**4, rho_rounds=0, ecm_curves=0)
+# Trial division to 5 alone, which leaves most rows a cofactor.
+BARE_TRIAL = FactorBudget(trial_bound=5, rho_rounds=0, ecm_curves=0)
 
 
 def oracle_outcome(row, budget):
@@ -159,7 +161,7 @@ def test_unknown_policy_refused_before_any_factoring(monkeypatch):
     def no_work(*args):
         raise AssertionError("factoring started under an unknown policy")
 
-    monkeypatch.setattr(rrseq.modsearch, "factorize", no_work)
+    monkeypatch.setattr(rrseq.modsearch, "_factor", no_work)
     calls = [
         lambda: find_modulus(build_seed(3, 16), "bogus"),
         lambda: find_modulus(build_seed(3, 16), None),
@@ -255,14 +257,28 @@ def test_candidates_pair_each_prime_factor_with_the_peak_residue(row, budget, st
     "n, bound, row_kind",
     # N = 2 has h_N = 4, odd N have 6 and even N >= 4 have 2
     [(2, 200, ROW_DOUBLING), (3, 200, ROW_DOUBLING), (4, 200, ROW_DOUBLING), (5, 200, ROW_DOUBLING),
-     (16, 200, ROW_DOUBLING), (24, 200, ROW_DOUBLING), (64, 60, ROW_DOUBLING), (6, 60, ROW_POWERS)],
+     (16, 200, ROW_DOUBLING), (24, 200, ROW_DOUBLING), (64, 60, ROW_DOUBLING), (6, 60, ROW_POWERS),
+     (16, 60, ROW_POWERS)],
 )
 @pytest.mark.parametrize("policy", list(SelectionPolicy))
-@pytest.mark.parametrize("budget", [DEFAULT_BUDGET, FactorBudget(trial_bound=5), TRIAL_ONLY])
+@pytest.mark.parametrize(
+    "budget", [DEFAULT_BUDGET, FactorBudget(trial_bound=5), TRIAL_ONLY, pytest.param(BARE_TRIAL, id="bare-trial")]
+)
 def test_sweep_equals_find_modulus_on_built_rows(n, bound, row_kind, policy, budget):
     assert sweep(n, bound, policy, budget, row_kind) == [
         SweepRow(p, find_modulus(build_seed(p, n, row_kind), policy, budget)) for p in primes_up_to(bound)
     ]
+
+
+@pytest.mark.parametrize(
+    "n, bound, row_kind, status",
+    [(64, 60, ROW_DOUBLING, SearchStatus.FOUND), (16, 60, ROW_POWERS, SearchStatus.INCOMPLETE_FACTORIZATION)],
+)
+def test_bare_trial_rows_keep_a_cofactor(n, bound, row_kind, status):
+    # The oracle above compares these rows too: a wrapper that dropped the
+    # cofactor, or an outcome that forgot it, would differ there.
+    rows = sweep(n, bound, budget=BARE_TRIAL, row_kind=row_kind)
+    assert any(row.outcome.factorization.cofactor != 1 and row.outcome.status is status for row in rows)
 
 
 def test_sweep_shape_and_order():

@@ -447,25 +447,26 @@ def test_trial_stage_matches_prime_oracle():
 
 def test_paper_lengths_factor_without_a_prime_test(monkeypatch):
     # At N = 16 and N = 24 trial division proves every remainder prime, so
-    # factorize runs no Miller-Rabin round inside a sweep.
+    # the factoring core the search calls runs no Miller-Rabin round
+    # inside a sweep.
     inside, factored, tested = [], [], []
-    real_mr, real_factorize = rrseq.numtheory._miller_rabin, rrseq.modsearch.factorize
+    real_mr, real_factor = rrseq.numtheory._miller_rabin, rrseq.modsearch._factor
 
     def mr_spy(m, bases):
         if inside:
             tested.append(m)
         return real_mr(m, bases)
 
-    def factorize_spy(g, budget):
+    def factor_spy(g, budget):
         inside.append(g)
         factored.append(g)
         try:
-            return real_factorize(g, budget)
+            return real_factor(g, budget)
         finally:
             inside.pop()
 
     monkeypatch.setattr(rrseq.numtheory, "_miller_rabin", mr_spy)
-    monkeypatch.setattr(rrseq.modsearch, "factorize", factorize_spy)
+    monkeypatch.setattr(rrseq.modsearch, "_factor", factor_spy)
     is_prime.cache_clear()
     rows = sweep(16, 2000) + sweep(24, 200)
     assert len(factored) == len(rows) == 349
