@@ -6,18 +6,18 @@ search, sweep and plotdata, which factor, also take --policy and
 --trial-bound.
 
 Each subcommand checks its arguments, then returns an exit code and its
-records, dicts (or, for seed and autocorr, a bare value list) holding
-only JSON-typed values.  sweep and plotdata return their records as a
-lazy iterator, one per row, made only as it is read, straight from the
-plain tuples of the search core (`modsearch._sweep_rows`): no
-Factorization, ModulusSearchOutcome or SweepRow is built for a row.
-`_render` alone turns the records into pieces of CSV (default) or JSON
-text, and `_emit` writes each piece to stdout or --out as it comes, so a
-sweep holds one row at a time, not the whole table.  Output is
-byte-identical across runs for a fixed invocation: rows are emitted in
-ascending prime order, integers as exact decimals (JSON carries them as
-strings to survive tools that parse numbers as doubles), lines end with
-"\\n", and nothing time- or host-dependent is written.
+output text, in pieces.  search and verify build one record, a dict of
+JSON-typed values, and seed and autocorr a bare value list; `_render`
+writes either in CSV (default) or JSON.  sweep and plotdata build no
+record: they write each row straight from the plain tuple the search
+core yields (`modsearch._sweep_rows`), one template fill per row, with
+the writer of the chosen format (`_json_rows`, `_csv_rows`).  `_emit`
+writes each piece to stdout or --out as it comes, so a sweep holds one
+row at a time, not the whole table.  Output is byte-identical across
+runs for a fixed invocation: rows are emitted in ascending prime order,
+integers as exact decimals (JSON carries them as strings to survive
+tools that parse numbers as doubles), lines end with "\\n", and nothing
+time- or host-dependent is written.
 
 Exit codes: 0 success/Found; 1 negative result (no valid modulus, or
 verification failed); 2 usage or domain error, before any output is
@@ -64,10 +64,21 @@ _SEARCH_KEYS = (
 _VERIFY_FIELDS = ("start_prime", "length", "modulus", "peak", "offpeak_ok", "verified", "gram_ok")
 _PLOT_FIELDS = ("start_prime", "canonical_modulus")
 
+# How sweep and plotdata write each field of a row: "bare" as it is (an
+# int, or true/false), "text" as a JSON string, "optional" as a JSON
+# string or null (empty in CSV), "list" as a JSON list of strings (joined
+# with ';' in CSV).  Every value in a row stream is a decimal, a status
+# name or true/false, so no value needs JSON escaping: the writers put
+# quotes around it and nothing else.
+_FIELD_KINDS = {
+    "index": "bare", "start_prime": "text", "length": "bare", "gcd": "text", "status": "text",
+    "canonical_modulus": "optional", "valid_candidates": "list", "all_candidates": "list", "efficient": "bare",
+}
+
 
 def _cell(value) -> str:
-    """One CSV cell: true/false for a bool, empty for None, a list of
-    strings joined with ';'."""
+    """One CSV cell of a single record: true/false for a bool, empty for
+    None, a list of strings joined with ';'."""
     if isinstance(value, bool):
         return "true" if value else "false"
     if value is None:
@@ -82,8 +93,9 @@ _escape = json.encoder.encode_basestring_ascii
 
 def _json(value, pad: str) -> str:
     """json.dumps(value, indent=2) with every line after the first
-    indented by pad, for the types records hold: dicts with str keys,
-    lists, str, int, bool and None.  Any other type raises TypeError.
+    indented by pad, for a single record or a bare value list: dicts with
+    str keys, lists, str, int, bool and None.  Any other type raises
+    TypeError.  Row streams do not come here (see `_json_rows`).
 
     json.dumps with an indent always runs the stdlib's pure-Python
     encoder; this writes the same text with the C string escaper it
@@ -121,39 +133,64 @@ def _json(value, pad: str) -> str:
     return items[0]
 
 
-def _render(records, fmt: str, fields: tuple[str, ...] | None, keys: tuple[str, ...] | None) -> Iterator[str]:
-    """The text of a subcommand's records in the chosen format, in pieces.
+def _render(value, fmt: str, fields: tuple[str, ...] | None = None, keys: tuple[str, ...] | None = None) -> list[str]:
+    """The text of a single record (search, verify) or of a bare value
+    list (seed, autocorr, fields None), as one piece.
 
-    A single record (a dict) or a bare value list (seed, autocorr) is one
-    piece.  Any other records are an iterable that sweep and plotdata
-    fill lazily, one record per row; it is read once, each record
-    becoming a piece as it comes, so no more than one record is held.
-
-    JSON writes the records as they are, or, when keys is given, the one
-    record cut down to those keys in that order; a lazy iterable is
-    written as a list, the same text as json.dumps(list(records),
-    indent=2).  CSV writes a bare value list (fields None) as one line;
-    otherwise a header of the fields, then one line per record, or for a
-    single dict its one line.
+    JSON writes the value as it is, or, when keys is given, the record cut
+    down to those keys in that order.  CSV writes a bare value list as one
+    line, and a record as a header of the fields and its one line.
     """
     if fmt == "json":
-        if keys is not None:
-            records = {k: records[k] for k in keys}
-        if isinstance(records, (dict, list)):
-            yield _json(records, "") + "\n"
-            return
-        sep = "[\n  "  # before the first record; ",\n  " before each later one
-        for rec in records:
-            yield sep + _json(rec, "  ")
-            sep = ",\n  "
-        yield "[]\n" if sep == "[\n  " else "\n]\n"
-        return
+        return [_json(value if keys is None else {k: value[k] for k in keys}, "") + "\n"]
     if fields is None:
-        yield ",".join(records) + "\n"
-        return
+        return [",".join(value) + "\n"]
+    return [",".join(fields) + "\n" + ",".join([_cell(value[f]) for f in fields]) + "\n"]
+
+
+def _json_list(items: list[str]) -> str:
+    """A row's list of decimal strings as its JSON value, one level in."""
+    return '[\n      "' + '",\n      "'.join(items) + '"\n    ]' if items else "[]"
+
+
+_JSON_VALUE = {"optional": lambda v: "null" if v is None else f'"{v}"', "list": _json_list}
+_CSV_VALUE = {"optional": lambda v: "" if v is None else v, "list": ";".join}
+
+
+def _filled(fields: tuple[str, ...], rows: Iterable[tuple], write: dict) -> Iterator[tuple]:
+    """Each row's values, in field order, with every optional and list
+    value already written as its text by write[kind]: the tuple that
+    fills a row's template."""
+    at = [(i, write[_FIELD_KINDS[f]]) for i, f in enumerate(fields) if _FIELD_KINDS[f] in write]
+    for row in rows:
+        values = list(row)
+        for i, w in at:
+            values[i] = w(values[i])
+        yield tuple(values)
+
+
+def _json_rows(fields: tuple[str, ...], rows: Iterable[tuple]) -> Iterator[str]:
+    """The JSON list of the rows of sweep or plotdata, one piece per row:
+    the same text as json.dumps of the records, indent 2.  Each row is a
+    tuple of its values in field order, written by one fill of a
+    template built once from the fields."""
+    template = "{\n    " + ",\n    ".join(
+        f'"{f}": ' + ('"%s"' if _FIELD_KINDS[f] == "text" else "%s") for f in fields
+    ) + "\n  }"
+    sep = "[\n  "  # before the first row; ",\n  " before each later one
+    for values in _filled(fields, rows, _JSON_VALUE):
+        yield sep + template % values
+        sep = ",\n  "
+    yield "[]\n" if sep == "[\n  " else "\n]\n"
+
+
+def _csv_rows(fields: tuple[str, ...], rows: Iterable[tuple]) -> Iterator[str]:
+    """The CSV of the rows of sweep or plotdata: a header of the fields,
+    then one line per row, each filled into a template built once."""
     yield ",".join(fields) + "\n"
-    for rec in [records] if isinstance(records, dict) else records:
-        yield ",".join([_cell(rec[f]) for f in fields]) + "\n"
+    template = ",".join(["%s"] * len(fields)) + "\n"
+    for values in _filled(fields, rows, _CSV_VALUE):
+        yield template % values
 
 
 def _drop_stdout() -> None:
@@ -205,40 +242,19 @@ def _factoring(args: argparse.Namespace) -> tuple[SelectionPolicy, FactorBudget]
     return SelectionPolicy(args.policy), FactorBudget(trial_bound=args.trial_bound)
 
 
-def _values(values) -> tuple[int, list[str]]:
-    """Exit 0 with a bare list of integers, as decimal strings."""
-    return 0, [str(v) for v in values]
+def _values(values, fmt: str) -> tuple[int, list[str]]:
+    """Exit 0 with a bare list of integers, written as decimal strings."""
+    return 0, _render([str(v) for v in values], fmt)
 
 
-def _row_record(
-    index: int | None, n: int, p: int, g: int, candidates: tuple, status: SearchStatus, canonical: int | None
-) -> dict:
-    """The columns that search and sweep share, for the row of length n
-    and starting prime p, from its plain search values: the off-peak gcd
-    g, the pairs (q, C(0) mod q), the status and the canonical modulus.
-    index is the sweep's 1-based row number, its first column; search has
-    none, passes None and writes no index column.  `efficient` says the
-    canonical modulus is no larger than n."""
-    valid, every = [], []
-    for q, r in candidates:
-        every.append(str(q))
-        if r:
-            valid.append(every[-1])
-    return {
-        "index": index,
-        "start_prime": str(p),
-        "length": n,
-        "gcd": str(g),
-        "status": status._value_,  # the Enum.value property costs ~0.2 us
-        "canonical_modulus": None if canonical is None else str(canonical),
-        "valid_candidates": valid,
-        "all_candidates": every,
-        "efficient": canonical is not None and canonical <= n,
-    }
+def _rows(fmt: str, fields: tuple[str, ...], rows: Iterable[tuple]) -> tuple[int, Iterator[str]]:
+    """Exit 0 with the text of the rows of sweep or plotdata, written as
+    they are read by the writer of the format."""
+    return 0, (_json_rows if fmt == "json" else _csv_rows)(fields, rows)
 
 
 def _cmd_seed(args: argparse.Namespace) -> tuple[int, list[str]]:
-    return _values(build_seed(args.prime, args.length, args.row))
+    return _values(build_seed(args.prime, args.length, args.row), args.format)
 
 
 # One --seq entry: an optional sign and ASCII digits, with ASCII whitespace
@@ -269,36 +285,58 @@ def _cmd_autocorr(args: argparse.Namespace) -> tuple[int, list[str]]:
         elems = _parse_seq(args.seq)
     else:
         elems = build_seed(args.prime, args.length, args.row or ROW_DOUBLING)
-    return _values(periodic_autocorr(elems).values)
+    return _values(periodic_autocorr(elems).values, args.format)
 
 
-def _cmd_search(args: argparse.Namespace) -> tuple[int, dict]:
-    o = find_modulus(build_seed(args.prime, args.length, args.row), *_factoring(args))
-    fact = o.factorization
+def _cmd_search(args: argparse.Namespace) -> tuple[int, list[str]]:
+    n = args.length
+    o = find_modulus(build_seed(args.prime, n, args.row), *_factoring(args))
+    fact, c = o.factorization, o.canonical
     record = {
-        **_row_record(None, args.length, args.prime, o.gcd_value, o.candidates, o.status, o.canonical),
+        "start_prime": str(args.prime),
+        "length": n,
         "row": args.row,
+        "gcd": str(o.gcd_value),
         "factors": [{"prime": str(p), "exp": e} for p, e in fact.factors],
         "factorization": [f"{p}^{e}" for p, e in fact.factors],
         "cofactor": str(fact.cofactor),
+        "status": o.status.value,
+        "canonical_modulus": None if c is None else str(c),
+        "valid_candidates": [str(q) for q in o.valid_moduli()],
+        "all_candidates": [str(q) for q, _ in o.candidates],
         "candidates": [
             {"q": str(q), "peak_residue": str(r), "valid": r != 0}
             for q, r in o.candidates
         ],
+        "efficient": c is not None and c <= n,
     }
-    return _STATUS_EXIT[o.status], record
+    return _STATUS_EXIT[o.status], _render(record, args.format, _SEARCH_FIELDS, _SEARCH_KEYS)
 
 
-def _cmd_sweep(args: argparse.Namespace) -> tuple[int, Iterator[dict]]:
+def _sweep_values(n: int, rows: Iterable[tuple]) -> Iterator[tuple]:
+    """The values of each row of `rrseq sweep -n n`, in _SWEEP_FIELDS
+    order, from the plain tuples of `_sweep_rows`.  Rows are numbered
+    from 1.  Each candidate's decimal is formed once, for both lists, and
+    `efficient`, which says the canonical modulus is no larger than n,
+    is true/false as both formats write it."""
+    for i, (p, g, _, _, candidates, status, canonical) in enumerate(rows, 1):
+        valid, every = [], []
+        for q, r in candidates:
+            every.append(str(q))
+            if r:
+                valid.append(every[-1])
+        efficient = "true" if canonical is not None and canonical <= n else "false"
+        # status._value_: the Enum.value property costs ~0.2 us
+        yield i, p, n, g, status._value_, canonical, valid, every, efficient
+
+
+def _cmd_sweep(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
     n = args.length
     rows = _sweep_rows(n, args.primes_up_to, *_factoring(args), args.row)
-    return 0, (
-        _row_record(i, n, p, g, candidates, status, canonical)
-        for i, (p, g, _, _, candidates, status, canonical) in enumerate(rows, 1)
-    )
+    return _rows(args.format, _SWEEP_FIELDS, _sweep_values(n, rows))
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, list[str]]:
     elems = build_seed(args.prime, args.length, args.row)
     cert = check_rr(elems, args.modulus)
     gram_ok = gram_check(elems, args.modulus)
@@ -313,15 +351,15 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, dict]:
         "gram_ok": gram_ok,
         "residues": [str(r) for r in cert.residues],
     }
-    return (0 if cert.verified and gram_ok else 1), record
+    return (0 if cert.verified and gram_ok else 1), _render(record, args.format, _VERIFY_FIELDS)
 
 
-def _cmd_plotdata(args: argparse.Namespace) -> tuple[int, Iterator[dict]]:
+def _cmd_plotdata(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
     policy, budget = _factoring(args)
     if policy is SelectionPolicy.ALL:
         raise ValueError("plotdata needs a single canonical modulus per prime; use --policy smallest or largest")
     rows = _sweep_rows(args.length, args.primes_up_to, policy, budget, args.row)
-    return 0, ({"start_prime": str(p), "canonical_modulus": str(c)} for p, *_, c in rows if c is not None)
+    return _rows(args.format, _PLOT_FIELDS, ((p, c) for p, *_, c in rows if c is not None))
 
 
 _PRIMES_UP_TO_HELP = f"search every starting prime up to B, at most {SIEVE_LIMIT}"
@@ -342,7 +380,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--format", choices=("csv", "json"), default="csv", help="output format"
     )
     output.add_argument("--out", type=Path, default=None, help="write output to this path")
-    output.set_defaults(fields=None, keys=None)
     # Only the subcommands that factor take a selection policy and a budget.
     factoring = argparse.ArgumentParser(add_help=False)
     factoring.add_argument(
@@ -390,14 +427,14 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     p_search.add_argument("-p", "--prime", type=int, required=True)
     p_search.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
-    p_search.set_defaults(func=_cmd_search, fields=_SEARCH_FIELDS, keys=_SEARCH_KEYS)
+    p_search.set_defaults(func=_cmd_search)
 
     p_sweep = sub.add_parser(
         "sweep", parents=factored, help="search every starting prime up to a bound"
     )
     p_sweep.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
     p_sweep.add_argument("--primes-up-to", type=int, default=100, metavar="B", help=_PRIMES_UP_TO_HELP)
-    p_sweep.set_defaults(func=_cmd_sweep, fields=_SWEEP_FIELDS)
+    p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser(
         "verify", parents=plain, help="certify the two-valued property"
@@ -405,14 +442,14 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.add_argument("-p", "--prime", type=int, required=True)
     p_verify.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
     p_verify.add_argument("-m", "--modulus", type=int, required=True)
-    p_verify.set_defaults(func=_cmd_verify, fields=_VERIFY_FIELDS)
+    p_verify.set_defaults(func=_cmd_verify)
 
     p_plot = sub.add_parser(
         "plotdata", parents=factored, help="(starting prime, modulus) pairs for Found rows"
     )
     p_plot.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
     p_plot.add_argument("--primes-up-to", type=int, default=100, metavar="B", help=_PRIMES_UP_TO_HELP)
-    p_plot.set_defaults(func=_cmd_plotdata, fields=_PLOT_FIELDS)
+    p_plot.set_defaults(func=_cmd_plotdata)
 
     return parser
 
@@ -421,11 +458,11 @@ def main(argv: list[str] | None = None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
-        code, records = args.func(args)
+        code, text = args.func(args)
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emit_code = _emit(_render(records, args.format, args.fields, args.keys), args.out)
+    emit_code = _emit(text, args.out)
     return emit_code if emit_code else code
 
 

@@ -61,13 +61,58 @@ MUTANTS = (
         ("tests/test_numtheory.py::test_trial_stage_matches_prime_oracle",),
     ),
     Mutant(
+        "chunk-composite-gcd-as-prime",
+        "src/rrseq/numtheory.py",
+        "        while c * c <= g and c <= bound:",
+        "        while False:",
+        ("tests/test_numtheory.py::test_trial_stage_matches_prime_oracle",),
+    ),
+    Mutant(
+        "chunk-one-division-per-prime",
+        "src/rrseq/numtheory.py",
+        "                while rem % c == 0:",
+        "                if rem % c == 0:",
+        ("tests/test_numtheory.py::test_trial_stage_matches_prime_oracle",),
+    ),
+    Mutant(
+        "chunk-early-stop-not-strict",
+        "src/rrseq/numtheory.py",
+        "first * first > rem",
+        "first * first >= rem",
+        ("tests/test_numtheory.py::test_trial_stage_matches_prime_oracle",),
+    ),
+    Mutant(
+        "chunk-table-drops-last-chunk",
+        "src/rrseq/numtheory.py",
+        "    return tuple(chunks)",
+        "    return tuple(chunks[:-1])",
+        ("tests/test_numtheory.py::test_trial_stage_matches_prime_oracle",),
+    ),
+    Mutant(
+        "chunk-one-division-for-leftover-prime",
+        "src/rrseq/numtheory.py",
+        "            while rem % g == 0:",
+        "            if rem % g == 0:",
+        ("tests/test_numtheory.py::test_trial_stage_matches_prime_oracle",),
+    ),
+    Mutant(
+        "is-prime-one-base-too-many",
+        "src/rrseq/numtheory.py",
+        "return _miller_rabin(n, _MR_BASES_64[:k])",
+        "return _miller_rabin(n, _MR_BASES_64[: k + 1])",
+        (
+            "tests/test_numtheory.py::test_is_prime_tests_each_range_with_its_prefix_of_bases",
+            "tests/test_numtheory.py::test_miller_rabin_gets_bases_in_range",
+        ),
+    ),
+    Mutant(
         "json-bool-as-int",
         "src/rrseq/cli.py",
         'items.append("true" if v else "false")',
         "items.append(int.__repr__(v))",
         (
             "tests/test_cli.py::test_json_writer_matches_json_dumps",
-            "tests/test_cli_golden.py::test_cli_output_matches_golden[sweep -n 16 --primes-up-to 100000 --format json]",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden[search -p 3 -n 2 --row doubling --policy smallest --format json]",
         ),
     ),
     Mutant(
@@ -271,12 +316,65 @@ MUTANTS = (
     Mutant(
         "efficient-strict",
         "src/rrseq/cli.py",
-        '"efficient": canonical is not None and canonical <= n,',
-        '"efficient": canonical is not None and canonical < n,',
+        '"efficient": c is not None and c <= n,',
+        '"efficient": c is not None and c < n,',
         (
             "tests/test_cli.py::test_efficient_flag",
             "tests/test_cli_golden.py::test_cli_output_matches_golden[search -p 3 -n 2 --row doubling --policy smallest --format csv]",
             "tests/test_cli_golden.py::test_cli_output_matches_golden[search -p 3 -n 2 --row doubling --policy smallest --format json]",
+        ),
+    ),
+    Mutant(
+        "sweep-efficient-strict",
+        "src/rrseq/cli.py",
+        'efficient = "true" if canonical is not None and canonical <= n else "false"',
+        'efficient = "true" if canonical is not None and canonical < n else "false"',
+        (
+            "tests/test_cli.py::test_row_streams_equal_text_rebuilt_from_find_modulus[2-doubling-sweep-smallest-None-json]",
+            "tests/test_cli.py::test_row_streams_equal_text_rebuilt_from_find_modulus[2-doubling-sweep-smallest-None-csv]",
+        ),
+    ),
+    Mutant(
+        "row-list-written-empty",
+        "src/rrseq/cli.py",
+        r"""    return '[\n      "' + '",\n      "'.join(items)""",
+        r"""    return "[]" or '[\n      "' + '",\n      "'.join(items)""",
+        (
+            "tests/test_cli.py::test_row_streams_equal_text_rebuilt_from_find_modulus[16-doubling-sweep-largest-None-json]",
+            "tests/test_cli.py::test_row_streams_equal_text_rebuilt_from_find_modulus[64-powers-sweep-all-5-json]",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden[sweep -n 16 --primes-up-to 100000 --format json]",
+        ),
+    ),
+    Mutant(
+        "row-valid-candidates-from-all",
+        "src/rrseq/cli.py",
+        "yield i, p, n, g, status._value_, canonical, valid, every, efficient",
+        "yield i, p, n, g, status._value_, canonical, every, every, efficient",
+        (
+            "tests/test_cli.py::test_row_streams_equal_text_rebuilt_from_find_modulus[16-doubling-sweep-largest-None-json]",
+            "tests/test_cli.py::test_row_streams_equal_text_rebuilt_from_find_modulus[16-doubling-sweep-largest-None-csv]",
+            "tests/test_cli.py::test_sweep_csv_round_trip",
+        ),
+    ),
+    Mutant(
+        "row-missing-modulus-written-empty",
+        "src/rrseq/cli.py",
+        """"optional": lambda v: "null" if v is None""",
+        """"optional": lambda v: '""' if v is None""",
+        (
+            "tests/test_cli.py::test_row_streams_equal_text_rebuilt_from_find_modulus[2-powers-sweep-largest-None-json]",
+            "tests/test_cli.py::test_row_streams_equal_text_rebuilt_from_find_modulus[16-powers-sweep-all-5-json]",
+        ),
+    ),
+    Mutant(
+        "row-separator-after-the-last-row",
+        "src/rrseq/cli.py",
+        r'else "\n]\n"',
+        r'else ",\n]\n"',
+        (
+            "tests/test_cli.py::test_row_streams_equal_text_rebuilt_from_find_modulus[16-doubling-sweep-largest-None-json]",
+            "tests/test_cli.py::test_row_streams_equal_text_rebuilt_from_find_modulus[16-doubling-plotdata-largest-None-json]",
+            "tests/test_cli.py::test_sweep_json_round_trip",
         ),
     ),
     Mutant(

@@ -5,6 +5,7 @@ import collections
 import contextlib
 import csv
 import errno
+import functools
 import io
 import json
 import os
@@ -18,9 +19,11 @@ from conftest import SRC
 from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
-from rrseq.cli import _STATUS_EXIT, _build_parser, _json, _parse_seq, main
+from rrseq.cli import (
+    _FIELD_KINDS, _PLOT_FIELDS, _STATUS_EXIT, _SWEEP_FIELDS, _build_parser, _cell, _json, _parse_seq, main,
+)
 from rrseq.modsearch import ModulusSearchOutcome, SearchStatus, SweepRow, find_modulus, sweep
-from rrseq.numtheory import Factorization, primes_up_to
+from rrseq.numtheory import DEFAULT_BUDGET, Factorization, FactorBudget, primes_up_to
 from rrseq.sequence import build_seed
 
 
@@ -351,18 +354,83 @@ def _sweep_record(i: int, n: int, p: int, o: ModulusSearchOutcome) -> dict:
     }
 
 
-@pytest.mark.parametrize("kind, bound", [("doubling", 300), ("powers", 30)])
-@pytest.mark.parametrize("policy", ["smallest", "largest", "all"])
-@pytest.mark.parametrize("n", [15, 16, 24])
-def test_sweep_json_rows_equal_records_rebuilt_from_find_modulus(n, policy, kind, bound, capsys):
-    argv = ["sweep", "-n", str(n), "--primes-up-to", str(bound), "--policy", policy, "--row", kind, "--format", "json"]
+# With rho and ECM off, --trial-bound 5 leaves an unfactored cofactor in
+# most N = 64 rows, and some end IncompleteFactorization; with them on, no
+# row the CLI can sweep in a test's time does.
+_BARE_TRIAL = functools.partial(FactorBudget, rho_rounds=0, ecm_curves=0)
+
+
+def _bound(n: int, kind: str) -> int:
+    """The prime bound of the row-stream oracle: a powers row at N = 64
+    with p = 19 takes seconds to factor."""
+    return 300 if kind == "doubling" else 17 if n == 64 else 30
+
+
+@functools.cache
+def _rebuilt_records(command: str, n: int, kind: str, policy: str, trial_bound: int | None, bound: int) -> tuple:
+    """The records of `rrseq <command>` rebuilt from find_modulus, one per
+    starting prime p <= bound (sweep) or per Found one (plotdata)."""
+    budget = DEFAULT_BUDGET if trial_bound is None else _BARE_TRIAL(trial_bound=trial_bound)
+    outcomes = [(p, find_modulus(build_seed(p, n, kind), policy, budget)) for p in primes_up_to(bound)]
+    if command == "sweep":
+        return tuple(_sweep_record(i, n, p, o) for i, (p, o) in enumerate(outcomes, 1))
+    return tuple(
+        {"start_prime": str(p), "canonical_modulus": str(o.canonical)} for p, o in outcomes if o.canonical is not None
+    )
+
+
+@pytest.mark.parametrize("fmt", ["json", "csv"])
+@pytest.mark.parametrize("trial_bound", [None, 5])
+@pytest.mark.parametrize(
+    # plotdata refuses --policy all (test_plotdata_rejects_all_policy)
+    "command, policy",
+    [("sweep", "smallest"), ("sweep", "largest"), ("sweep", "all"), ("plotdata", "smallest"), ("plotdata", "largest")],
+)
+@pytest.mark.parametrize("kind", ["doubling", "powers"])
+@pytest.mark.parametrize("n", [2, 3, 15, 16, 24, 64])
+def test_row_streams_equal_text_rebuilt_from_find_modulus(n, kind, command, policy, trial_bound, fmt, monkeypatch, capsys):
+    # the rows of sweep and plotdata, byte for byte: JSON as json.dumps of
+    # the records, CSV as their header and lines by the single-record cell
+    # rules.
+    bound = _bound(n, kind)
+    argv = [command, "-n", str(n), "--primes-up-to", str(bound), "--policy", policy, "--row", kind, "--format", fmt]
+    if trial_bound is not None:
+        monkeypatch.setattr("rrseq.cli.FactorBudget", _BARE_TRIAL)
+        argv += ["--trial-bound", str(trial_bound)]
     code, out, _ = run(argv, capsys)
     assert code == 0
-    want = [
-        _sweep_record(i, n, p, find_modulus(build_seed(p, n, kind), policy))
-        for i, p in enumerate(primes_up_to(bound), 1)
+    records = _rebuilt_records(command, n, kind, policy, trial_bound, bound)
+    fields = _SWEEP_FIELDS if command == "sweep" else _PLOT_FIELDS
+    assert all(tuple(rec) == fields for rec in records)
+    if fmt == "json":
+        assert out == json.dumps(list(records), indent=2) + "\n"
+    else:
+        assert out == "".join([",".join(fields) + "\n"] + [",".join([_cell(rec[f]) for f in fields]) + "\n" for rec in records])
+
+
+def test_row_stream_oracle_covers_every_kind_of_row():
+    # the cases above write rows of each status a built row reaches (no
+    # built row has an off-peak gcd of 1), null moduli, empty and full
+    # candidate lists, and a plotdata run with no Found row
+    rows = [
+        rec
+        for n, kind, trial_bound in ((2, "powers", None), (16, "powers", 5), (64, "doubling", 5))
+        for rec in _rebuilt_records("sweep", n, kind, "largest", trial_bound, _bound(n, kind))
     ]
-    assert [list(rec.items()) for rec in json.loads(out)] == [list(rec.items()) for rec in want]
+    assert {rec["status"] for rec in rows} == {"Found", "NoValidModulus", "IncompleteFactorization"}
+    assert {rec["canonical_modulus"] is None for rec in rows} == {True, False}
+    assert {len(rec["valid_candidates"]) > 0 for rec in rows} == {True, False}
+    assert _rebuilt_records("plotdata", 16, "powers", "largest", None, _bound(16, "powers")) == ()
+
+
+def test_row_stream_values_need_no_json_escaping():
+    # the row writers put quotes around each field name and text value and
+    # escape nothing: every value is a decimal or a status name, and every
+    # field has a kind
+    fields = set(_SWEEP_FIELDS) | set(_PLOT_FIELDS)
+    assert set(_FIELD_KINDS) == fields
+    for text in fields | {s.value for s in SearchStatus} | {"true", "false"}:
+        assert json.dumps(text) == f'"{text}"' and re.fullmatch(r"\w+", text, re.ASCII)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json"])
@@ -435,11 +503,12 @@ def test_json_writer_refuses_other_types(value):
 
 @pytest.mark.slow
 @pytest.mark.parametrize("fmt", ["csv", "json"])
-def test_sweep_output_in_bounded_memory(fmt, tmp_path):
+@pytest.mark.parametrize("command", ["sweep", "plotdata"])
+def test_sweep_output_in_bounded_memory(command, fmt, tmp_path):
     # rows are written as they are made: a 5x longer sweep barely moves the
     # traced peak, which holding every row and record put at ~30 MB
     target = tmp_path / "rows.out"
-    argv = ["sweep", "-n", "16", "--format", fmt, "--out", str(target), "--primes-up-to"]
+    argv = [command, "-n", "16", "--format", fmt, "--out", str(target), "--primes-up-to"]
     main(argv + ["100000"])  # fills the lazy chunk tables and the tail cache
     peaks = {}
     for bound in (20000, 100000):

@@ -150,6 +150,27 @@ def test_miller_rabin_gets_bases_in_range(monkeypatch):
     assert len(seen) > 10**5 // 2
 
 
+def test_is_prime_tests_each_range_with_its_prefix_of_bases(monkeypatch):
+    # Below each bound psi_k of _MR_PREFIXES, and from the bound before it,
+    # Miller-Rabin runs on the first k bases: no fewer, which psi_k would
+    # fool, and no more, which would only cost time.
+    seen = []
+
+    def spy(n, bases):
+        seen.append((n, tuple(bases)))
+        return _miller_rabin(n, seen[-1][1])
+
+    monkeypatch.setattr(rrseq.numtheory, "_miller_rabin", spy)
+    is_prime.cache_clear()
+    starts = (3,) + tuple(b for b, _ in _MR_PREFIXES[:-1])
+    for start, (bound, k) in zip(starts, _MR_PREFIXES):
+        for n in (start, start + 2, bound - 2):
+            seen.clear()
+            is_prime(n)
+            assert seen == [(n, _MR_BASES_64[:k])], (n, k)
+    is_prime.cache_clear()
+
+
 def test_derived_bases_are_drawn_only_as_needed(monkeypatch):
     # Above psi_13 the bases are derived from n one at a time: a composite
     # that fails its first Miller-Rabin round draws one base, a prime all 64.
