@@ -6,9 +6,18 @@ The package builds the seed rows, computes exact autocorrelation
 profiles, finds the prime moduli by factoring the gcd of the off-peak
 values, certifies the result, and sweeps starting primes to regenerate
 the reference tables.
+
+The certificates (`rrseq.verify`) and the exact profiles
+(`rrseq.correlation`) load at first use: their public names resolve
+through the module `__getattr__` below, which imports the owning module
+and binds the name here, so the next lookup is a plain attribute.  The
+search and the sweep take no certificate, and no profile of a doubling
+row, so `import rrseq` and a search or sweep of doubling rows
+compile neither module.
 """
 
-from .correlation import CorrProfile, autocorr_mod, periodic_autocorr
+from importlib import import_module
+
 from .modsearch import (
     ModulusSearchOutcome,
     SearchStatus,
@@ -32,14 +41,34 @@ from .sequence import (
     ROW_POWERS,
     build_seed,
 )
-from .verify import (
-    BinaryWitness,
-    RRCertificate,
-    check_rr,
-    enumerate_binary_ideal,
-    gram_check,
-    scan_masks,
-)
+
+# Each name loaded at first use, and the submodule that defines it.
+_LAZY = {
+    "BinaryWitness": "verify",
+    "RRCertificate": "verify",
+    "check_rr": "verify",
+    "enumerate_binary_ideal": "verify",
+    "gram_check": "verify",
+    "scan_masks": "verify",
+    "CorrProfile": "correlation",
+    "autocorr_mod": "correlation",
+    "periodic_autocorr": "correlation",
+}
+
+
+def __getattr__(name: str):
+    """A name of `_LAZY`, from its submodule, imported now (PEP 562)."""
+    module = _LAZY.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = getattr(import_module(f"{__name__}.{module}"), name)
+    globals()[name] = value
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted({*globals(), *_LAZY})
+
 
 __version__ = "0.1.0"
 

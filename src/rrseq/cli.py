@@ -8,16 +8,23 @@ search, sweep and plotdata, which factor, also take --policy and
 Each subcommand checks its arguments, then returns an exit code and its
 output text, in pieces.  search and verify build one record, a dict of
 JSON-typed values, and seed and autocorr a bare value list; `_render`
-writes either in CSV (default) or JSON.  sweep and plotdata build no
-record: they write each row straight from the plain tuple the search
-core yields (`modsearch._sweep_rows`), one template fill per row, with
-the writer of the chosen format (`_json_rows`, `_csv_rows`).  `_emit`
-writes each piece to stdout or --out as it comes, so a sweep holds one
-row at a time, not the whole table.  Output is byte-identical across
-runs for a fixed invocation: rows are emitted in ascending prime order,
-integers as exact decimals (JSON carries them as strings to survive
-tools that parse numbers as doubles), lines end with "\\n", and nothing
-time- or host-dependent is written.
+writes either in CSV (default) or in JSON, by json.dumps.  sweep and
+plotdata build no record: they write each row straight from the plain
+tuple the search core yields (`modsearch._sweep_rows`), one template
+fill per row, with the writer of the chosen format (`_json_rows`,
+`_csv_rows`).  `_emit` writes each piece to stdout or --out as it
+comes, so a sweep holds one row at a time, not the whole table.
+Output is byte-identical across runs for a fixed invocation: rows are
+emitted in ascending prime order, integers as exact decimals (JSON
+carries them as strings to survive tools that parse numbers as
+doubles), lines end with "\\n", and nothing time- or host-dependent is
+written.
+
+What only one subcommand uses is imported when it runs: autocorr loads
+the profiles (`rrseq.correlation`), verify the certificates
+(`rrseq.verify`, and numpy with them), and `_render` loads `json` for a
+JSON record or value list.  So sweep and plotdata in either format, and
+seed or a search of a doubling row in CSV, load none of them.
 
 Exit codes: 0 success/Found; 1 negative result (no valid modulus, or
 verification failed); 2 usage or domain error, before any output is
@@ -29,7 +36,6 @@ from __future__ import annotations
 
 import argparse
 import io
-import json
 import os
 import re
 import sys
@@ -39,8 +45,6 @@ from typing import Iterable, Iterator
 from .modsearch import SearchStatus, SelectionPolicy, _sweep_rows, find_modulus
 from .numtheory import DEFAULT_BUDGET, SIEVE_LIMIT, FactorBudget
 from .sequence import MAX_LENGTH, ROW_DOUBLING, ROW_KINDS, build_seed, check_length
-from .correlation import periodic_autocorr
-from .verify import check_rr, gram_check
 
 _STATUS_EXIT = {
     SearchStatus.FOUND: 0,
@@ -88,51 +92,6 @@ def _cell(value) -> str:
     return str(value)
 
 
-_escape = json.encoder.encode_basestring_ascii
-
-
-def _json(value, pad: str) -> str:
-    """json.dumps(value, indent=2) with every line after the first
-    indented by pad, for a single record or a bare value list: dicts with
-    str keys, lists, str, int, bool and None.  Any other type raises
-    TypeError.  Row streams do not come here (see `_json_rows`).
-
-    json.dumps with an indent always runs the stdlib's pure-Python
-    encoder; this writes the same text with the C string escaper it
-    uses.  The str, int, bool and None items of a dict or list are
-    written inline, in one loop with a bare scalar, and only a nested
-    dict or list takes a recursive call.  A bool is tested before any
-    int, since a bool is an int.
-    """
-    t = type(value)
-    inner = pad + "  "
-    items = []
-    for v in value.values() if t is dict else value if t is list else (value,):
-        u = type(v)
-        if u is str:
-            items.append(_escape(v))
-        elif u is bool:
-            items.append("true" if v else "false")
-        elif u is int:
-            items.append(int.__repr__(v))
-        elif v is None:
-            items.append("null")
-        elif u is dict or u is list:
-            items.append(_json(v, inner))
-        elif isinstance(v, int):
-            items.append(int.__repr__(v))
-        else:
-            raise TypeError(f"cannot write {u.__name__} as JSON")
-    if t is dict:
-        if not value:
-            return "{}"
-        items = [_escape(k) + ": " + item for k, item in zip(value, items)]
-        return "{\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "}"
-    if t is list:
-        return "[\n" + inner + (",\n" + inner).join(items) + "\n" + pad + "]" if value else "[]"
-    return items[0]
-
-
 def _render(value, fmt: str, fields: tuple[str, ...] | None = None, keys: tuple[str, ...] | None = None) -> list[str]:
     """The text of a single record (search, verify) or of a bare value
     list (seed, autocorr, fields None), as one piece.
@@ -142,7 +101,9 @@ def _render(value, fmt: str, fields: tuple[str, ...] | None = None, keys: tuple[
     line, and a record as a header of the fields and its one line.
     """
     if fmt == "json":
-        return [_json(value if keys is None else {k: value[k] for k in keys}, "") + "\n"]
+        import json  # only single records load it; row streams write their own text
+
+        return [json.dumps(value if keys is None else {k: value[k] for k in keys}, indent=2) + "\n"]
     if fields is None:
         return [",".join(value) + "\n"]
     return [",".join(fields) + "\n" + ",".join([_cell(value[f]) for f in fields]) + "\n"]
@@ -285,6 +246,8 @@ def _cmd_autocorr(args: argparse.Namespace) -> tuple[int, list[str]]:
         elems = _parse_seq(args.seq)
     else:
         elems = build_seed(args.prime, args.length, args.row or ROW_DOUBLING)
+    from .correlation import periodic_autocorr
+
     return _values(periodic_autocorr(elems).values, args.format)
 
 
@@ -337,6 +300,8 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, list[str]]:
+    from .verify import check_rr, gram_check
+
     elems = build_seed(args.prime, args.length, args.row)
     cert = check_rr(elems, args.modulus)
     gram_ok = gram_check(elems, args.modulus)

@@ -48,7 +48,6 @@ import operator
 from dataclasses import dataclass
 from typing import Iterator, NamedTuple, Sequence
 
-from .correlation import profile_values
 from .numtheory import DEFAULT_BUDGET, FactorBudget, Factorization, _factor, _primes
 from .sequence import ROW_DOUBLING, _is_doubling, as_elements, build_seed, check_length, check_row_kind
 
@@ -119,6 +118,8 @@ def _peak_gcd(elems: tuple[int, ...]) -> tuple[int, int]:
     repeat as C(N-k) == C(k)."""
     if _is_doubling(elems):
         return _doubling_peak_gcd(elems[0], len(elems))
+    from .correlation import profile_values  # loaded by the first row that is not doubling
+
     values = profile_values(elems)
     return values[0], math.gcd(*values[1 : len(elems) // 2 + 1])
 

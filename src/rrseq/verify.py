@@ -41,9 +41,11 @@ units, sorted in place as a uint32 array, are the sorted masks.  Its
 docstring has the theorem and the proofs.  No 2**n-mask pass is made; a
 popcount filter over all 2**n masks is the test oracle.
 
-numpy is imported by the functions that use it, so it loads at the first
-Gram check or witness scan.  `check_rr`, the modulus search and the
-sweep never touch it, and `import rrseq` does not load it.
+This module loads at the first use of one of its names through the
+package (`rrseq/__init__.py`), or at `rrseq verify`: `import rrseq`, the
+modulus search and the sweep do not import it.  numpy is imported by the
+functions that use it, so it loads at the first Gram check or witness
+scan; `check_rr` never touches it.
 """
 
 from __future__ import annotations

@@ -106,13 +106,38 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "json-bool-as-int",
+        "record-json-without-indent",
         "src/rrseq/cli.py",
-        'items.append("true" if v else "false")',
-        "items.append(int.__repr__(v))",
+        "json.dumps(value if keys is None else {k: value[k] for k in keys}, indent=2)",
+        "json.dumps(value if keys is None else {k: value[k] for k in keys})",
         (
-            "tests/test_cli.py::test_json_writer_matches_json_dumps",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden[seed -p 3 -n 2 --row doubling --format json]",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden[verify -p 3 -n 2 -m 3 --row doubling --format json]",
             "tests/test_cli_golden.py::test_cli_output_matches_golden[search -p 3 -n 2 --row doubling --policy smallest --format json]",
+        ),
+    ),
+    Mutant(
+        "cli-loads-verify-eagerly",
+        "src/rrseq/cli.py",
+        "from .sequence import MAX_LENGTH, ROW_DOUBLING, ROW_KINDS, build_seed, check_length\n",
+        "from .sequence import MAX_LENGTH, ROW_DOUBLING, ROW_KINDS, build_seed, check_length\n"
+        "from .verify import check_rr, gram_check\n",
+        (
+            "tests/test_cli.py::test_only_verify_loads_numpy[seed -p 3 -n 16]",
+            "tests/test_cli.py::test_only_verify_loads_numpy[search -p 3 -n 16]",
+            "tests/test_cli.py::test_only_verify_loads_numpy[sweep -n 16 --primes-up-to 100 --format json]",
+        ),
+    ),
+    Mutant(
+        "lazy-check-rr-from-correlation",
+        "src/rrseq/__init__.py",
+        '"check_rr": "verify",',
+        '"check_rr": "correlation",',
+        (
+            "tests/test_api.py::test_all_is_exactly_the_public_names",
+            "tests/test_api.py::test_each_public_name_is_the_object_its_module_defines",
+            "tests/test_api.py::test_star_import_binds_every_public_name",
+            "tests/test_api.py::test_numpy_loads_only_for_the_gram_check_and_witness_scan[search-path]",
         ),
     ),
     Mutant(

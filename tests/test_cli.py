@@ -20,7 +20,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from rrseq.cli import (
-    _FIELD_KINDS, _PLOT_FIELDS, _STATUS_EXIT, _SWEEP_FIELDS, _build_parser, _cell, _json, _parse_seq, main,
+    _FIELD_KINDS, _PLOT_FIELDS, _STATUS_EXIT, _SWEEP_FIELDS, _build_parser, _cell, _parse_seq, main,
 )
 from rrseq.modsearch import ModulusSearchOutcome, SearchStatus, SweepRow, find_modulus, sweep
 from rrseq.numtheory import DEFAULT_BUDGET, Factorization, FactorBudget, primes_up_to
@@ -118,7 +118,7 @@ def test_autocorr_seq_past_limit_exit_2(monkeypatch, capsys):
     def no_profile(seq):
         raise AssertionError("profile computed for an over-long --seq row")
 
-    monkeypatch.setattr("rrseq.cli.periodic_autocorr", no_profile)
+    monkeypatch.setattr("rrseq.correlation.periodic_autocorr", no_profile)
     code, out, err = run(["autocorr", "--seq", ",".join(["1"] * 2049)], capsys)
     assert code == 2
     assert out == ""
@@ -480,27 +480,6 @@ def test_unwritable_out_path(tmp_path, capsys):
     assert "cannot write" in err
 
 
-_TEXT = st.text(st.sampled_from('ab"\\/\x00\x1f\x7f\n\té€😀\u2028'), max_size=6) | st.text(max_size=6)
-_SCALARS = st.none() | st.booleans() | st.integers(-(2**600), 2**600) | _TEXT
-_VALUES = st.recursive(
-    _SCALARS, lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_TEXT, inner, max_size=4), max_leaves=30
-)
-
-
-@settings(derandomize=True, max_examples=500, deadline=None)
-@given(_VALUES)
-def test_json_writer_matches_json_dumps(value):
-    # json.dumps(..., indent=2) is the oracle for the writer of every record
-    assert _json(value, "") == json.dumps(value, indent=2)
-    assert _json([value], "") == json.dumps([value], indent=2)
-
-
-@pytest.mark.parametrize("value", [1.5, {1, 2}, (1, 2), {"a": [0.0]}, {1: "a"}])
-def test_json_writer_refuses_other_types(value):
-    with pytest.raises(TypeError):
-        _json(value, "")
-
-
 @pytest.mark.slow
 @pytest.mark.parametrize("fmt", ["csv", "json"])
 @pytest.mark.parametrize("command", ["sweep", "plotdata"])
@@ -558,26 +537,39 @@ def test_module_runs_as_a_program(fresh_python):
     assert (proc.returncode, proc.stdout) == (0, "2,2,4,8\n")
 
 
-@pytest.mark.parametrize(
-    "argv, loads_numpy",
-    [
-        (["seed", "-p", "3", "-n", "16"], False),
-        (["autocorr", "-p", "3", "-n", "16"], False),
-        (["search", "-p", "3", "-n", "16"], False),
-        (["sweep", "-n", "16", "--primes-up-to", "100"], False),
-        (["plotdata", "-n", "16", "--primes-up-to", "100"], False),
-        (["verify", "-p", "3", "-n", "16", "-m", "3121"], True),
-    ],
-)
-def test_only_verify_loads_numpy(fresh_python, argv, loads_numpy):
+# The modules that only some subcommands load, at first use.
+_LAZY = ("rrseq.verify", "rrseq.correlation", "numpy", "json")
+_CERTIFICATE = {"rrseq.verify", "rrseq.correlation", "numpy"}
+
+
+_LOADS = [
+    (["seed", "-p", "3", "-n", "16"], 0, set()),
+    (["autocorr", "-p", "3", "-n", "16"], 0, {"rrseq.correlation"}),
+    (["search", "-p", "3", "-n", "16"], 0, set()),
+    (["sweep", "-n", "16", "--primes-up-to", "100"], 0, set()),
+    (["plotdata", "-n", "16", "--primes-up-to", "100"], 0, set()),
+    (["verify", "-p", "3", "-n", "16", "-m", "3121"], 0, _CERTIFICATE),
+    (["seed", "-p", "3", "-n", "16", "--format", "json"], 0, {"json"}),
+    (["autocorr", "--seq", "1,2,3", "--format", "json"], 0, {"rrseq.correlation", "json"}),
+    (["search", "-p", "3", "-n", "16", "--format", "json"], 0, {"json"}),
+    (["search", "-p", "3", "-n", "16", "--row", "powers"], 1, {"rrseq.correlation"}),
+    (["sweep", "-n", "16", "--primes-up-to", "100", "--format", "json"], 0, set()),
+    (["sweep", "-n", "16", "--primes-up-to", "100", "--row", "powers"], 0, {"rrseq.correlation"}),
+    (["plotdata", "-n", "16", "--primes-up-to", "100", "--format", "json"], 0, set()),
+    (["verify", "-p", "3", "-n", "16", "-m", "3121", "--format", "json"], 0, _CERTIFICATE | {"json"}),
+]
+
+
+@pytest.mark.parametrize("argv, code, loads", _LOADS, ids=[" ".join(argv) for argv, _, _ in _LOADS])
+def test_only_verify_loads_numpy(fresh_python, argv, code, loads):
     # -X importtime reports every module the process imports, on stderr
     proc = fresh_python("-X", "importtime", "-m", "rrseq.cli", *argv)
-    assert proc.returncode == 0, proc.stderr
+    assert proc.returncode == code, proc.stderr
     imported = {
         line.rsplit("|", 1)[1].strip() for line in proc.stderr.splitlines() if line.startswith("import time:")
     }
-    assert "rrseq.verify" in imported  # the package itself was loaded
-    assert ("numpy" in imported) == loads_numpy
+    assert "rrseq.modsearch" in imported  # the package itself was loaded
+    assert {name for name in _LAZY if name in imported} == loads
 
 
 def test_usage_errors_exit_2():

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+import rrseq.correlation
 import rrseq.modsearch
 import rrseq.numtheory
 from rrseq.modsearch import (
@@ -54,13 +55,13 @@ def doubling_row(p, n):
 def profile_calls(monkeypatch):
     """Count find_modulus's calls of the exact profile."""
     calls = []
-    real = rrseq.modsearch.profile_values
+    real = rrseq.correlation.profile_values
 
     def spy(elems):
         calls.append(len(elems))
         return real(elems)
 
-    monkeypatch.setattr(rrseq.modsearch, "profile_values", spy)
+    monkeypatch.setattr(rrseq.correlation, "profile_values", spy)
     return calls
 
 
