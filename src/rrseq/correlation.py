@@ -18,6 +18,7 @@ certificate or a name of this module taken from the package load it.
 
 from __future__ import annotations
 
+import functools
 import operator
 import struct
 from dataclasses import dataclass
@@ -64,6 +65,13 @@ def profile_values(a: tuple[int, ...]) -> tuple[int, ...]:
 _DIGIT_CODES = {1: "B", 2: "H", 4: "I", 8: "Q"}
 
 
+@functools.lru_cache(maxsize=32)
+def _digit_structs(size: int, b: int) -> tuple[struct.Struct, struct.Struct]:
+    """The little- and big-endian structs of size native digits of b bytes."""
+    code = f"{size}{_DIGIT_CODES[b]}"
+    return struct.Struct("<" + code), struct.Struct(">" + code)
+
+
 def residue_profile(r: tuple[int, ...], n: int) -> tuple[int, ...]:
     """C(0..N-1) of residues 0 <= r_i < n, from one big-integer product.
 
@@ -89,9 +97,9 @@ def residue_profile(r: tuple[int, ...], n: int) -> tuple[int, ...]:
     b = ((size * (n - 1) ** 2).bit_length() + 7) // 8
     if b <= 8:
         b = 1 << (b - 1).bit_length()
-        code = f"{size}{_DIGIT_CODES[b]}"
-        x = int.from_bytes(struct.pack("<" + code, *r), "little")
-        y = int.from_bytes(struct.pack(">" + code, *r), "big")
+        little, big = _digit_structs(size, b)
+        x = int.from_bytes(little.pack(*r), "little")
+        y = int.from_bytes(big.pack(*r), "big")
     else:
         x = int.from_bytes(b"".join([e.to_bytes(b, "little") for e in r]), "little")
         y = int.from_bytes(b"".join([e.to_bytes(b, "big") for e in r]), "big")
@@ -100,7 +108,7 @@ def residue_profile(r: tuple[int, ...], n: int) -> tuple[int, ...]:
     z = (z >> w * (size - 1)) + ((z & ((1 << w * size) - 1)) << w)
     digits = z.to_bytes(b * (size + 1), "little")
     if b <= 8:
-        return struct.unpack_from("<" + code, digits)
+        return little.unpack_from(digits)
     return tuple([int.from_bytes(digits[i : i + b], "little") for i in range(0, b * size, b)])
 
 

@@ -1,7 +1,9 @@
 """Exact integer utilities: list gcd, primality, budgeted factoring, prime sieve.
 
-`is_prime` is Miller-Rabin alone, exact below psi_13 ~ 3.3e24 (its
-docstring gives the base table).
+`is_prime` proves n below _TRIAL_PROOF_LIMIT (2**28) prime by trial
+division, one gcd per chunk of the primes up to the power of two above
+sqrt(n), and tests larger n by Miller-Rabin, exact below psi_13 ~ 3.3e24
+(its docstring gives the base table).
 
 `factorize` runs trial division, then a short Brent-rho, then Lenstra's
 elliptic-curve method (ECM) on whatever composite is left, and reports
@@ -41,14 +43,19 @@ import operator
 from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
-# Miller-Rabin bases of `is_prime` below psi_13.
+# Below this bound `is_prime` proves n prime by trial division, above it
+# Miller-Rabin tests n; the bound was chosen by timing both on the largest
+# prime below each power of two, one pinned CPU: 0.7 against 3.9 us at
+# 2**18, 3.2 against 8.1 us at 2**26, 6.0 against 8.4 us at 2**28 (table
+# reach 2**14), but 12.5 against 10.6 us at 2**29 (reach 2**15).
+_TRIAL_PROOF_LIMIT = 1 << 28
+
+# Miller-Rabin bases of `is_prime` from _TRIAL_PROOF_LIMIT to psi_13.
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
 # (psi_k, k), ascending; a prefix is only listed where it is the shortest
-# one exact below its bound, so psi_8, psi_10 and psi_11 do not appear.
+# one exact below its bound, so psi_8, psi_10 and psi_11 do not appear,
+# nor psi_1 to psi_3, which lie below _TRIAL_PROOF_LIMIT.
 _MR_PREFIXES = (
-    (2_047, 1),  # psi_1 = 23 * 89
-    (1_373_653, 2),  # psi_2 = 829 * 1657
-    (25_326_001, 3),  # psi_3 = 2251 * 11251
     (3_215_031_751, 4),  # psi_4 = 151 * 751 * 28351
     (2_152_302_898_747, 5),  # psi_5 = 6763 * 10627 * 29947
     (3_474_749_660_383, 6),  # psi_6 = 1303 * 16927 * 157543
@@ -62,7 +69,9 @@ _MR_PREFIXES = (
 # row's modulus is tested once: by `factorize` if it tested the modulus,
 # else by `check_rr`, and every later certificate finds it here.
 # `factorize` tests no piece when trial division proves the remainder
-# prime, as at N = 16 (p <= 10**5) and N = 24 (p <= 3000).  Where it
+# prime, as at N = 16 (p <= 10**5) and N = 24 (p <= 3000), so there
+# `check_rr` tests the modulus, by the trial-division proof below
+# _TRIAL_PROOF_LIMIT, and no row runs Miller-Rabin.  Where it
 # tests the modulus, it tests at most this many pieces from it on: at
 # most 2 at N = 64 (p <= 200) and at most 4 at N = 128 (p <= 400).
 _PRIME_MEMO_SIZE = 4
@@ -202,36 +211,52 @@ def _derived_bases(n: int, count: int) -> Iterator[int]:
 
 @functools.lru_cache(maxsize=_PRIME_MEMO_SIZE, typed=True)
 def is_prime(n: int) -> bool:
-    """Primality test: 2, then Miller-Rabin on odd n, with no trial division.
+    """Primality test: 2 and 3, then for n prime to 6 a trial-division
+    proof below _TRIAL_PROOF_LIMIT (2**28) and Miller-Rabin from it on.
 
-    Deterministic (exact) for all n below psi_13 ~ 3.3e24, which covers
-    the full 64-bit range.  There it runs Miller-Rabin on the shortest
-    prefix of the bases 2, 3, 5, ..., 41 that no composite below the next
-    bound of `_MR_PREFIXES` passes: one base below 2047, four below
-    3.2e9, seven below 3.4e14, nine below 3.8e18.  Each bound psi_k is
-    the smallest strong pseudoprime to the first k prime bases (Jaeschke,
-    *On strong pseudoprimes to several bases*, Math. Comp. 61, 1993, up
-    to psi_8; Jiang & Deng, *Strong pseudoprimes to the first eight prime
-    bases*, Math. Comp. 83, 2014, for psi_9 to psi_11; Sorenson &
-    Webster, *Strong pseudoprimes to twelve prime bases*, Math. Comp. 86,
-    2017, for psi_12 and psi_13).  So a prime near 10**5 is tested to 2
-    bases instead of all 13.  Every base lies in [2, n - 2], except base
-    2 at n = 3, which 3 passes.  Above psi_13 it falls back to
-    Miller-Rabin with 64 rounds of bases derived deterministically from
-    n, each derived only when its round starts, so a composite that fails
-    the first round costs one; the error probability is below 4**-64 =
-    2**-128 and identical inputs always give identical answers.  The last _PRIME_MEMO_SIZE (4)
-    answers are remembered, keyed by value and type
-    (`is_prime.cache_info()`), so a float is never answered from an int's
-    entry: it raises TypeError.
+    Below 2**28, n is prime iff no prime up to sqrt(n) divides it, which
+    `_trial_proof` settles by one gcd per chunk of 512 primes, the proof
+    `factorize` gives a remainder below low**2.  From 2**28 to psi_13 ~
+    3.3e24, which covers the full 64-bit range, it is deterministic (exact):
+    Miller-Rabin runs on the shortest prefix of the bases 2, 3, 5, ..., 41
+    that no composite below the next bound of `_MR_PREFIXES` passes: four
+    bases below 3.2e9, seven below 3.4e14, nine below 3.8e18.  Each bound
+    psi_k is the smallest strong pseudoprime to the first k prime bases
+    (Jaeschke, *On strong pseudoprimes to several bases*, Math. Comp. 61,
+    1993, up to psi_8; Jiang & Deng, *Strong pseudoprimes to the first
+    eight prime bases*, Math. Comp. 83, 2014, for psi_9 to psi_11;
+    Sorenson & Webster, *Strong pseudoprimes to twelve prime bases*, Math.
+    Comp. 86, 2017, for psi_12 and psi_13).  Every base lies in [2, n -
+    2].  Above psi_13 it falls back to Miller-Rabin with 64 rounds of
+    bases derived deterministically from n, each derived only when its
+    round starts, so a composite that fails the first round costs one; the
+    error probability is below 4**-64 = 2**-128 and identical inputs always
+    give identical answers.  The last _PRIME_MEMO_SIZE (4) answers are
+    remembered, keyed by value and type (`is_prime.cache_info()`), so a
+    float is never answered from an int's entry: it raises TypeError.
     """
     n = operator.index(n)
-    if n < 3 or n % 2 == 0:
-        return n == 2
+    if n < 5:
+        return n == 2 or n == 3
+    if n % 2 == 0 or n % 3 == 0:
+        return False
+    if n < _TRIAL_PROOF_LIMIT:
+        return _trial_proof(n)
     for bound, k in _MR_PREFIXES:
         if n < bound:
             return _miller_rabin(n, _MR_BASES_64[:k])
     return _miller_rabin(n, _derived_bases(n, 64))
+
+
+def _trial_proof(n: int) -> bool:
+    """True iff n, above 4 and prime to 6, is prime: no prime in [5,
+    reach] divides it, reach = 2**ceil(bitlen(n) / 2) > sqrt(n), which one
+    gcd with each chunk product of `_trial_chunks(reach)` shows.  reach is
+    below n, so n is never one of the chunks' own primes."""
+    for product, _ in _trial_chunks(1 << (n.bit_length() + 1) // 2):
+        if math.gcd(product, n) != 1:
+            return False
+    return True
 
 
 def _brent_rho(n: int, c: int, max_iters: int) -> int:

@@ -25,8 +25,8 @@ circulants is circulant, so once each product is checked to be, only
 the first row of the Gram matrix is rebuilt as Python ints; its
 docstring has the bounds.  The scalar of the identity is read off the
 product, not computed beside it.  One circulant is alive at a time, and
-only the few primes each count of products takes, found by Miller-Rabin,
-outlive the call.
+only the few primes each count of products takes, proved prime by trial
+division, outlive the call.
 
 `enumerate_binary_ideal` exhaustively lists every binary row of a given
 length whose mod-2 correlation is two-valued (peak 1, off-peak 0).  Read
@@ -58,7 +58,7 @@ from dataclasses import dataclass
 from typing import TYPE_CHECKING, Sequence
 
 from .correlation import residue_profile
-from .numtheory import _miller_rabin, factorize, is_prime
+from .numtheory import _trial_proof, factorize, is_prime
 from .sequence import as_elements
 
 if TYPE_CHECKING:
@@ -120,10 +120,11 @@ _FLOAT_EXACT = 2**53
 @functools.cache
 def _word_primes(k: int) -> tuple[int, ...]:
     """The k largest primes below 2**22, largest first.  The odd numbers
-    below 2**22 are tested to the bases 2, 3, 5 and 7, exact below psi_4
-    ~ 3.2e9 (Jaeschke 1993), so no table is sieved or kept."""
+    below 2**22 prime to 3 are proved prime by `_trial_proof`, as
+    `is_prime` proves them, but without its memo, so no table is sieved
+    or kept and no modulus is pushed out of the memo."""
     odd = range((1 << 22) - 1, 1 << 21, -2)
-    return tuple(itertools.islice((c for c in odd if _miller_rabin(c, (2, 3, 5, 7))), k))
+    return tuple(itertools.islice((c for c in odd if c % 3 and _trial_proof(c)), k))
 
 
 def _circulant(col: Sequence[int]) -> np.ndarray:
@@ -149,11 +150,13 @@ def _gram_ok(residues: tuple[int, ...], n: int) -> bool:
     if bound < _FLOAT_EXACT:
         # The float64 product of the residues is the exact Gram matrix.
         circ = _circulant(residues)
-        gram = (circ @ circ.T).astype(np.int64) % n
-        # c * I: with c taken off the diagonal, nothing is nonzero.
+        gram = (circ @ circ.T).astype(np.int64)
+        gram %= n
+        # c * I: with c taken off the diagonal, nothing is nonzero.  gram
+        # is C-contiguous, so ravel() is a view of it.
         c = int(gram[0, 0])
-        gram.flat[:: size + 1] -= c
-        return c != 0 and not gram.any()
+        gram.ravel()[:: size + 1] -= c
+        return c != 0 and not np.count_nonzero(gram)
 
     # Each prime exceeds 2**21, so k of them multiply past 2**(21 k) > bound.
     k = bound.bit_length() // 21 + 1
@@ -202,10 +205,10 @@ def gram_check(seq: Sequence[int], n: int) -> bool:
     So the number of products grows like 2 bitlen(n) / 21, linearly in
     the size of n.  A modulus that would need more primes than the
     140336 in that range, one of ~1.47 million bits, raises ValueError.
-    The primes are found by Miller-Rabin, downward from 2**22, and the k
-    of each count are kept.  One circulant is alive at a time: at N =
-    1024 with 2**521 - 1 (51 primes) the traced peak is 25 MB.  README.md
-    gives the cost at N = 2048.
+    The primes are proved prime by trial division, downward from 2**22,
+    and the k of each count are kept.  One circulant is alive at a time:
+    at N = 1024 with 2**521 - 1 (51 primes) the traced peak is 25 MB.
+    README.md gives the cost at N = 2048.
     """
     n, residues = _reduce(seq, n)
     return _gram_ok(residues, n)

@@ -100,9 +100,27 @@ MUTANTS = (
         "src/rrseq/numtheory.py",
         "return _miller_rabin(n, _MR_BASES_64[:k])",
         "return _miller_rabin(n, _MR_BASES_64[: k + 1])",
+        ("tests/test_numtheory.py::test_is_prime_tests_each_range_with_its_prefix_of_bases",),
+    ),
+    Mutant(
+        "is-prime-without-3-screen",
+        "src/rrseq/numtheory.py",
+        "if n % 2 == 0 or n % 3 == 0:",
+        "if n % 2 == 0:",
         (
-            "tests/test_numtheory.py::test_is_prime_tests_each_range_with_its_prefix_of_bases",
-            "tests/test_numtheory.py::test_miller_rabin_gets_bases_in_range",
+            "tests/test_numtheory.py::test_is_prime_matches_sieve",
+            "tests/test_numtheory.py::test_is_prime_rejects_composites_at_the_edges_of_its_proof",
+        ),
+    ),
+    Mutant(
+        "trial-proof-reach-one-power-short",
+        "src/rrseq/numtheory.py",
+        "_trial_chunks(1 << (n.bit_length() + 1) // 2)",
+        "_trial_chunks(1 << (n.bit_length() - 1) // 2)",
+        (
+            "tests/test_numtheory.py::test_is_prime_matches_sieve",
+            "tests/test_numtheory.py::test_is_prime_rejects_composites_at_the_edges_of_its_proof",
+            "tests/test_numtheory.py::test_is_prime_matches_sympy_up_to_four_times_the_proof_limit",
         ),
     ),
     Mutant(
@@ -185,8 +203,8 @@ MUTANTS = (
     Mutant(
         "gram-zero-scalar-passes",
         "src/rrseq/verify.py",
-        "return c != 0 and not gram.any()",
-        "return not gram.any()",
+        "return c != 0 and not np.count_nonzero(gram)",
+        "return not np.count_nonzero(gram)",
         (
             "tests/test_verify.py::test_peak_killed_by_modulus",
             "tests/test_verify.py::test_gram_agrees_with_profile_check",
@@ -216,15 +234,22 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "word-primes-without-miller-rabin",
+        "word-primes-without-proof",
         "src/rrseq/verify.py",
-        "if _miller_rabin(c, (2, 3, 5, 7))",
+        "if c % 3 and _trial_proof(c)",
         "if c",
         (
             "tests/test_verify.py::test_word_primes_keep_every_product_exact",
             "tests/test_verify.py::test_gram_exact_path_large_modulus",
             "tests/test_verify.py::test_exact_gram_path_on_n128_row",
         ),
+    ),
+    Mutant(
+        "word-primes-without-3-screen",
+        "src/rrseq/verify.py",
+        "c % 3 and _trial_proof(c)",
+        "_trial_proof(c)",
+        ("tests/test_verify.py::test_word_primes_keep_every_product_exact",),
     ),
     Mutant(
         "doubling-peak-constant-off-by-one",

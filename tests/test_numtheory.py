@@ -13,6 +13,7 @@ from rrseq import build_seed, check_rr, find_modulus, gram_check, sweep
 from rrseq.numtheory import (
     _MR_BASES_64,
     _MR_PREFIXES,
+    _TRIAL_PROOF_LIMIT,
     SIEVE_LIMIT,
     FactorBudget,
     Factorization,
@@ -49,8 +50,8 @@ def test_gcd_divides_every_value():
 
 
 def test_is_prime_matches_sieve():
-    sieve = set(primes_up_to(10**5))
-    for n in range(-5, 10**5 + 1):
+    sieve = set(primes_up_to(1 << 20))
+    for n in range(-5, 1 << 20):
         assert is_prime(n) == (n in sieve), n
 
 
@@ -62,53 +63,74 @@ def test_is_prime_memo_is_bounded():
     assert is_prime.cache_info().currsize <= maxsize
 
 
+def _spy_primality_tests(monkeypatch) -> list:
+    """Record each primality test is_prime runs, of either kind: (n, None)
+    for the trial-division proof, (n, bases) for Miller-Rabin."""
+    seen = []
+    proof, mr = rrseq.numtheory._trial_proof, rrseq.numtheory._miller_rabin
+
+    def proof_spy(n):
+        seen.append((n, None))
+        return proof(n)
+
+    def mr_spy(n, bases):
+        bases = tuple(bases)  # above psi_13 a generator, read once
+        seen.append((n, bases))
+        return mr(n, bases)
+
+    monkeypatch.setattr(rrseq.numtheory, "_trial_proof", proof_spy)
+    monkeypatch.setattr(rrseq.numtheory, "_miller_rabin", mr_spy)
+    is_prime.cache_clear()
+    return seen
+
+
 @pytest.mark.parametrize("p, n", [(50021, 16), (197, 128)])
 def test_is_prime_memo_carries_the_modulus_into_both_certificates(p, n, monkeypatch):
     # q is tested once over the search and both certificates.  At N = 16
     # trial division proves q prime, so check_rr tests it and gram_check
     # finds it in the memo.  At N = 128, p = 197 factorize tests q and
     # then three more pieces, and the memo must still hold q for both.
-    tested = []
-    real = rrseq.numtheory._miller_rabin
-
-    def spy(m, bases):
-        tested.append(m)
-        return real(m, bases)
-
-    monkeypatch.setattr(rrseq.numtheory, "_miller_rabin", spy)
-    is_prime.cache_clear()
+    seen = _spy_primality_tests(monkeypatch)
     row = build_seed(p, n)
     q = find_modulus(row).canonical
     assert check_rr(row, q).verified and gram_check(row, q)
-    assert tested.count(q) == 1
+    assert [m for m, _ in seen].count(q) == 1
 
 
 def _mr_sample(lo, hi, count, rng):
-    """count random odd n in [lo, hi), each of which reaches Miller-Rabin."""
+    """count random n prime to 6 in [lo, hi), each of which reaches a
+    primality test: Miller-Rabin from _TRIAL_PROOF_LIMIT on."""
     out = []
     while len(out) < count:
         n = rng.randrange(lo, hi) | 1
-        if n < hi:
+        if n < hi and n % 3:
             out.append(n)
     return out
 
 
-MR_IDS = [f"k={k}" for _, k in _MR_PREFIXES]
+# psi_1 to psi_3 lie below _TRIAL_PROOF_LIMIT, so is_prime runs no
+# Miller-Rabin there and _MR_PREFIXES leaves them out; they stay here as
+# composites that fool few bases, for the trial-division proof to reject.
+PSI = ((2_047, 1), (1_373_653, 2), (25_326_001, 3)) + _MR_PREFIXES
+PSI_IDS = [f"k={k}" for _, k in PSI]
 # Every bound psi_k between the previous bound and the next, which is
 # 4 * psi_13 above the last: the prefix's range and the range after it.
 # The first range starts where every base of _MR_BASES_64 is at most n - 2.
-_MR_EDGES = (_MR_BASES_64[-1] + 2,) + tuple(b for b, _ in _MR_PREFIXES) + (4 * _MR_PREFIXES[-1][0],)
-MR_RANGES = [_MR_EDGES[i : i + 3] for i in range(len(_MR_PREFIXES))]
+_PSI_EDGES = (_MR_BASES_64[-1] + 2,) + tuple(b for b, _ in PSI) + (4 * PSI[-1][0],)
+PSI_RANGES = [_PSI_EDGES[i : i + 3] for i in range(len(PSI))]
+# The ranges of each prefix of bases of _MR_PREFIXES: from the bound
+# before it, or from _TRIAL_PROOF_LIMIT, to its own.
+MR_RANGES = list(zip((_TRIAL_PROOF_LIMIT,) + tuple(b for b, _ in _MR_PREFIXES[:-1]), _MR_PREFIXES))
 
 
-@pytest.mark.parametrize("bound,k", _MR_PREFIXES, ids=MR_IDS)
+@pytest.mark.parametrize("bound,k", PSI, ids=PSI_IDS)
 def test_mr_base_table_bound_is_strong_pseudoprime(bound, k):
     # psi_k fools its own prefix, so the prefix is cut off there.
     assert _miller_rabin(bound, _MR_BASES_64[:k])
     assert not is_prime(bound)
 
 
-@pytest.mark.parametrize("lo,bound,hi", MR_RANGES, ids=MR_IDS)
+@pytest.mark.parametrize("lo,bound,hi", PSI_RANGES, ids=PSI_IDS)
 def test_mr_base_table_matches_all_bases(lo, bound, hi):
     rng = random.Random(bound)
     sample = _mr_sample(lo, bound, 1000, rng) + _mr_sample(bound, hi, 1000, rng)
@@ -118,6 +140,40 @@ def test_mr_base_table_matches_all_bases(lo, bound, hi):
     sympy = pytest.importorskip("sympy")
     for n in sample:
         assert is_prime(n) == sympy.isprime(n), n
+
+
+def test_is_prime_matches_sympy_up_to_four_times_the_proof_limit():
+    # Every n prime to 6 in the sample reaches a test: the proof below
+    # _TRIAL_PROOF_LIMIT, Miller-Rabin on four bases from it on.
+    sympy = pytest.importorskip("sympy")
+    rng = random.Random(_TRIAL_PROOF_LIMIT)
+    below = _mr_sample(1 << 20, _TRIAL_PROOF_LIMIT, 3000, rng)
+    above = _mr_sample(_TRIAL_PROOF_LIMIT, 4 * _TRIAL_PROOF_LIMIT, 3000, rng)
+    for n in below + above:
+        assert is_prime(n) == sympy.isprime(n), n
+    assert sum(map(is_prime, below)) > 100 and sum(map(is_prime, above)) > 100
+
+
+def test_is_prime_rejects_composites_at_the_edges_of_its_proof():
+    # Below _TRIAL_PROOF_LIMIT the chunk table reaches 2**j, the power of
+    # two above sqrt(n).  For p the largest prime below 2**j, p**2 has
+    # 2j - 1 or 2j bits, so its table reaches 2**j and only the last prime
+    # in it rejects p**2; that holds for every reach up to the limit's, 2**14.
+    edges = []
+    for j in range(2, 15):
+        p = primes_up_to(1 << j)[-1]
+        assert 1 << ((p * p).bit_length() + 1) // 2 == 1 << j
+        edges.append(p * p)
+    assert edges[-1] == 16381**2 < _TRIAL_PROOF_LIMIT
+    # The first chunk of 512 primes from 5 ends at 3677 and the second
+    # starts at 3691: products across that edge and within the second
+    # chunk, which its own gcd must catch.
+    assert [first for _, first in _trial_chunks(1 << 12)] == [5, 3691]
+    assert max(primes_up_to(3690)) == 3677
+    edges += [3677 * 3691, 3691**2, 3691 * 3697]
+    for n in edges:
+        assert not is_prime(n), n
+    assert all(map(is_prime, (16381, 3677, 3691, 3697)))
 
 
 # Carmichael numbers, then the strong pseudoprimes to base 2 below 3 * 10**4
@@ -130,41 +186,38 @@ def test_carmichael_numbers_rejected(n):
 
 def test_miller_rabin_gets_bases_in_range(monkeypatch):
     # _miller_rabin reduces no base mod n, so is_prime must pass it bases
-    # in [2, n - 2]; base 2 at n = 3 is the one exception, which 3 passes.
-    seen = []
-
-    def spy(n, bases):
-        seen.append(n)
-        bases = list(bases)  # above psi_13 a generator, read once
-        assert all(2 <= a <= n - 2 or (n, a) == (3, 2) for a in bases), (n, bases)
-        return _miller_rabin(n, bases)
-
-    monkeypatch.setattr(rrseq.numtheory, "_miller_rabin", spy)
-    is_prime.cache_clear()
+    # in [2, n - 2].  Below _TRIAL_PROOF_LIMIT no n reaches it, and from
+    # the limit on each n prime to 6 reaches it once.
+    seen = _spy_primality_tests(monkeypatch)
     rng = random.Random(5)
-    samples = [_mr_sample(lo, hi, 200, rng) for lo, _, hi in MR_RANGES]
     psi13 = _MR_PREFIXES[-1][0]
-    for n in [*range(10**5), *itertools.chain(*samples), 2**89 - 1, 2**89 - 3, psi13, psi13 + 2, 2**127 - 1]:
+    samples = [_mr_sample(lo, bound, 200, rng) for lo, (bound, _) in MR_RANGES]
+    samples.append(_mr_sample(psi13, 4 * psi13, 200, rng))
+    inputs = [*range(10**4), *itertools.chain(*samples), 2**89 - 1, 2**89 - 3, psi13, psi13 + 2, 2**127 - 1]
+    for n in inputs:
         is_prime(n)
-    assert 3 in seen and 2**127 - 1 in seen
-    assert len(seen) > 10**5 // 2
+    tested = [(n, bases) for n, bases in seen if bases is not None]
+    assert [n for n, _ in tested] == [n for n in inputs if n >= _TRIAL_PROOF_LIMIT and math.gcd(n, 6) == 1]
+    assert all(2 <= a <= n - 2 for n, bases in tested for a in bases)
+    assert 2**127 - 1 in dict(tested)
 
 
 def test_is_prime_tests_each_range_with_its_prefix_of_bases(monkeypatch):
-    # Below each bound psi_k of _MR_PREFIXES, and from the bound before it,
-    # Miller-Rabin runs on the first k bases: no fewer, which psi_k would
-    # fool, and no more, which would only cost time.
-    seen = []
+    # Below _TRIAL_PROOF_LIMIT the trial-division proof alone runs.  Below
+    # each bound psi_k of _MR_PREFIXES, and from the bound before it or
+    # from the limit, Miller-Rabin runs on the first k bases: no fewer,
+    # which psi_k would fool, and no more, which would only cost time.
+    seen = _spy_primality_tests(monkeypatch)
 
-    def spy(n, bases):
-        seen.append((n, tuple(bases)))
-        return _miller_rabin(n, seen[-1][1])
+    def prime_to_6(ns):
+        return list(itertools.islice((n for n in ns if math.gcd(n, 6) == 1), 2))
 
-    monkeypatch.setattr(rrseq.numtheory, "_miller_rabin", spy)
-    is_prime.cache_clear()
-    starts = (3,) + tuple(b for b, _ in _MR_PREFIXES[:-1])
-    for start, (bound, k) in zip(starts, _MR_PREFIXES):
-        for n in (start, start + 2, bound - 2):
+    for n in (5, 7, 25, 1 << 20 | 1, *prime_to_6(range(_TRIAL_PROOF_LIMIT - 1, 0, -1))):
+        seen.clear()
+        is_prime(n)
+        assert seen == [(n, None)], n
+    for start, (bound, k) in MR_RANGES:
+        for n in prime_to_6(range(start, bound)) + prime_to_6(range(bound - 1, start, -1)):
             seen.clear()
             is_prime(n)
             assert seen == [(n, _MR_BASES_64[:k])], (n, k)
@@ -492,6 +545,23 @@ def test_paper_lengths_factor_without_a_prime_test(monkeypatch):
     rows = sweep(16, 2000) + sweep(24, 200)
     assert len(factored) == len(rows) == 349
     assert tested == []
+
+
+def test_certified_paper_rows_run_no_miller_rabin(monkeypatch):
+    # Every modulus at N = 16 and N = 24 (p <= 3000) lies below
+    # _TRIAL_PROOF_LIMIT, so building the rows, searching them and both
+    # certificates prove every prime by trial division alone.
+    seen = _spy_primality_tests(monkeypatch)
+    certified = 0
+    for n in (16, 24):
+        for p, outcome in sweep(n, 3000):
+            row = build_seed(p, n)
+            q = outcome.canonical
+            if q is not None:
+                assert check_rr(row, q).verified and gram_check(row, q), (p, n)
+                certified += 1
+    assert certified == 860
+    assert seen and all(bases is None for _, bases in seen)
 
 
 def _cached(reaches) -> int:

@@ -458,8 +458,8 @@ def test_zero_scalar_rows_fail_on_both_branches():
 
 
 def test_first_wide_gram_check_keeps_no_table(fresh_python):
-    # In a fresh process, the first multi-prime Gram check finds its four
-    # primes by Miller-Rabin: its traced peak is a few small arrays, not a
+    # In a fresh process, the first multi-prime Gram check proves its four
+    # primes by trial division: its traced peak is a few small arrays, not a
     # sieve of 2**22 (~6.4 MB traced), and it keeps ~2 KB, not a table of
     # every prime in (2**21, 2**22) (~1.1 MB).
     code = (
