@@ -39,7 +39,11 @@ form a cyclic group, which `_orbit` lists by byte-table lookups, not by
 one `_mul` per element.  The group is closed under bit reversal, so the
 units, sorted in place as a uint32 array, are the sorted masks.  Its
 docstring has the theorem and the proofs.  No 2**n-mask pass is made; a
-popcount filter over all 2**n masks is the test oracle.
+popcount filter over all 2**n masks is the test oracle.  Each listed row
+is still checked against the definition, over lags 0..n/2 only, as
+C(n - k) = C(k): one boolean array, updated in place lag by lag.  The
+bit tuples are the columns of one shift-and-mask array zipped together,
+so no per-row list is built, and `BinaryWitness` is a slotted record.
 
 This module loads at the first use of one of its names through the
 package (`rrseq/__init__.py`), or at `rrseq verify`: `import rrseq`, the
@@ -76,7 +80,7 @@ class RRCertificate:
     verified: bool
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BinaryWitness:
     """A binary row passing the mod-2 two-valued test."""
 
@@ -430,21 +434,27 @@ def enumerate_binary_ideal(n: int) -> list[BinaryWitness]:
     takes one: they all take 2 to MAX_LENGTH elements.
 
     The n delta rows (a single 1) always qualify: their correlation is
-    exactly the delta profile.  The mod-2 profile of every mask over all
-    n lags, the parity of popcount(mask & rot_k(mask)), which is C(k) mod
-    2, is checked against the delta (1, 0, ..., 0) in one array pass; a
-    mask that fails raises RuntimeError, which the theorem in
-    `scan_masks` rules out.  Every witness then shares that one delta
-    tuple as its `profile_mod2`.
+    exactly the delta profile.  The mod-2 profile of every mask, the
+    parity of popcount(mask & rot_k(mask)), which is C(k) mod 2, is
+    checked against the delta (1, 0, ..., 0) over lags 0..n/2: as C(n -
+    k) = C(k), the other lags repeat those values (`check_rr` rests on
+    the same identity).  One boolean array collects the failures, updated
+    in place lag by lag; a mask that fails raises RuntimeError, which the
+    theorem in `scan_masks` rules out.  The bits come from one (n, |U|)
+    shift-and-mask array: its n rows, as lists, zipped together are the
+    bit tuples, with no per-row list built.  Every witness then shares
+    one delta tuple as its `profile_mod2`.
     """
     n = operator.index(n)
     import numpy as np
 
     masks = scan_masks(n)
-    profiles = np.stack([np.bitwise_count(masks & _rot(masks, k, n)) & 1 for k in range(n)], axis=1)
-    delta = (1,) + (0,) * (n - 1)
-    bad = (profiles != delta).any(axis=1)
+    # C(n - k) = C(k): lags 0..n/2 hold every value of the profile.
+    bad = np.zeros(masks.shape, dtype=bool)
+    for k in range(n // 2 + 1):
+        bad |= (np.bitwise_count(masks & _rot(masks, k, n)) & 1) != (k == 0)
     if bad.any():
         raise RuntimeError(f"length {n}: mask {int(masks[bad.argmax()]):0{n}b} fails the mod-2 two-valued test")
-    bits = (masks[:, None] >> np.arange(n - 1, -1, -1, dtype=np.uint32)) & 1
-    return [BinaryWitness(b, delta) for b in map(tuple, bits.tolist())]
+    # Row i of cols is element i of every row: zip(*cols) gives the rows.
+    cols = ((masks >> np.arange(n - 1, -1, -1, dtype=np.uint32)[:, None]) & 1).tolist()
+    return list(map(BinaryWitness, zip(*cols), itertools.repeat((1,) + (0,) * (n - 1))))

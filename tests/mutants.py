@@ -483,6 +483,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "witness-check-stops-before-lag-half",
+        "src/rrseq/verify.py",
+        "for k in range(n // 2 + 1):",
+        "for k in range(n // 2):",
+        ("tests/test_verify.py::test_enumeration_refuses_a_mask_that_fails_the_profile_check[00111]",),
+    ),
+    Mutant(
+        "witness-check-ignores-the-peak",
+        "src/rrseq/verify.py",
+        "& 1) != (k == 0)",
+        "& 1) != 0",
+        ("tests/test_verify.py::test_enumeration_refuses_a_mask_that_fails_the_profile_check[1111]",),
+    ),
+    Mutant(
         "residue-profile-fold-unshifted",
         "src/rrseq/correlation.py",
         "((z & ((1 << w * size) - 1)) << w)",

@@ -88,6 +88,48 @@ def test_doubling_closed_form_matches_oracle(n, profile_calls):
     assert profile_calls == []  # every row took the closed form
 
 
+def _doubling_profile_split_at_the_wrap(N, k, p):
+    """C(k) = sum_i a(i) a(i + k mod N) of the doubling row a(0) = p, a(i)
+    = 2**i, for 1 <= k <= N - 1, split at the wrap i + k = N: the two
+    products that hold a(0) = p, at i = 0 and i = N - k, then the pairs
+    that do not wrap (0 < i < N - k) and those that do (N - k < i < N),
+    summed with sympy.  N, k and p may be symbols or ints."""
+    import sympy
+
+    i = sympy.Dummy("i", integer=True)
+    unwrapped = sympy.summation(2**i * 2 ** (i + k), (i, 1, N - k - 1))
+    wrapped = sympy.summation(2**i * 2 ** (i + k - N), (i, N - k + 1, N - 1))
+    return p * 2**k + 2 ** (N - k) * p + unwrapped + wrapped
+
+
+def test_doubling_closed_forms_hold_symbolically():
+    # The closed forms of the modsearch docstring, for symbolic N, k and p:
+    # C(k) = (2**k + 2**(N-k)) * M / 3 with M = 3p + 2**N - 4, and C(0) =
+    # p**2 + (4**N - 4) / 3.  test_doubling_closed_form_matches_oracle
+    # checks that the search uses them, at sampled N.
+    sympy = pytest.importorskip("sympy")
+    N, k, p = sympy.symbols("N k p", integer=True)
+    i = sympy.Dummy("i", integer=True)
+    offpeak = _doubling_profile_split_at_the_wrap(N, k, p)
+    peak = p**2 + sympy.summation(4**i, (i, 1, N - 1))
+
+    def holds(value, claim):
+        return sympy.simplify(value - claim) == 0
+
+    assert holds(offpeak, (2**k + 2 ** (N - k)) * (3 * p + 2**N - 4) / 3)
+    assert holds(peak, p**2 + (4**N - 4) / 3)
+    # Not vacuous: a wrong constant does not simplify away.
+    assert not holds(offpeak, (2**k + 2 ** (N - k)) * (3 * p + 2**N - 3) / 3)
+    assert not holds(peak, p**2 + (4**N - 1) / 3)
+    # The split is the row's own profile: at small N every k agrees with
+    # the brute-force sum over the row.
+    for n in (2, 3, 4, 7):
+        row = doubling_row(5, n)
+        for j in range(1, n):
+            want = sum(row[t] * row[(t + j) % n] for t in range(n))
+            assert _doubling_profile_split_at_the_wrap(n, j, 5) == want, (n, j)
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("n", [256, 512])
 def test_doubling_closed_form_matches_oracle_long_rows(n, profile_calls):

@@ -1,9 +1,12 @@
 """Certification: modular profile check, Gram cross-check, binary witnesses."""
 
+import copy
 import csv
+import dataclasses
 import itertools
 import math
 import operator
+import pickle
 import random
 import tracemalloc
 from pathlib import Path
@@ -586,20 +589,38 @@ def test_witness_bits_and_profile_from_the_mask(n):
 
 
 def test_enumeration_matches_the_per_row_construction():
-    for n in range(1, 17):
+    for n in range(1, 25):
         assert enumerate_binary_ideal(n) == _enumerate_per_row(n), n
 
 
-def test_enumeration_refuses_a_mask_that_fails_the_profile_check(monkeypatch):
-    true_masks = scan_masks(4)
-    bad = 0b0011  # C(1) = 1: not a witness
+# Each bad mask fails one of the checked lags 0..n // 2 only: 0011 lag 1
+# (C(1) = 1), 1111 lag 0 (C(0) = 4) and 00111 lag 2 = n // 2 (C(2) = 1).
+# No even n has a mask that fails at lag n / 2 alone: C(n/2) counts each
+# pair twice, so it is always even.
+@pytest.mark.parametrize("bad", ["0011", "1111", "00111"])
+def test_enumeration_refuses_a_mask_that_fails_the_profile_check(monkeypatch, bad):
+    n = len(bad)
+    true_masks = scan_masks(n)
 
     def with_a_non_witness(n):
-        return np.array(sorted([*true_masks.tolist(), bad]), dtype=np.uint32)
+        return np.array(sorted([*true_masks.tolist(), int(bad, 2)]), dtype=np.uint32)
 
     monkeypatch.setattr(verify, "scan_masks", with_a_non_witness)
-    with pytest.raises(RuntimeError, match="length 4: mask 0011"):
-        enumerate_binary_ideal(4)
+    with pytest.raises(RuntimeError, match=f"length {n}: mask {bad} "):
+        enumerate_binary_ideal(n)
+
+
+def test_binary_witness_is_a_frozen_slotted_record():
+    w = enumerate_binary_ideal(3)[0]
+    assert dataclasses.is_dataclass(w) and w.__slots__ == ("bits", "profile_mod2")
+    assert not hasattr(w, "__dict__")
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        w.bits = (1, 1, 1)
+    other = dataclasses.replace(w, bits=(1, 1, 1))
+    assert other.bits == (1, 1, 1) and other.profile_mod2 == w.profile_mod2
+    assert dataclasses.replace(other, bits=w.bits) == w
+    assert hash(dataclasses.replace(w)) == hash(w) and len({w, dataclasses.replace(w)}) == 1
+    assert copy.deepcopy(w) == w and pickle.loads(pickle.dumps(w)) == w
 
 
 def _multiplicative_order_of_2(r):
