@@ -1,9 +1,10 @@
 """Exact integer utilities: list gcd, primality, budgeted factoring, prime sieve.
 
-`is_prime` proves n below _TRIAL_PROOF_LIMIT (2**28) prime by trial
-division, one gcd per chunk of the primes up to the power of two above
-sqrt(n), and tests larger n by Miller-Rabin, exact below psi_13 ~ 3.3e24
-(its docstring gives the base table).
+`is_prime` answers n prime to 6 in one of three bands: below
+_TRIAL_PROOF_LIMIT (2**28) a trial-division proof, one gcd per chunk of
+the primes up to the power of two above sqrt(n); from there to psi_13 ~
+3.3e24 Miller-Rabin on the 13 prime bases 2..41, which is exact there;
+from psi_13 on Miller-Rabin on 64 bases derived from n.
 
 `factorize` runs trial division, then a short Brent-rho, then Lenstra's
 elliptic-curve method (ECM) on whatever composite is left, and reports
@@ -44,26 +45,19 @@ from dataclasses import dataclass, fields
 from typing import Iterable, Iterator
 
 # Below this bound `is_prime` proves n prime by trial division, above it
-# Miller-Rabin tests n; the bound was chosen by timing both on the largest
-# prime below each power of two, one pinned CPU: 0.7 against 3.9 us at
-# 2**18, 3.2 against 8.1 us at 2**26, 6.0 against 8.4 us at 2**28 (table
-# reach 2**14), but 12.5 against 10.6 us at 2**29 (reach 2**15).
+# Miller-Rabin tests n on the 13 bases.  Timed on the largest prime below
+# each power of two, one pinned CPU, min of repeats: 3.2 against 25.7 us
+# at 2**26, 6.1 against 27.7 us at 2**28 (table reach 2**14), 12.3
+# against 33.8 us at 2**29 and 12.7 against 34.6 us at 2**30 (reach
+# 2**15).  So the proof is the cheaper test to 2**30 at least; the bound
+# covers every modulus of the rows at N = 16 and N = 24 (p <= 3000), and
+# moving it is left open.
 _TRIAL_PROOF_LIMIT = 1 << 28
 
-# Miller-Rabin bases of `is_prime` from _TRIAL_PROOF_LIMIT to psi_13.
+# Miller-Rabin bases of `is_prime` from _TRIAL_PROOF_LIMIT up to
+# _PSI_13, the smallest composite that is a strong pseudoprime to all 13.
 _MR_BASES_64 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
-# (psi_k, k), ascending; a prefix is only listed where it is the shortest
-# one exact below its bound, so psi_8, psi_10 and psi_11 do not appear,
-# nor psi_1 to psi_3, which lie below _TRIAL_PROOF_LIMIT.
-_MR_PREFIXES = (
-    (3_215_031_751, 4),  # psi_4 = 151 * 751 * 28351
-    (2_152_302_898_747, 5),  # psi_5 = 6763 * 10627 * 29947
-    (3_474_749_660_383, 6),  # psi_6 = 1303 * 16927 * 157543
-    (341_550_071_728_321, 7),  # psi_7 = psi_8 = 10670053 * 32010157
-    (3_825_123_056_546_413_051, 9),  # psi_9 = psi_10 = psi_11 = 149491 * 747451 * 34233211
-    (318_665_857_834_031_151_167_461, 12),  # psi_12 = 399165290221 * 798330580441
-    (3_317_044_064_679_887_385_961_981, 13),  # psi_13 = 1287836182261 * 2575672364521
-)
+_PSI_13 = 3_317_044_064_679_887_385_961_981  # 1287836182261 * 2575672364521
 
 # Answers `is_prime` keeps, least recently used out first.  A certified
 # row's modulus is tested once: by `factorize` if it tested the modulus,
@@ -211,26 +205,22 @@ def _derived_bases(n: int, count: int) -> Iterator[int]:
 
 @functools.lru_cache(maxsize=_PRIME_MEMO_SIZE, typed=True)
 def is_prime(n: int) -> bool:
-    """Primality test: 2 and 3, then for n prime to 6 a trial-division
-    proof below _TRIAL_PROOF_LIMIT (2**28) and Miller-Rabin from it on.
+    """Primality test: 2 and 3, then for n prime to 6 one of three bands,
+    a trial-division proof below _TRIAL_PROOF_LIMIT (2**28), Miller-Rabin
+    on the 13 fixed bases below _PSI_13 and on derived bases from it on.
 
     Below 2**28, n is prime iff no prime up to sqrt(n) divides it, which
     `_trial_proof` settles by one gcd per chunk of 512 primes, the proof
     `factorize` gives a remainder below low**2.  From 2**28 to psi_13 ~
     3.3e24, which covers the full 64-bit range, it is deterministic (exact):
-    Miller-Rabin runs on the shortest prefix of the bases 2, 3, 5, ..., 41
-    that no composite below the next bound of `_MR_PREFIXES` passes: four
-    bases below 3.2e9, seven below 3.4e14, nine below 3.8e18.  Each bound
-    psi_k is the smallest strong pseudoprime to the first k prime bases
-    (Jaeschke, *On strong pseudoprimes to several bases*, Math. Comp. 61,
-    1993, up to psi_8; Jiang & Deng, *Strong pseudoprimes to the first
-    eight prime bases*, Math. Comp. 83, 2014, for psi_9 to psi_11;
-    Sorenson & Webster, *Strong pseudoprimes to twelve prime bases*, Math.
-    Comp. 86, 2017, for psi_12 and psi_13).  Every base lies in [2, n -
-    2].  Above psi_13 it falls back to Miller-Rabin with 64 rounds of
-    bases derived deterministically from n, each derived only when its
-    round starts, so a composite that fails the first round costs one; the
-    error probability is below 4**-64 = 2**-128 and identical inputs always
+    Miller-Rabin runs on the 13 prime bases 2, 3, 5, ..., 41, and no
+    composite below psi_13 is a strong pseudoprime to all of them
+    (Sorenson & Webster, *Strong pseudoprimes to twelve prime bases*,
+    Math. Comp. 86, 2017).  Every base lies in [2, n - 2].  From psi_13
+    on it falls back to Miller-Rabin with 64 rounds of bases derived
+    deterministically from n, each derived only when its round starts, so
+    a composite that fails the first round costs one; the error
+    probability is below 4**-64 = 2**-128 and identical inputs always
     give identical answers.  The last _PRIME_MEMO_SIZE (4) answers are
     remembered, keyed by value and type (`is_prime.cache_info()`), so a
     float is never answered from an int's entry: it raises TypeError.
@@ -242,10 +232,7 @@ def is_prime(n: int) -> bool:
         return False
     if n < _TRIAL_PROOF_LIMIT:
         return _trial_proof(n)
-    for bound, k in _MR_PREFIXES:
-        if n < bound:
-            return _miller_rabin(n, _MR_BASES_64[:k])
-    return _miller_rabin(n, _derived_bases(n, 64))
+    return _miller_rabin(n, _MR_BASES_64 if n < _PSI_13 else _derived_bases(n, 64))
 
 
 def _trial_proof(n: int) -> bool:

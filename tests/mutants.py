@@ -96,11 +96,24 @@ MUTANTS = (
         ("tests/test_numtheory.py::test_trial_stage_matches_prime_oracle",),
     ),
     Mutant(
-        "is-prime-one-base-too-many",
+        "is-prime-band-includes-psi13",
         "src/rrseq/numtheory.py",
-        "return _miller_rabin(n, _MR_BASES_64[:k])",
-        "return _miller_rabin(n, _MR_BASES_64[: k + 1])",
-        ("tests/test_numtheory.py::test_is_prime_tests_each_range_with_its_prefix_of_bases",),
+        "n < _PSI_13",
+        "n <= _PSI_13",
+        (
+            "tests/test_numtheory.py::test_mr_base_table_bound_is_strong_pseudoprime[k=13]",
+            "tests/test_numtheory.py::test_is_prime_tests_each_band_with_its_bases",
+        ),
+    ),
+    Mutant(
+        "is-prime-band-drops-base-41",
+        "src/rrseq/numtheory.py",
+        "_miller_rabin(n, _MR_BASES_64 if",
+        "_miller_rabin(n, _MR_BASES_64[:-1] if",
+        (
+            "tests/test_numtheory.py::test_mr_base_table_bound_is_strong_pseudoprime[k=12]",
+            "tests/test_numtheory.py::test_is_prime_tests_each_band_with_its_bases",
+        ),
     ),
     Mutant(
         "is-prime-without-3-screen",

@@ -130,6 +130,50 @@ def test_doubling_closed_forms_hold_symbolically():
             assert _doubling_profile_split_at_the_wrap(n, j, 5) == want, (n, j)
 
 
+def _h(n):
+    """h_N, the gcd of 2**k + 2**(N-k) over 1 <= k <= N/2, by brute force."""
+    return math.gcd(*(2**k + 2 ** (n - k) for k in range(1, n // 2 + 1)))
+
+
+def _h_rule(n):
+    """h_N by the modsearch docstring's rule."""
+    return 4 if n == 2 else 6 if n % 2 else 2
+
+
+@pytest.mark.parametrize(
+    "lengths",
+    [range(2, 513), pytest.param(range(513, MAX_LENGTH + 1), marks=pytest.mark.slow)],
+    ids=["to-512", "past-512"],
+)
+def test_doubling_gcd_rule_holds_at_every_length(lengths):
+    # check_length caps N at MAX_LENGTH, so this covers every length the
+    # library accepts.  sympy cannot take this gcd over symbolic N
+    # (sympy.gcd treats 2**N as a free generator and answers 1), so the
+    # rule is checked exactly at each N, and its one symbolic step below.
+    h = {n: _h(n) for n in lengths}
+    assert all(h[n] == _h_rule(n) for n in lengths)
+    # Not vacuous: the rule "2 for every N >= 3" fails (at every odd N).
+    assert any(h[n] != 2 for n in lengths if n >= 3)
+    for n in lengths[:: max(1, len(lengths) // 40)]:
+        for p in (3, 50021, -7):
+            assert rrseq.modsearch._doubling_peak_gcd(p, n)[1] == abs(3 * p + 2**n - 4) * h[n] // 3, (p, n)
+
+
+def test_doubling_gcd_rule_step_holds_symbolically():
+    # The docstring's step for N >= 5: the k = 1 and k = 2 terms are 2 and
+    # 4 times 1 + 2**(N-2) and 1 + 2**(N-4), which differ by 3 * 2**(N-4).
+    sympy = pytest.importorskip("sympy")
+    N = sympy.symbols("N", integer=True)
+
+    def holds(value, claim):
+        return sympy.simplify(value - claim) == 0
+
+    assert holds(2 + 2 ** (N - 1), 2 * (1 + 2 ** (N - 2)))
+    assert holds(4 + 2 ** (N - 2), 4 * (1 + 2 ** (N - 4)))
+    assert holds((1 + 2 ** (N - 2)) - (1 + 2 ** (N - 4)), 3 * 2 ** (N - 4))
+    assert not holds((1 + 2 ** (N - 2)) - (1 + 2 ** (N - 4)), 3 * 2 ** (N - 3))
+
+
 @pytest.mark.slow
 @pytest.mark.parametrize("n", [256, 512])
 def test_doubling_closed_form_matches_oracle_long_rows(n, profile_calls):

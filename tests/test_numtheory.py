@@ -1,5 +1,6 @@
 """gcd, primality, budgeted factorization, sieve."""
 
+import collections
 import itertools
 import math
 import random
@@ -12,7 +13,7 @@ import rrseq.numtheory
 from rrseq import build_seed, check_rr, find_modulus, gram_check, sweep
 from rrseq.numtheory import (
     _MR_BASES_64,
-    _MR_PREFIXES,
+    _PSI_13,
     _TRIAL_PROOF_LIMIT,
     SIEVE_LIMIT,
     FactorBudget,
@@ -108,29 +109,57 @@ def _mr_sample(lo, hi, count, rng):
     return out
 
 
-# psi_1 to psi_3 lie below _TRIAL_PROOF_LIMIT, so is_prime runs no
-# Miller-Rabin there and _MR_PREFIXES leaves them out; they stay here as
-# composites that fool few bases, for the trial-division proof to reject.
-PSI = ((2_047, 1), (1_373_653, 2), (25_326_001, 3)) + _MR_PREFIXES
+# (psi_k, k): psi_k is the smallest composite that is a strong pseudoprime
+# to each of the first k prime bases 2, 3, 5, ... (Jaeschke, *On strong
+# pseudoprimes to several bases*, Math. Comp. 61, 1993, to psi_8; Jiang &
+# Deng, *Strong pseudoprimes to the first eight prime bases*, Math. Comp.
+# 83, 2014, for psi_9 to psi_11; Sorenson & Webster, *Strong pseudoprimes
+# to twelve prime bases*, Math. Comp. 86, 2017, for psi_12 and psi_13).
+# psi_1 to psi_3 lie below _TRIAL_PROOF_LIMIT, where the trial-division
+# proof must reject them; the rest lie in the 13-base band.
+PSI = (
+    (2_047, 1),  # 23 * 89
+    (1_373_653, 2),  # 829 * 1657
+    (25_326_001, 3),  # 2251 * 11251
+    (3_215_031_751, 4),  # 151 * 751 * 28351
+    (2_152_302_898_747, 5),  # 6763 * 10627 * 29947
+    (3_474_749_660_383, 6),  # 1303 * 16927 * 157543
+    (341_550_071_728_321, 7),  # 10670053 * 32010157
+    (341_550_071_728_321, 8),
+    (3_825_123_056_546_413_051, 9),  # 149491 * 747451 * 34233211
+    (3_825_123_056_546_413_051, 10),
+    (3_825_123_056_546_413_051, 11),
+    (318_665_857_834_031_151_167_461, 12),  # 399165290221 * 798330580441
+    (3_317_044_064_679_887_385_961_981, 13),  # 1287836182261 * 2575672364521
+)
 PSI_IDS = [f"k={k}" for _, k in PSI]
-# Every bound psi_k between the previous bound and the next, which is
-# 4 * psi_13 above the last: the prefix's range and the range after it.
+# Each distinct bound, with the least k that has it.
+_PSI_FIRST = [(b, k) for i, (b, k) in enumerate(PSI) if i == 0 or b != PSI[i - 1][0]]
+# Every distinct bound between the previous bound and the next, which is
+# 4 * psi_13 above the last: the range below it and the range after it.
 # The first range starts where every base of _MR_BASES_64 is at most n - 2.
-_PSI_EDGES = (_MR_BASES_64[-1] + 2,) + tuple(b for b, _ in PSI) + (4 * PSI[-1][0],)
-PSI_RANGES = [_PSI_EDGES[i : i + 3] for i in range(len(PSI))]
-# The ranges of each prefix of bases of _MR_PREFIXES: from the bound
-# before it, or from _TRIAL_PROOF_LIMIT, to its own.
-MR_RANGES = list(zip((_TRIAL_PROOF_LIMIT,) + tuple(b for b, _ in _MR_PREFIXES[:-1]), _MR_PREFIXES))
+_PSI_EDGES = (_MR_BASES_64[-1] + 2,) + tuple(b for b, _ in _PSI_FIRST) + (4 * PSI[-1][0],)
+PSI_RANGES = [_PSI_EDGES[i : i + 3] for i in range(len(_PSI_FIRST))]
+# The 13-base band, from _TRIAL_PROOF_LIMIT to _PSI_13, cut at each
+# distinct psi_k inside it, so that samples reach every order of
+# magnitude of the band.
+_BAND_EDGES = (_TRIAL_PROOF_LIMIT,) + tuple(b for b, _ in _PSI_FIRST if b > _TRIAL_PROOF_LIMIT)
+MR_RANGES = list(zip(_BAND_EDGES, _BAND_EDGES[1:]))
+
+
+def test_psi_13_is_the_end_of_the_13_base_band():
+    assert PSI[-1] == (_PSI_13, len(_MR_BASES_64))
+    assert _MR_BASES_64 == tuple(primes_up_to(41))
 
 
 @pytest.mark.parametrize("bound,k", PSI, ids=PSI_IDS)
 def test_mr_base_table_bound_is_strong_pseudoprime(bound, k):
-    # psi_k fools its own prefix, so the prefix is cut off there.
+    # psi_k fools its own k bases, and is_prime still answers it composite.
     assert _miller_rabin(bound, _MR_BASES_64[:k])
     assert not is_prime(bound)
 
 
-@pytest.mark.parametrize("lo,bound,hi", PSI_RANGES, ids=PSI_IDS)
+@pytest.mark.parametrize("lo,bound,hi", PSI_RANGES, ids=[f"k={k}" for _, k in _PSI_FIRST])
 def test_mr_base_table_matches_all_bases(lo, bound, hi):
     rng = random.Random(bound)
     sample = _mr_sample(lo, bound, 1000, rng) + _mr_sample(bound, hi, 1000, rng)
@@ -144,7 +173,7 @@ def test_mr_base_table_matches_all_bases(lo, bound, hi):
 
 def test_is_prime_matches_sympy_up_to_four_times_the_proof_limit():
     # Every n prime to 6 in the sample reaches a test: the proof below
-    # _TRIAL_PROOF_LIMIT, Miller-Rabin on four bases from it on.
+    # _TRIAL_PROOF_LIMIT, Miller-Rabin on the 13 bases from it on.
     sympy = pytest.importorskip("sympy")
     rng = random.Random(_TRIAL_PROOF_LIMIT)
     below = _mr_sample(1 << 20, _TRIAL_PROOF_LIMIT, 3000, rng)
@@ -190,10 +219,9 @@ def test_miller_rabin_gets_bases_in_range(monkeypatch):
     # the limit on each n prime to 6 reaches it once.
     seen = _spy_primality_tests(monkeypatch)
     rng = random.Random(5)
-    psi13 = _MR_PREFIXES[-1][0]
-    samples = [_mr_sample(lo, bound, 200, rng) for lo, (bound, _) in MR_RANGES]
-    samples.append(_mr_sample(psi13, 4 * psi13, 200, rng))
-    inputs = [*range(10**4), *itertools.chain(*samples), 2**89 - 1, 2**89 - 3, psi13, psi13 + 2, 2**127 - 1]
+    samples = [_mr_sample(lo, hi, 200, rng) for lo, hi in MR_RANGES]
+    samples.append(_mr_sample(_PSI_13, 4 * _PSI_13, 200, rng))
+    inputs = [*range(10**4), *itertools.chain(*samples), 2**89 - 1, 2**89 - 3, _PSI_13, _PSI_13 + 2, 2**127 - 1]
     for n in inputs:
         is_prime(n)
     tested = [(n, bases) for n, bases in seen if bases is not None]
@@ -202,25 +230,28 @@ def test_miller_rabin_gets_bases_in_range(monkeypatch):
     assert 2**127 - 1 in dict(tested)
 
 
-def test_is_prime_tests_each_range_with_its_prefix_of_bases(monkeypatch):
-    # Below _TRIAL_PROOF_LIMIT the trial-division proof alone runs.  Below
-    # each bound psi_k of _MR_PREFIXES, and from the bound before it or
-    # from the limit, Miller-Rabin runs on the first k bases: no fewer,
-    # which psi_k would fool, and no more, which would only cost time.
+def test_is_prime_tests_each_band_with_its_bases(monkeypatch):
+    # Below _TRIAL_PROOF_LIMIT the trial-division proof alone runs.  From
+    # it up to _PSI_13, at both ends of each stretch of MR_RANGES,
+    # Miller-Rabin runs on exactly the 13 bases: psi_12 fools 12.  From
+    # _PSI_13 on, which fools all 13, it runs on the bases derived from n.
     seen = _spy_primality_tests(monkeypatch)
 
     def prime_to_6(ns):
         return list(itertools.islice((n for n in ns if math.gcd(n, 6) == 1), 2))
 
-    for n in (5, 7, 25, 1 << 20 | 1, *prime_to_6(range(_TRIAL_PROOF_LIMIT - 1, 0, -1))):
+    def tests(n):
         seen.clear()
         is_prime(n)
-        assert seen == [(n, None)], n
-    for start, (bound, k) in MR_RANGES:
-        for n in prime_to_6(range(start, bound)) + prime_to_6(range(bound - 1, start, -1)):
-            seen.clear()
-            is_prime(n)
-            assert seen == [(n, _MR_BASES_64[:k])], (n, k)
+        return seen
+
+    for n in (5, 7, 25, 1 << 20 | 1, *prime_to_6(range(_TRIAL_PROOF_LIMIT - 1, 0, -1))):
+        assert tests(n) == [(n, None)], n
+    for lo, hi in MR_RANGES:
+        for n in prime_to_6(range(lo, hi)) + prime_to_6(range(hi - 1, lo, -1)):
+            assert tests(n) == [(n, _MR_BASES_64)], n
+    for n in (*prime_to_6(range(_PSI_13, 2 * _PSI_13)), 2**89 - 1):
+        assert tests(n) == [(n, tuple(rrseq.numtheory._derived_bases(n, 64)))], n
     is_prime.cache_clear()
 
 
@@ -237,7 +268,7 @@ def test_derived_bases_are_drawn_only_as_needed(monkeypatch):
 
     monkeypatch.setattr(rrseq.numtheory, "_derived_bases", counting)
     semiprime = 4503599627382881 * 4503599627470633  # 105 bits, above psi_13
-    assert semiprime > _MR_PREFIXES[-1][0] and semiprime.bit_length() == 105
+    assert semiprime > _PSI_13 and semiprime.bit_length() == 105
     is_prime.cache_clear()
     assert not is_prime(semiprime)
     assert len(drawn) == 1
@@ -592,3 +623,43 @@ def test_chunk_table_keys_are_powers_of_two():
         factorize(big, FactorBudget(trial_bound=bound, rho_rounds=0, ecm_curves=0))
     built = _trial_chunks.cache_info().currsize
     assert 0 < built == _cached(1 << k for k in range(1, 21))
+
+
+def test_certify_n128_miller_rabin_work(monkeypatch):
+    # The Miller-Rabin work of the certify-n128 benchmark pass at seed 0:
+    # for each p <= 60, find_modulus, then both certificates on the
+    # canonical modulus.  Pinned per band: the calls, and the bases handed
+    # over, the tuple's length in the 13-base band and the bases actually
+    # drawn from psi_13 on.  A change to this work fails here until the
+    # counts are changed on purpose.
+    counts = collections.Counter()
+    real = rrseq.numtheory._miller_rabin
+
+    def mr_spy(n, bases):
+        if n < _PSI_13:
+            counts["13 bases", "calls"] += 1
+            counts["13 bases", "bases"] += len(bases)
+            return real(n, bases)
+        counts["derived", "calls"] += 1
+
+        def drawn():
+            for a in bases:
+                counts["derived", "bases"] += 1
+                yield a
+
+        return real(n, drawn())
+
+    monkeypatch.setattr(rrseq.numtheory, "_miller_rabin", mr_spy)
+    is_prime.cache_clear()
+    for p in primes_up_to(60):
+        row = build_seed(p, 128)
+        q = find_modulus(row).canonical
+        if q is not None:
+            assert check_rr(row, q).verified and gram_check(row, q), p
+    is_prime.cache_clear()
+    assert dict(counts) == {
+        ("13 bases", "calls"): 19,
+        ("13 bases", "bases"): 247,
+        ("derived", "calls"): 25,
+        ("derived", "bases"): 592,
+    }
