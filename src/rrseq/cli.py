@@ -9,11 +9,13 @@ Each subcommand checks its arguments, then returns an exit code and its
 output text, in pieces.  search and verify build one record, a dict of
 JSON-typed values, and seed and autocorr a bare value list; `_render`
 writes either in CSV (default) or in JSON, by json.dumps.  sweep and
-plotdata build no record: they write each row straight from the plain
-tuple the search core yields (`modsearch._sweep_rows`), one template
-fill per row, with the writer of the chosen format (`_json_rows`,
-`_csv_rows`).  `_emit` writes each piece to stdout or --out as it
-comes, so a sweep holds one row at a time, not the whole table.
+plotdata build no record: from the plain tuple the search core yields
+(`modsearch._sweep_rows`) they make each row's values, with the
+modulus and the candidate lists already written in the chosen format,
+and the writer of that format (`_json_rows`, `_csv_rows`) puts them in
+one template fill per row.  `_emit` writes each piece to stdout or
+--out as it comes, so a sweep holds one row at a time, not the whole
+table.
 Output is byte-identical across runs for a fixed invocation: rows are
 emitted in ascending prime order, integers as exact decimals (JSON
 carries them as strings to survive tools that parse numbers as
@@ -35,6 +37,7 @@ written; 3 incomplete factorization; 4 output I/O error, on stdout or
 from __future__ import annotations
 
 import argparse
+import contextlib
 import io
 import os
 import re
@@ -68,16 +71,11 @@ _SEARCH_KEYS = (
 _VERIFY_FIELDS = ("start_prime", "length", "modulus", "peak", "offpeak_ok", "verified", "gram_ok")
 _PLOT_FIELDS = ("start_prime", "canonical_modulus")
 
-# How sweep and plotdata write each field of a row: "bare" as it is (an
-# int, or true/false), "text" as a JSON string, "optional" as a JSON
-# string or null (empty in CSV), "list" as a JSON list of strings (joined
-# with ';' in CSV).  Every value in a row stream is a decimal, a status
-# name or true/false, so no value needs JSON escaping: the writers put
-# quotes around it and nothing else.
-_FIELD_KINDS = {
-    "index": "bare", "start_prime": "text", "length": "bare", "gcd": "text", "status": "text",
-    "canonical_modulus": "optional", "valid_candidates": "list", "all_candidates": "list", "efficient": "bare",
-}
+# The fields that the JSON row writer puts in quotes.  Every other value
+# of a row arrives as its JSON text.  Every value in a row stream is a
+# decimal, a status name or true/false, so no value needs JSON escaping:
+# the writers put quotes around it and nothing else.
+_QUOTED = {"start_prime", "gcd", "status"}
 
 
 def _cell(value) -> str:
@@ -114,32 +112,15 @@ def _json_list(items: list[str]) -> str:
     return '[\n      "' + '",\n      "'.join(items) + '"\n    ]' if items else "[]"
 
 
-_JSON_VALUE = {"optional": lambda v: "null" if v is None else f'"{v}"', "list": _json_list}
-_CSV_VALUE = {"optional": lambda v: "" if v is None else v, "list": ";".join}
-
-
-def _filled(fields: tuple[str, ...], rows: Iterable[tuple], write: dict) -> Iterator[tuple]:
-    """Each row's values, in field order, with every optional and list
-    value already written as its text by write[kind]: the tuple that
-    fills a row's template."""
-    at = [(i, write[_FIELD_KINDS[f]]) for i, f in enumerate(fields) if _FIELD_KINDS[f] in write]
-    for row in rows:
-        values = list(row)
-        for i, w in at:
-            values[i] = w(values[i])
-        yield tuple(values)
-
-
 def _json_rows(fields: tuple[str, ...], rows: Iterable[tuple]) -> Iterator[str]:
     """The JSON list of the rows of sweep or plotdata, one piece per row:
     the same text as json.dumps of the records, indent 2.  Each row is a
-    tuple of its values in field order, written by one fill of a
-    template built once from the fields."""
-    template = "{\n    " + ",\n    ".join(
-        f'"{f}": ' + ('"%s"' if _FIELD_KINDS[f] == "text" else "%s") for f in fields
-    ) + "\n  }"
+    tuple of its values in field order, each a JSON text but those of
+    _QUOTED, written by one fill of a template built once from the
+    fields."""
+    template = "{\n    " + ",\n    ".join(f'"{f}": ' + ('"%s"' if f in _QUOTED else "%s") for f in fields) + "\n  }"
     sep = "[\n  "  # before the first row; ",\n  " before each later one
-    for values in _filled(fields, rows, _JSON_VALUE):
+    for values in rows:
         yield sep + template % values
         sep = ",\n  "
     yield "[]\n" if sep == "[\n  " else "\n]\n"
@@ -147,10 +128,11 @@ def _json_rows(fields: tuple[str, ...], rows: Iterable[tuple]) -> Iterator[str]:
 
 def _csv_rows(fields: tuple[str, ...], rows: Iterable[tuple]) -> Iterator[str]:
     """The CSV of the rows of sweep or plotdata: a header of the fields,
-    then one line per row, each filled into a template built once."""
+    then one line per row, its values (each a CSV cell) filled into a
+    template built once."""
     yield ",".join(fields) + "\n"
     template = ",".join(["%s"] * len(fields)) + "\n"
-    for values in _filled(fields, rows, _CSV_VALUE):
+    for values in rows:
         yield template % values
 
 
@@ -171,29 +153,22 @@ def _emit(pieces: Iterable[str], out: Path | None) -> int:
     """Write the pieces as they come, to sys.stdout or to out; 0, or 4 on
     an I/O error.
 
-    sys.stdout is looked up at write time, so a redirected stdout gets
-    the text.  out is opened only here, after the subcommand has checked
-    its arguments, so a run that exits 2 creates no file.  On exit 4 the
-    output may hold a prefix of the text: rows are written as they are
-    made.  A failed stdout (a full disk, or a closed pipe such as
-    `| head -1`) is pointed at os.devnull, so nothing more is reported.
+    sys.stdout is looked up once, when writing starts, so a redirected
+    stdout gets the text.  out is opened only here, after the subcommand
+    has checked its arguments, so a run that exits 2 creates no file.  On
+    exit 4 the output may hold a prefix of the text: rows are written as
+    they are made.  A failed stdout (a full disk, or a closed pipe such
+    as `| head -1`) is pointed at os.devnull, so nothing more is reported.
     """
-    if out is None:
-        try:
-            for piece in pieces:
-                sys.stdout.write(piece)
-            sys.stdout.flush()
-        except OSError as exc:
-            print(f"error: cannot write stdout: {exc}", file=sys.stderr)
-            _drop_stdout()
-            return 4
-        return 0
     try:
-        with open(out, "w", encoding="utf-8", newline="\n") as fh:
+        with contextlib.nullcontext(sys.stdout) if out is None else open(out, "w", encoding="utf-8", newline="\n") as fh:
             for piece in pieces:
                 fh.write(piece)
+            fh.flush()
     except OSError as exc:
-        print(f"error: cannot write {out}: {exc}", file=sys.stderr)
+        print(f"error: cannot write {'stdout' if out is None else out}: {exc}", file=sys.stderr)
+        if out is None:
+            _drop_stdout()
         return 4
     return 0
 
@@ -276,12 +251,16 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, list[str]]:
     return _STATUS_EXIT[o.status], _render(record, args.format, _SEARCH_FIELDS, _SEARCH_KEYS)
 
 
-def _sweep_values(n: int, rows: Iterable[tuple]) -> Iterator[tuple]:
+def _sweep_values(n: int, rows: Iterable[tuple], fmt: str) -> Iterator[tuple]:
     """The values of each row of `rrseq sweep -n n`, in _SWEEP_FIELDS
     order, from the plain tuples of `_sweep_rows`.  Rows are numbered
-    from 1.  Each candidate's decimal is formed once, for both lists, and
+    from 1.  The canonical modulus and the two candidate lists are
+    written in the format fmt: in JSON as null or a string and as lists
+    of strings, in CSV as an empty or plain cell and as ';'-joined cells.
+    Each candidate's decimal is formed once, for both lists, and
     `efficient`, which says the canonical modulus is no larger than n,
     is true/false as both formats write it."""
+    none, modulus, join = ("null", '"%s"', _json_list) if fmt == "json" else ("", "%s", ";".join)
     for i, (p, g, _, _, candidates, status, canonical) in enumerate(rows, 1):
         valid, every = [], []
         for q, r in candidates:
@@ -290,13 +269,16 @@ def _sweep_values(n: int, rows: Iterable[tuple]) -> Iterator[tuple]:
                 valid.append(every[-1])
         efficient = "true" if canonical is not None and canonical <= n else "false"
         # status._value_: the Enum.value property costs ~0.2 us
-        yield i, p, n, g, status._value_, canonical, valid, every, efficient
+        yield (
+            i, p, n, g, status._value_, none if canonical is None else modulus % canonical,
+            join(valid), join(every), efficient,
+        )
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
     n = args.length
     rows = _sweep_rows(n, args.primes_up_to, *_factoring(args), args.row)
-    return _rows(args.format, _SWEEP_FIELDS, _sweep_values(n, rows))
+    return _rows(args.format, _SWEEP_FIELDS, _sweep_values(n, rows, args.format))
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, list[str]]:
@@ -324,7 +306,8 @@ def _cmd_plotdata(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
     if policy is SelectionPolicy.ALL:
         raise ValueError("plotdata needs a single canonical modulus per prime; use --policy smallest or largest")
     rows = _sweep_rows(args.length, args.primes_up_to, policy, budget, args.row)
-    return _rows(args.format, _PLOT_FIELDS, ((p, c) for p, *_, c in rows if c is not None))
+    modulus = '"%s"' if args.format == "json" else "%s"
+    return _rows(args.format, _PLOT_FIELDS, ((p, modulus % c) for p, *_, c in rows if c is not None))
 
 
 _PRIMES_UP_TO_HELP = f"search every starting prime up to B, at most {SIEVE_LIMIT}"
@@ -427,8 +410,7 @@ def main(argv: list[str] | None = None) -> int:
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    emit_code = _emit(text, args.out)
-    return emit_code if emit_code else code
+    return _emit(text, args.out) or code
 
 
 if __name__ == "__main__":

@@ -362,6 +362,13 @@ MUTANTS = (
         "failed-stdout-kept",
         "src/rrseq/cli.py",
         "            _drop_stdout()\n",
+        "            pass\n",
+        ("tests/test_cli.py::test_stdout_on_full_device_exit_4[30]",),
+    ),
+    Mutant(
+        "emit-skips-the-flush",
+        "src/rrseq/cli.py",
+        "            fh.flush()\n",
         "",
         ("tests/test_cli.py::test_stdout_on_full_device_exit_4[30]",),
     ),
@@ -411,8 +418,8 @@ MUTANTS = (
     Mutant(
         "row-valid-candidates-from-all",
         "src/rrseq/cli.py",
-        "yield i, p, n, g, status._value_, canonical, valid, every, efficient",
-        "yield i, p, n, g, status._value_, canonical, every, every, efficient",
+        "join(valid), join(every), efficient,",
+        "join(every), join(every), efficient,",
         (
             "tests/test_cli.py::test_row_streams_equal_text_rebuilt_from_find_modulus[16-doubling-sweep-largest-None-json]",
             "tests/test_cli.py::test_row_streams_equal_text_rebuilt_from_find_modulus[16-doubling-sweep-largest-None-csv]",
@@ -422,8 +429,8 @@ MUTANTS = (
     Mutant(
         "row-missing-modulus-written-empty",
         "src/rrseq/cli.py",
-        """"optional": lambda v: "null" if v is None""",
-        """"optional": lambda v: '""' if v is None""",
+        """none, modulus, join = ("null", """,
+        """none, modulus, join = ('""', """,
         (
             "tests/test_cli.py::test_row_streams_equal_text_rebuilt_from_find_modulus[2-powers-sweep-largest-None-json]",
             "tests/test_cli.py::test_row_streams_equal_text_rebuilt_from_find_modulus[16-powers-sweep-all-5-json]",

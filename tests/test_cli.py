@@ -20,7 +20,7 @@ from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from rrseq.cli import (
-    _FIELD_KINDS, _PLOT_FIELDS, _STATUS_EXIT, _SWEEP_FIELDS, _build_parser, _cell, _parse_seq, main,
+    _PLOT_FIELDS, _STATUS_EXIT, _SWEEP_FIELDS, _build_parser, _cell, _parse_seq, main,
 )
 from rrseq.modsearch import ModulusSearchOutcome, SearchStatus, SweepRow, find_modulus, sweep
 from rrseq.numtheory import DEFAULT_BUDGET, Factorization, FactorBudget, primes_up_to
@@ -425,10 +425,8 @@ def test_row_stream_oracle_covers_every_kind_of_row():
 
 def test_row_stream_values_need_no_json_escaping():
     # the row writers put quotes around each field name and text value and
-    # escape nothing: every value is a decimal or a status name, and every
-    # field has a kind
+    # escape nothing: every value is a decimal or a status name
     fields = set(_SWEEP_FIELDS) | set(_PLOT_FIELDS)
-    assert set(_FIELD_KINDS) == fields
     for text in fields | {s.value for s in SearchStatus} | {"true", "false"}:
         assert json.dumps(text) == f'"{text}"' and re.fullmatch(r"\w+", text, re.ASCII)
 
@@ -440,6 +438,10 @@ def test_row_stream_values_need_no_json_escaping():
         ["sweep", "-n", "8", "--primes-up-to", "20"],
         ["plotdata", "-n", "16", "--primes-up-to", "40"],
         ["plotdata", "-n", "16", "--primes-up-to", "20", "--row", "powers"],  # no row is Found
+        ["search", "-p", "3", "-n", "16"],
+        ["verify", "-p", "3", "-n", "16", "-m", "3121"],
+        ["seed", "-p", "3", "-n", "8"],
+        ["autocorr", "--seq", "1,2,3"],
     ],
 )
 def test_out_file_matches_stdout(argv, fmt, tmp_path, capsys):
@@ -477,7 +479,7 @@ def test_unwritable_out_path(tmp_path, capsys):
     target = tmp_path / "missing" / "rows.csv"
     code, _, err = run(["sweep", "-n", "8", "--primes-up-to", "20", "--out", str(target)], capsys)
     assert code == 4
-    assert "cannot write" in err
+    assert err.startswith(f"error: cannot write {target}:")
 
 
 @pytest.mark.slow

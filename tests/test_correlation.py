@@ -1,28 +1,28 @@
 """Exact periodic autocorrelation, checked against a brute-force oracle."""
 
+import ast
 import math
 import random
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import oracle_autocorr
 
 from rrseq.correlation import autocorr_mod, periodic_autocorr, residue_profile
 from rrseq.sequence import ROW_POWERS, build_seed
 
 
-def oracle_autocorr(a):
-    # Independent reference: direct double loop over the definition,
-    # with explicit cyclic index wrap-around.
-    size = len(a)
-    out = []
-    for k in range(size):
-        acc = 0
-        for j in range(size):
-            acc += a[j] * a[(j + k) % size]
-        out.append(acc)
-    return out
+def test_oracles_import_nothing_from_rrseq():
+    # the shared oracles must stay independent of the code they check
+    tree = ast.parse((Path(__file__).parent / "oracles.py").read_text(encoding="utf-8"))
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            assert node.level == 0 and node.module.split(".")[0] != "rrseq", ast.dump(node)
+        elif isinstance(node, ast.Import):
+            assert all(alias.name.split(".")[0] != "rrseq" for alias in node.names), ast.dump(node)
 
 
 def test_hand_oracle_profile():

@@ -4,6 +4,7 @@ import math
 
 import numpy as np
 import pytest
+from oracles import oracle_autocorr
 
 import rrseq.correlation
 import rrseq.modsearch
@@ -31,8 +32,7 @@ BARE_TRIAL = FactorBudget(trial_bound=5, rho_rounds=0, ecm_curves=0)
 def oracle_outcome(row, budget):
     """The search outcome from a brute-force profile and the gcd of all
     N - 1 off-peak values; None when every off-peak value is zero."""
-    size = len(row)
-    values = [sum(row[j] * row[(j + k) % size] for j in range(size)) for k in range(size)]
+    values = oracle_autocorr(row)
     g = math.gcd(*(abs(v) for v in values[1:]))
     if g == 0:
         return None

@@ -1,7 +1,9 @@
 """The mutant list stays in step with the source and the suite: every
 mutant's text is found exactly once in its file, so `python
-tests/mutants.py` edits what it means to, and every test a mutant names
-still exists, so a renamed test fails here rather than in a mutant run."""
+tests/mutants.py` edits what it means to, the edited file still parses,
+so its tests fail on its edit rather than on a broken import, and every
+test a mutant names still exists, so a renamed test fails here rather
+than in a mutant run."""
 
 import ast
 import functools
@@ -20,8 +22,10 @@ def _test_functions(path: str) -> frozenset[str]:
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)
 def test_mutant_text_occurs_once(mutant):
-    assert (ROOT / mutant.file).read_text(encoding="utf-8").count(mutant.old) == 1
+    text = (ROOT / mutant.file).read_text(encoding="utf-8")
+    assert text.count(mutant.old) == 1
     assert mutant.old != mutant.new and mutant.tests
+    ast.parse(text.replace(mutant.old, mutant.new))
 
 
 @pytest.mark.parametrize("mutant", MUTANTS, ids=lambda m: m.name)

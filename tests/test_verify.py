@@ -13,6 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from oracles import oracle_autocorr
 
 from rrseq import verify
 from rrseq.correlation import periodic_autocorr
@@ -55,10 +56,9 @@ def _gram_ok_exact(residues: tuple[int, ...], n: int) -> bool:
 
 
 def _check_rr_exact(row, n: int) -> RRCertificate:
-    """Oracle for `check_rr`: the exact profile of the row itself, by
-    index arithmetic, then reduced mod n."""
-    size = len(row)
-    peak, *offpeak = (sum(row[j] * row[(j + k) % size] for j in range(size)) % n for k in range(size))
+    """Oracle for `check_rr`: the brute-force profile of the row itself,
+    then reduced mod n."""
+    peak, *offpeak = (v % n for v in oracle_autocorr(row))
     residues = tuple(e % n for e in row)
     offpeak_ok = all(v == 0 for v in offpeak)
     verified = offpeak_ok and peak != 0 and any(residues)
