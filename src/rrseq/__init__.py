@@ -27,7 +27,6 @@ from .modsearch import (
     sweep,
 )
 from .numtheory import (
-    DEFAULT_BUDGET,
     FactorBudget,
     Factorization,
     factorize,
@@ -35,12 +34,7 @@ from .numtheory import (
     is_prime,
     primes_up_to,
 )
-from .sequence import (
-    ROW_DOUBLING,
-    ROW_KINDS,
-    ROW_POWERS,
-    build_seed,
-)
+from .sequence import build_seed
 
 # Each name loaded at first use, and the submodule that defines it.
 _LAZY = {
@@ -75,14 +69,10 @@ __version__ = "0.1.0"
 __all__ = [
     "BinaryWitness",
     "CorrProfile",
-    "DEFAULT_BUDGET",
     "FactorBudget",
     "Factorization",
     "ModulusSearchOutcome",
     "RRCertificate",
-    "ROW_DOUBLING",
-    "ROW_KINDS",
-    "ROW_POWERS",
     "SearchStatus",
     "SelectionPolicy",
     "SweepRow",

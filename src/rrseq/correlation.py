@@ -36,10 +36,6 @@ class CorrProfile:
 
     values: tuple[int, ...]
 
-    @property
-    def peak(self) -> int:
-        return self.values[0]
-
     def offpeak(self) -> tuple[int, ...]:
         return self.values[1:]
 

@@ -13,7 +13,9 @@ Run the mutants with
 Each one is applied to its own copy of src/ and tests/ in a temporary
 directory, never to this tree, and only its tests are run there, with
 pytest.  One line per mutant says whether it was killed, that is whether
-every test it names failed; the exit code is 1 if any mutant survived.
+every test it names failed.  A mutant whose tests could not be collected,
+say because the edit breaks an import, did not run: it is neither killed
+nor survived.  The exit code is 1 unless every mutant was killed.
 """
 
 from __future__ import annotations
@@ -534,22 +536,52 @@ MUTANTS = (
         "acc = acc * gx % n",
         ("tests/test_numtheory.py::test_ecm_matches_sympy_factorint",),
     ),
+    Mutant(
+        "ecm-ladder-branch-swapped",
+        "src/rrseq/numtheory.py",
+        'if bit == "1":',
+        'if bit == "0":',
+        (
+            "tests/test_numtheory.py::test_ecm_matches_sympy_factorint",
+            "tests/test_numtheory.py::test_ecm_stage_splits_prime_squares",
+            "tests/test_numtheory.py::test_certify_n128_miller_rabin_work",
+            "tests/test_numtheory.py::test_certify_n128_second_stage_work",
+            "tests/test_modsearch.py::test_n128_sweep_factors_every_row",
+        ),
+    ),
+    Mutant(
+        "ecm-retry-point-left-projective",
+        "src/rrseq/numtheory.py",
+        "x = xz[0] * pow(xz[1], -1, n) % n",
+        "x = xz[0]",
+        ("tests/test_numtheory.py::test_ecm_separates_small_primes_found_together",),
+    ),
 )
 
 
-def _failed(report: Path) -> set[str]:
-    """The ids of the tests that failed or errored in a junit report."""
-    failed = set()
+def verdict(tests: tuple[str, ...], report: Path) -> str:
+    """A mutant's outcome, from the junit report of its tests: "killed"
+    when every test failed or errored; "did not run" when a test file it
+    names failed to collect, as when the edit breaks an import; else
+    "survived", with the tests that passed."""
+    failed, broken = set(), set()
     for case in ET.parse(report).iter("testcase"):
-        if case.find("failure") is not None or case.find("error") is not None:
+        error = case.find("error")
+        if error is not None and error.get("message") == "collection failure":
+            broken.add(case.get("name").replace(".", "/") + ".py")
+        elif error is not None or case.find("failure") is not None:
             module = case.get("classname", "").replace(".", "/")
             failed.add(f"{module}.py::{case.get('name')}")
-    return failed
+    unrun = sorted(broken & {test.split("::")[0] for test in tests})
+    if unrun:
+        return "did not run: collection error in " + ", ".join(unrun)
+    passing = set(tests) - failed
+    return "survived, not failed: " + ", ".join(sorted(passing)) if passing else "killed"
 
 
-def run(mutant: Mutant) -> set[str]:
-    """Apply the mutant to a copy of the tree and run its tests; return
-    the named tests that did not fail."""
+def run(mutant: Mutant) -> str:
+    """Apply the mutant to a copy of the tree, run its tests and return
+    their `verdict`."""
     with tempfile.TemporaryDirectory(prefix="rrseq-mutant-") as tmp:
         work = Path(tmp)
         skip = shutil.ignore_patterns("__pycache__", ".hypothesis", ".pytest_cache")
@@ -567,7 +599,7 @@ def run(mutant: Mutant) -> set[str]:
             [sys.executable, "-m", "pytest", "-q", "-p", "no:cacheprovider", f"--junitxml={report}", *mutant.tests],
             cwd=work, env=env, stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL, timeout=600,
         )
-        return set(mutant.tests) - _failed(report)
+        return verdict(mutant.tests, report)
 
 
 def main(names: list[str]) -> int:
@@ -575,14 +607,14 @@ def main(names: list[str]) -> int:
     if unknown:
         print(f"unknown mutants: {', '.join(sorted(unknown))}", file=sys.stderr)
         return 2
-    survived = 0
+    not_killed = 0
     for mutant in MUTANTS:
         if names and mutant.name not in names:
             continue
-        passing = run(mutant)
-        survived += bool(passing)
-        print(f"{mutant.name}: " + ("survived, not failed: " + ", ".join(sorted(passing)) if passing else "killed"))
-    return 1 if survived else 0
+        outcome = run(mutant)
+        not_killed += outcome != "killed"
+        print(f"{mutant.name}: {outcome}")
+    return 1 if not_killed else 0
 
 
 if __name__ == "__main__":

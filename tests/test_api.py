@@ -1,8 +1,10 @@
-"""The public surface: `rrseq.__all__`, and every name the benchmark in
-perfbench/ takes from rrseq, so a later cut cannot silently break it."""
+"""The public surface: `rrseq.__all__`, each of its names described in
+README.md, and every name the benchmark in perfbench/ takes from rrseq,
+so a later cut cannot silently break it."""
 
 import ast
 import importlib
+import re
 from pathlib import Path
 
 import pytest
@@ -10,21 +12,18 @@ import pytest
 import rrseq
 from rrseq import FactorBudget
 
-PERFBENCH = Path(__file__).parent.parent / "perfbench"
+ROOT = Path(__file__).parent.parent
+PERFBENCH = ROOT / "perfbench"
 PERFBENCH_FILES = ("workloads.py", "checks.py")
 
 # Each public name and the submodule that defines it.
 PUBLIC = {
     "BinaryWitness": "verify",
     "CorrProfile": "correlation",
-    "DEFAULT_BUDGET": "numtheory",
     "FactorBudget": "numtheory",
     "Factorization": "numtheory",
     "ModulusSearchOutcome": "modsearch",
     "RRCertificate": "verify",
-    "ROW_DOUBLING": "sequence",
-    "ROW_KINDS": "sequence",
-    "ROW_POWERS": "sequence",
     "SearchStatus": "modsearch",
     "SelectionPolicy": "modsearch",
     "SweepRow": "modsearch",
@@ -57,7 +56,7 @@ def _rrseq_imports():
 
 
 def test_all_is_exactly_the_public_names():
-    assert len(rrseq.__all__) == len(set(rrseq.__all__)) == len(PUBLIC) == 26
+    assert len(rrseq.__all__) == len(set(rrseq.__all__)) == len(PUBLIC) == 22
     assert set(rrseq.__all__) == set(PUBLIC)
     for name in rrseq.__all__:
         assert hasattr(rrseq, name), name
@@ -65,6 +64,40 @@ def test_all_is_exactly_the_public_names():
     # build_seed is the one seed constructor
     for name in ("doubling_seed", "power_seed"):
         assert not hasattr(rrseq, name) and not hasattr(rrseq.sequence, name), name
+
+
+# Constants the package does not export: callers take them from their module.
+MODULE_ONLY = {
+    "DEFAULT_BUDGET": "numtheory",
+    "ROW_DOUBLING": "sequence",
+    "ROW_KINDS": "sequence",
+    "ROW_POWERS": "sequence",
+}
+
+
+@pytest.mark.parametrize("name, module", MODULE_ONLY.items())
+def test_module_constants_are_not_exported(name, module):
+    with pytest.raises(ImportError):
+        exec(f"from rrseq import {name}", {})
+    assert hasattr(importlib.import_module(f"rrseq.{module}"), name)
+
+
+def test_corr_profile_is_its_values():
+    # C(0) is values[0]; the profile has no other name for it
+    assert list(rrseq.CorrProfile.__dataclass_fields__) == ["values"]
+    assert not hasattr(rrseq.CorrProfile, "peak")
+
+
+def _readme_code(*headings: str) -> str:
+    """The code blocks and code spans of these `##` sections of README.md."""
+    sections = re.split(r"^## ", (ROOT / "README.md").read_text(encoding="utf-8"), flags=re.M)
+    text = "\n".join(s for s in sections if s.split("\n", 1)[0] in headings)
+    return "\n".join(re.findall(r"```.*?```|`[^`\n]+`", text, flags=re.S))
+
+
+def test_every_public_name_is_described_in_the_readme():
+    code = _readme_code("Library", "Binary witness scan")
+    assert [name for name in rrseq.__all__ if not re.search(rf"\b{name}\b", code)] == []
 
 
 def test_each_public_name_is_the_object_its_module_defines():
@@ -167,4 +200,4 @@ print(len([name for name in rrseq.__all__ if globals()[name] is getattr(rrseq, n
 
 def test_star_import_binds_every_public_name(fresh_python):
     proc = fresh_python("-c", STAR_IMPORT)
-    assert (proc.returncode, proc.stdout) == (0, "26\n"), proc.stderr
+    assert (proc.returncode, proc.stdout) == (0, "22\n"), proc.stderr

@@ -10,29 +10,9 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import oracle_masks, passes
 
 from rrseq import enumerate_binary_ideal, scan_masks, verify
-
-
-def popcount(x):
-    return bin(x).count("1")
-
-
-def passes(mask, n):
-    # straight off the definition: C(0) odd, every other C(k) even
-    if popcount(mask) % 2 == 0:
-        return False
-    full = (1 << n) - 1
-    for k in range(1, n):
-        rot = ((mask >> k) | (mask << (n - k))) & full
-        if popcount(mask & rot) % 2 == 1:
-            return False
-    return True
-
-
-def oracle_masks(n):
-    # brute force, independent of the scan
-    return [mask for mask in range(1 << n) if passes(mask, n)]
 
 
 # A numpy popcount filter over all 2**n masks, straight off the definition

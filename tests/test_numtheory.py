@@ -7,6 +7,7 @@ import random
 
 import numpy as np
 import pytest
+from oracles import _naive_primes
 
 import rrseq.modsearch
 import rrseq.numtheory
@@ -380,12 +381,23 @@ def test_ecm_matches_sympy_factorint():
         assert dict(f.factors) == sympy.factorint(n), n
 
 
-def test_ecm_separates_small_primes_found_together():
+def test_ecm_separates_small_primes_found_together(monkeypatch):
     # Curve orders near 10**4 are all B1-smooth, so stage 1 catches every
     # prime of n at once; ECM must still split n.
     n = 10007 * 10009 * 10037
     f = factorize(n, FactorBudget(trial_bound=2, rho_rounds=0))
     assert f.factors == ((10007, 1), (10009, 1), (10037, 1))
+    # Each curve splits n itself: after the one stage-1 ladder by the
+    # whole product k, its retry takes the primes one at a time.
+    k = rrseq.numtheory._ecm_tables()[1]
+    ladders = []
+    real = rrseq.numtheory._ladder
+    monkeypatch.setattr(rrseq.numtheory, "_ladder", lambda m, *args: ladders.append(m) or real(m, *args))
+    for sigma in range(6, 12):
+        ladders.clear()
+        g = rrseq.numtheory._ecm_curve(n, sigma)
+        assert 1 < g < n and n % g == 0, sigma
+        assert ladders[0] == k and len(ladders) > 1, sigma
 
 
 def test_ecm_stage_splits_prime_squares():
@@ -437,16 +449,6 @@ def test_primes_up_to_takes_integers_only(monkeypatch):
     monkeypatch.setattr(rrseq.numtheory, "_sieve", no_work)
     with pytest.raises(TypeError):
         primes_up_to(10.0)
-
-
-def _naive_primes(bound: int) -> list[int]:
-    """Primes <= bound from a sieve that strikes each multiple one at a time."""
-    flags = [False, False] + [True] * (bound - 1)
-    for p in range(2, math.isqrt(bound) + 1):
-        if flags[p]:
-            for m in range(p * p, bound + 1, p):
-                flags[m] = False
-    return [i for i, f in enumerate(flags) if f]
 
 
 def test_primes_up_to_matches_naive_sieve():
@@ -663,3 +665,32 @@ def test_certify_n128_miller_rabin_work(monkeypatch):
         ("derived", "calls"): 25,
         ("derived", "bases"): 592,
     }
+
+
+def test_certify_n128_second_stage_work(monkeypatch):
+    # The factoring work of the same pass: the search's `_factor` calls,
+    # and the Brent-rho rounds, ECM curves and stage-1 ladders they run.
+    # A change to the second stage fails here until the counts are changed
+    # on purpose.
+    counts = collections.Counter()
+
+    def spy(module, name):
+        real = getattr(module, name)
+
+        def counted(*args):
+            counts[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(module, name, counted)
+
+    spy(rrseq.modsearch, "_factor")
+    for name in ("_brent_rho", "_ecm_curve", "_ladder"):
+        spy(rrseq.numtheory, name)
+    is_prime.cache_clear()
+    for p in primes_up_to(60):
+        row = build_seed(p, 128)
+        q = find_modulus(row).canonical
+        if q is not None:
+            assert check_rr(row, q).verified and gram_check(row, q), p
+    is_prime.cache_clear()
+    assert dict(counts) == {"_factor": 17, "_brent_rho": 17, "_ecm_curve": 21, "_ladder": 21}

@@ -5,7 +5,6 @@ import csv
 import dataclasses
 import itertools
 import math
-import operator
 import pickle
 import random
 import tracemalloc
@@ -13,7 +12,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from oracles import oracle_autocorr
+from oracles import _gram_ok_exact, oracle_autocorr
 
 from rrseq import verify
 from rrseq.correlation import periodic_autocorr
@@ -35,24 +34,6 @@ from rrseq.verify import (
 )
 
 DATA = Path(__file__).parent / "data"
-
-
-def _gram_ok_exact(residues: tuple[int, ...], n: int) -> bool:
-    """Oracle for `_gram_ok`: every entry of the upper triangle of the
-    circulant Gram product as a plain Python sum, one reduction each.  It
-    passes iff every diagonal entry is the same scalar, that scalar is
-    nonzero mod n, and every other entry is 0 mod n."""
-    size = len(residues)
-    rows = [residues[i:] + residues[:i] for i in range(size)]
-    scalar = sum(map(operator.mul, rows[0], rows[0])) % n
-    if scalar == 0:
-        return False
-    for i in range(size):
-        ri = rows[i]
-        for j in range(i, size):
-            if sum(map(operator.mul, ri, rows[j])) % n != (scalar if i == j else 0):
-                return False
-    return True
 
 
 def _check_rr_exact(row, n: int) -> RRCertificate:
