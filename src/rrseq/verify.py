@@ -36,14 +36,19 @@ directly: the field components of F2[C_m], m odd, give its unitary
 units, and each factor 2 of n = 2**k m doubles the length by one
 square-zero lift through s = x^h + 1, n = 2h.  Each component's units
 form a cyclic group, which `_orbit` lists by byte-table lookups, not by
-one `_mul` per element.  The group is closed under bit reversal, so the
-units, sorted in place as a uint32 array, are the sorted masks.  Its
+one `_mul` per element.  The group is a uint32 array throughout: the
+components join by one broadcast XOR, and each lift multiplies by the
+basis x^i + x^-i of the self-conjugate elements as two rotations of the
+lifted units, doubling every coset at once.  The group is closed under
+bit reversal, so the units, sorted in place, are the sorted masks.  Its
 docstring has the theorem and the proofs.  No 2**n-mask pass is made; a
 popcount filter over all 2**n masks is the test oracle.  Each listed row
 is still checked against the definition, over lags 0..n/2 only, as
 C(n - k) = C(k): one boolean array, updated in place lag by lag.  The
 bit tuples are the columns of one shift-and-mask array zipped together,
 so no per-row list is built, and `BinaryWitness` is a slotted record.
+They are built with the cyclic garbage collector paused, as they form
+no cycle that it could free.
 
 This module loads at the first use of one of its names through the
 package (`rrseq/__init__.py`), or at `rrseq verify`: `import rrseq`, the
@@ -54,7 +59,9 @@ scan; `check_rr` never touches it.
 
 from __future__ import annotations
 
+import contextlib
 import functools
+import gc
 import itertools
 import math
 import operator
@@ -300,10 +307,12 @@ def _orbit(u: int, c: int, size: int, m: int) -> list[int]:
     return out
 
 
-def _odd_units(m: int) -> list[int]:
+def _odd_units(m: int) -> np.ndarray:
     """The unitary group {u : u * conj(u) = 1} of F2[x]/(x^m - 1), m odd,
-    as the XOR of one element from the unitary group of each class of
-    components under conjugation."""
+    as a uint32 array: the XOR of one element from the unitary group of
+    each class of components under conjugation."""
+    import numpy as np
+
     etas, seen = [], set()
     for r in range(m):
         if r not in seen:
@@ -316,7 +325,7 @@ def _odd_units(m: int) -> list[int]:
     for eta in etas:
         atoms = [f for e in atoms for g in [_mul(e, eta, m)] for f in (g, e ^ g) if f]
 
-    units = [0]
+    units = np.zeros(1, dtype=np.uint32)
     for e in atoms:
         ebar = _conj(e, m)
         if ebar < e:
@@ -339,34 +348,40 @@ def _odd_units(m: int) -> list[int]:
             a = _primitive(e, d, m)
             order = (1 << d) - 1
             group = _orbit(e ^ ebar, a ^ _power(_conj(a, m), order - 1, ebar, m), order, m)
-        units = [u ^ g for u in units for g in group]
+        # A unit of the direct sum is the sum, an XOR, of one unit per component.
+        units = (units[:, None] ^ np.array(group, dtype=np.uint32)).ravel()
     return units
 
 
-def _unitary_group(n: int) -> list[int]:
-    """The unitary group of F2[x]/(x^n - 1): for even n = 2h, each unit of
-    U_h lifted through s = x^h + 1, s**2 = 0 (see `scan_masks`)."""
+def _unitary_group(n: int) -> np.ndarray:
+    """The unitary group of F2[x]/(x^n - 1), n <= 32, as a uint32 array:
+    for even n = 2h, each unit of U_h lifted through s = x^h + 1, s**2 =
+    0 (see `scan_masks`)."""
     if n % 2:
         return _odd_units(n)
+    import numpy as np
+
     h = n // 2
-    # A basis of Sym_h = {c : c = conj(c)}: x^i + x^-i for 0 <= i <= h/2,
-    # read as x^i where i = -i.
-    sym = [(1 << i) | (1 << -i % h) for i in range(h // 2 + 1)]
     low = (1 << (h + 1) // 2) - 2  # exponents 0 < i < h/2
-    lifted = []
-    for v in _unitary_group(h):
+    lifting, first = [], []
+    for v in _unitary_group(h).tolist():
         w = (_mul(v, _conj(v, n), n) ^ 1) & ((1 << h) - 1)  # v conj(v) = 1 + s w
         c0 = w & low
         if w != c0 ^ _conj(c0, h):
             continue  # no c has c + conj(c) = w: v does not lift
         # The lifts v + s v c, c in c0 + Sym_h; s t = t + x^h t for deg t < h.
         t = _mul(v, c0, h)
-        coset = [v ^ t ^ (t << h)]
-        for c in sym:
-            t = _mul(v, c, h)
-            coset += [u ^ t ^ (t << h) for u in coset]
-        lifted += coset
-    return lifted
+        lifting.append(v)
+        first.append(v ^ t ^ (t << h))
+    vs = np.array(lifting, dtype=np.uint32)
+    cosets = np.array(first, dtype=np.uint32)[:, None]
+    # Each basis element c = x^i + x^-i of Sym_h doubles every coset; v c
+    # is v rotated right by i and by -i places, once where i = -i.
+    for i in range(h // 2 + 1):
+        j = -i % h
+        t = _rot(vs, i, h) if i == j else _rot(vs, i, h) ^ _rot(vs, j, h)
+        cosets = np.hstack((cosets, cosets ^ (t ^ t << h)[:, None]))
+    return cosets.ravel()
 
 
 def scan_masks(n: int) -> np.ndarray:
@@ -389,7 +404,8 @@ def scan_masks(n: int) -> np.ndarray:
     self-conjugate F_{2^d} (d even) gives the cyclic group of order
     2**(d/2) + 1, generated by a**(2**(d/2) - 1) for a primitive a.  A
     conjugate pair gives the cyclic group of order 2**d - 1 generated by
-    a + conj(a)**-1.  U_m is the XOR of one element of each.  Each cyclic
+    a + conj(a)**-1.  U_m is the XOR of one element of each, formed for
+    every choice at once by one broadcast XOR per component.  Each cyclic
     group is listed by `_orbit`, whose step, a multiplication by the
     generator, is three byte-table lookups.
 
@@ -407,22 +423,40 @@ def scan_masks(n: int) -> np.ndarray:
     0 where i = -i.  So v lifts iff w = c0 + conj(c0), for c0 the bits of
     w at 0 < i < h/2, and its lifts are v (1 + s c), c in c0 + Sym_h.
     Every unit of U_n reduces to one v in U_h, so one step per factor 2
-    of n, from the odd part up, lists U_n once each.
+    of n, from the odd part up, lists U_n once each.  Sym_h has the basis
+    x^i + x^-i, 0 <= i <= h/2 (x^i alone where i = -i), and v x^-i is v
+    rotated right by i places, so v times a basis element is two
+    rotations of v, one where i = -i.  Each basis element doubles the
+    lifts of every v at once, so h // 2 + 1 array doublings list them.
 
     Bit n-1-i of a mask holds coefficient i, so the mask of u is the
     element reverse(u) = x^(n-1) conj(u), again in U_n since x^(n-1) and
     conj(u) are.  Reversal therefore permutes U_n, and the sorted
-    elements of U_n are the sorted masks: the group goes into a uint32
+    elements of U_n are the sorted masks: the group is listed as a uint32
     array, which numpy sorts in place.
     """
     n = operator.index(n)
     if not 1 <= n <= 24:
         raise ValueError("mask scan supports lengths 1..24")
-    import numpy as np
-
-    masks = np.array(_unitary_group(n), dtype=np.uint32)
+    masks = _unitary_group(n)
     masks.sort()
     return masks
+
+
+@contextlib.contextmanager
+def _gc_paused():
+    """Turn the cyclic garbage collector off for the block, then restore
+    the state it had, even if the block raises.  The young-generation
+    pass that the block's survivors owe runs at the first allocation
+    after the restore, which this generator's exit makes: the caller of
+    the block pays it, not the code that runs after it."""
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        yield
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def enumerate_binary_ideal(n: int) -> list[BinaryWitness]:
@@ -444,6 +478,15 @@ def enumerate_binary_ideal(n: int) -> list[BinaryWitness]:
     shift-and-mask array: its n rows, as lists, zipped together are the
     bit tuples, with no per-row list built.  Every witness then shares
     one delta tuple as its `profile_mod2`.
+
+    The bit tuples and the records are built with the cyclic garbage
+    collector paused, and its earlier state restored, also on an error.
+    They hold only tuples of ints, so they form no cycle and no
+    collection could free one of them; built with the collector on, the
+    8 042 records of n = 20..23 set off ~21 collections, generation 1 and
+    2 passes among them.  A caller who keeps the list pays one
+    young-generation pass over it when the collector next runs; in
+    CPython 3.11 that is as the pause ends, still inside this call.
     """
     n = operator.index(n)
     import numpy as np
@@ -456,5 +499,6 @@ def enumerate_binary_ideal(n: int) -> list[BinaryWitness]:
     if bad.any():
         raise RuntimeError(f"length {n}: mask {int(masks[bad.argmax()]):0{n}b} fails the mod-2 two-valued test")
     # Row i of cols is element i of every row: zip(*cols) gives the rows.
-    cols = ((masks >> np.arange(n - 1, -1, -1, dtype=np.uint32)[:, None]) & 1).tolist()
-    return list(map(BinaryWitness, zip(*cols), itertools.repeat((1,) + (0,) * (n - 1))))
+    with _gc_paused():
+        cols = ((masks >> np.arange(n - 1, -1, -1, dtype=np.uint32)[:, None]) & 1).tolist()
+        return list(map(BinaryWitness, zip(*cols), itertools.repeat((1,) + (0,) * (n - 1))))

@@ -519,6 +519,27 @@ MUTANTS = (
         ("tests/test_verify.py::test_enumeration_refuses_a_mask_that_fails_the_profile_check[1111]",),
     ),
     Mutant(
+        "witness-build-leaves-the-collector-off",
+        "src/rrseq/verify.py",
+        "        if enabled:\n            gc.enable()\n",
+        "        pass\n",
+        (
+            "tests/test_verify.py::test_witness_build_restores_the_collector[on-returns]",
+            "tests/test_verify.py::test_witness_build_restores_the_collector[on-raises]",
+        ),
+    ),
+    Mutant(
+        "lift-basis-one-rotation",
+        "src/rrseq/verify.py",
+        "j = -i % h",
+        "j = i",
+        (
+            "tests/test_kernels.py::test_scan_matches_brute_force_oracle[12]",
+            "tests/test_kernels.py::test_scan_matches_popcount_oracle[20]",
+            "tests/test_kernels.py::test_lift_past_the_cap_meets_the_definition[28-28672]",
+        ),
+    ),
+    Mutant(
         "residue-profile-fold-unshifted",
         "src/rrseq/correlation.py",
         "((z & ((1 << w * size) - 1)) << w)",
@@ -555,6 +576,13 @@ MUTANTS = (
         "x = xz[0] * pow(xz[1], -1, n) % n",
         "x = xz[0]",
         ("tests/test_numtheory.py::test_ecm_separates_small_primes_found_together",),
+    ),
+    Mutant(
+        "ecm-retry-each-prime-once",
+        "src/rrseq/numtheory.py",
+        "for p in steps:",
+        "for p in set(steps):",
+        ("tests/test_numtheory.py::test_ecm_stage_splits_prime_squares",),
     ),
 )
 

@@ -207,11 +207,13 @@ def test_each_component_is_listed_as_the_mul_chain(monkeypatch, m):
 
 
 # `_mul` calls of one scan_masks(n): the idempotents, one product per
-# atom and idempotent, the primitive elements and their powers, and the
-# even lift.  Listing the cyclic components by one `_mul` per element
+# atom and idempotent, the primitive elements and their powers, and two
+# per unit of U_h in each even lift (v conj(v) and v c0).  Listing the cyclic components by one `_mul` per element
 # made these 386, 185, 508 and 2 143; forming each atom's split product
-# twice made them 382, 115, 476 and 97.
-MUL_CALLS = {20: 380, 21: 97, 22: 474, 23: 93}
+# twice made them 382, 115, 476 and 97; one `_mul` per Sym_h basis element
+# and lifted unit, where two rotations now form v c, made them 380, 97,
+# 474 and 93.
+MUL_CALLS = {20: 125, 21: 97, 22: 276, 23: 93}
 
 
 def test_mul_calls_of_the_scan(monkeypatch):

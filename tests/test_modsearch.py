@@ -130,6 +130,55 @@ def test_doubling_closed_forms_hold_symbolically():
             assert _doubling_profile_split_at_the_wrap(n, j, 5) == want, (n, j)
 
 
+def _powers_profile_split_at_the_wrap(N, k, p):
+    """C(k) = sum_i a(i) a(i + k mod N) of the powers row a(i) = p**(i + 1),
+    0 <= i < N, for 0 <= k <= N - 1, split at the wrap i + k = N: the pairs
+    that do not wrap (i < N - k) and those that do (i >= N - k), summed
+    with sympy.  N, k and p may be symbols or ints."""
+    import sympy
+
+    i = sympy.Dummy("i", integer=True)
+    unwrapped = sympy.summation(p ** (i + 1) * p ** (i + k + 1), (i, 0, N - k - 1))
+    wrapped = sympy.summation(p ** (i + 1) * p ** (i + k - N + 1), (i, N - k, N - 1))
+    return unwrapped + wrapped
+
+
+def test_powers_closed_forms_hold_symbolically():
+    # For symbolic N, k and p: the powers row (p, p**2, ..., p**N) has
+    # C(k) = p**2 (p**N - 1) (p**k + p**(N-k)) / (p**2 - 1) for 1 <= k < N
+    # and C(0) = p**2 (p**(2N) - 1) / (p**2 - 1).  sympy sums the geometric
+    # series as a Piecewise; its branch for p**2 != 1 is the one claimed.
+    sympy = pytest.importorskip("sympy")
+    N, k, p = sympy.symbols("N k p", integer=True)
+
+    def holds(value, claim):
+        value = sympy.piecewise_fold(value)
+        if isinstance(value, sympy.Piecewise):
+            (value,) = [v for v, cond in value.args if cond is sympy.true]
+        return sympy.simplify(sympy.expand(value - claim)) == 0
+
+    offpeak = _powers_profile_split_at_the_wrap(N, k, p)
+    peak = _powers_profile_split_at_the_wrap(N, 0, p)
+    assert holds(offpeak, p**2 * (p**N - 1) * (p**k + p ** (N - k)) / (p**2 - 1))
+    assert holds(peak, p**2 * (p ** (2 * N) - 1) / (p**2 - 1))
+    # Not vacuous: a wrong sign does not simplify away.
+    assert not holds(offpeak, p**2 * (p**N + 1) * (p**k + p ** (N - k)) / (p**2 - 1))
+    assert not holds(peak, p**2 * (p ** (2 * N) + 1) / (p**2 - 1))
+    # ROADMAP item 4's screen on the doubling row's peak C(0) = p**2 + (4**N
+    # - 4) / 3, with M = 3p + 2**N - 4: 9 C(0) - 4 (2**N - 1)**2 = (3p - 2**N
+    # + 4) M.
+    i = sympy.Dummy("i", integer=True)
+    doubling_peak = p**2 + sympy.summation(4**i, (i, 1, N - 1))
+    m = 3 * p + 2**N - 4
+    assert holds(9 * doubling_peak - 4 * (2**N - 1) ** 2, (3 * p - 2**N + 4) * m)
+    assert not holds(9 * doubling_peak - 4 * (2**N - 1) ** 2, (3 * p - 2**N + 3) * m)
+    # The split is the row's own profile: at small N every k agrees with
+    # the brute-force sum over the row.
+    for n in (2, 3, 4, 7):
+        want = oracle_autocorr([5 ** (t + 1) for t in range(n)])
+        assert [_powers_profile_split_at_the_wrap(n, j, 5) for j in range(n)] == want, n
+
+
 def _h(n):
     """h_N, the gcd of 2**k + 2**(N-k) over 1 <= k <= N/2, by brute force."""
     return math.gcd(*(2**k + 2 ** (n - k) for k in range(1, n // 2 + 1)))

@@ -421,6 +421,10 @@ def test_ecm_stage_splits_prime_squares():
         f = factorize(n, budget)
         assert f.complete, n
         assert f.factors == factors
+    # One curve: sigma = 9 finds every prime of 1999**2 * 7919 in stage 1,
+    # and its retry splits off 1999**2 at its second ladder by 13 (13**2 <=
+    # B1).  Running each prime once would skip that step and return n.
+    assert rrseq.numtheory._ecm_curve(1999**2 * 7919, 9) == 1999**2
 
 
 def test_factorize_is_deterministic():

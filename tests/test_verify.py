@@ -3,6 +3,7 @@
 import copy
 import csv
 import dataclasses
+import gc
 import itertools
 import math
 import pickle
@@ -602,6 +603,50 @@ def test_binary_witness_is_a_frozen_slotted_record():
     assert dataclasses.replace(other, bits=w.bits) == w
     assert hash(dataclasses.replace(w)) == hash(w) and len({w, dataclasses.replace(w)}) == 1
     assert copy.deepcopy(w) == w and pickle.loads(pickle.dumps(w)) == w
+
+
+# Counted work: the records and bit tuples form no cycle, so the build runs
+# with the cyclic collector paused.  Before the pause, one call at n = 20..23
+# right after a full collection set off 7, 3, 6 and 5 generation-0 passes.
+@pytest.mark.parametrize("n", range(20, 24))
+def test_witness_build_sets_off_one_young_collection(n):
+    assert gc.isenabled()
+    generations = []
+
+    def record(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(record)
+    try:
+        witnesses = enumerate_binary_ideal(n)
+    finally:
+        gc.callbacks.remove(record)
+    # Only the one generation-0 pass over the kept list, as the collector
+    # comes back on: it runs inside the call, which so pays for it.
+    assert generations == [0]
+    assert len(witnesses) == len(scan_masks(n))
+
+
+@pytest.mark.parametrize("raises", [False, True], ids=["returns", "raises"])
+@pytest.mark.parametrize("enabled", [True, False], ids=["on", "off"])
+def test_witness_build_restores_the_collector(monkeypatch, enabled, raises):
+    def refuse(*args):
+        raise RuntimeError("no witness")
+
+    if raises:
+        monkeypatch.setattr(verify, "BinaryWitness", refuse)
+    (gc.enable if enabled else gc.disable)()
+    try:
+        if raises:
+            with pytest.raises(RuntimeError, match="no witness"):
+                enumerate_binary_ideal(6)
+        else:
+            assert len(enumerate_binary_ideal(6)) == 12
+        assert gc.isenabled() is enabled
+    finally:
+        gc.enable()
 
 
 def _multiplicative_order_of_2(r):
