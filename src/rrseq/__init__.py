@@ -7,13 +7,15 @@ profiles, finds the prime moduli by factoring the gcd of the off-peak
 values, certifies the result, and sweeps starting primes to regenerate
 the reference tables.
 
-The certificates (`rrseq.verify`) and the exact profiles
-(`rrseq.correlation`) load at first use: their public names resolve
-through the module `__getattr__` below, which imports the owning module
-and binds the name here, so the next lookup is a plain attribute.  The
-search and the sweep take no certificate, and no profile of a doubling
-row, so `import rrseq` and a search or sweep of doubling rows
-compile neither module.
+The certificates (`rrseq.verify`), the exact profiles
+(`rrseq.correlation`) and the mod-2 witness scan (`rrseq.witness`) load
+at first use: their public names resolve through the module
+`__getattr__` below, which imports the owning module and binds the name
+here, so the next lookup is a plain attribute.  The search and the
+sweep take no certificate, no witness, and no profile of a doubling
+row, so `import rrseq` and a search or sweep of doubling rows compile
+none of the three.  The witness scan is the one user of numpy, which
+loads at the first scan.
 """
 
 from importlib import import_module
@@ -38,12 +40,12 @@ from .sequence import build_seed
 
 # Each name loaded at first use, and the submodule that defines it.
 _LAZY = {
-    "BinaryWitness": "verify",
+    "BinaryWitness": "witness",
     "RRCertificate": "verify",
     "check_rr": "verify",
-    "enumerate_binary_ideal": "verify",
+    "enumerate_binary_ideal": "witness",
     "gram_check": "verify",
-    "scan_masks": "verify",
+    "scan_masks": "witness",
     "CorrProfile": "correlation",
     "autocorr_mod": "correlation",
     "periodic_autocorr": "correlation",

@@ -24,9 +24,9 @@ written.
 
 What only one subcommand uses is imported when it runs: autocorr loads
 the profiles (`rrseq.correlation`), verify the certificates
-(`rrseq.verify`, and numpy with them), and `_render` loads `json` for a
-JSON record or value list.  So sweep and plotdata in either format, and
-seed or a search of a doubling row in CSV, load none of them.
+(`rrseq.verify`), and `_render` loads `json` for a JSON record or value
+list.  So sweep and plotdata in either format, and seed or a search of a
+doubling row in CSV, load none of them.  No subcommand loads numpy.
 
 Exit codes: 0 success/Found; 1 negative result (no valid modulus, or
 verification failed); 2 usage or domain error, before any output is

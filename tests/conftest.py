@@ -1,11 +1,4 @@
-"""Shared set-up for the test suite.
-
-numpy's BLAS pools are pinned to one thread before any test module
-imports numpy.  The Gram checks run small float64 matmuls, and a
-default-sized pool oversubscribes the cores as soon as another process
-is busy: on a 2-vCPU VM, test_gram_matches_exact_oracle took ~4 s idle,
-~7 s beside one busy-loop process, and ~3.5 s there with one thread.
-"""
+"""Shared set-up for the test suite."""
 
 import os
 import subprocess
@@ -13,9 +6,6 @@ import sys
 from pathlib import Path
 
 import pytest
-
-os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
-os.environ.setdefault("OMP_NUM_THREADS", "1")
 
 SRC = Path(__file__).resolve().parents[1] / "src"
 

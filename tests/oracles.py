@@ -23,7 +23,7 @@ def oracle_autocorr(a):
 
 
 def _gram_ok_exact(residues: tuple[int, ...], n: int) -> bool:
-    """Oracle for `_gram_ok`: every entry of the upper triangle of the
+    """Oracle for `gram_check`: every entry of the upper triangle of the
     circulant Gram product as a plain Python sum, one reduction each.  It
     passes iff every diagonal entry is the same scalar, that scalar is
     nonzero mod n, and every other entry is 0 mod n."""

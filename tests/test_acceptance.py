@@ -29,7 +29,8 @@ from rrseq.modsearch import (
 )
 from rrseq.numtheory import factorize, gcd_many, is_prime
 from rrseq.sequence import ROW_POWERS, build_seed
-from rrseq.verify import check_rr, enumerate_binary_ideal, gram_check
+from rrseq.verify import check_rr, gram_check
+from rrseq.witness import enumerate_binary_ideal
 
 DATA = Path(__file__).parent / "data"
 

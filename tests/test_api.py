@@ -18,7 +18,7 @@ PERFBENCH_FILES = ("workloads.py", "checks.py")
 
 # Each public name and the submodule that defines it.
 PUBLIC = {
-    "BinaryWitness": "verify",
+    "BinaryWitness": "witness",
     "CorrProfile": "correlation",
     "FactorBudget": "numtheory",
     "Factorization": "numtheory",
@@ -30,7 +30,7 @@ PUBLIC = {
     "autocorr_mod": "correlation",
     "build_seed": "sequence",
     "check_rr": "verify",
-    "enumerate_binary_ideal": "verify",
+    "enumerate_binary_ideal": "witness",
     "factorize": "numtheory",
     "find_modulus": "modsearch",
     "gcd_many": "numtheory",
@@ -38,7 +38,7 @@ PUBLIC = {
     "is_prime": "numtheory",
     "periodic_autocorr": "correlation",
     "primes_up_to": "numtheory",
-    "scan_masks": "verify",
+    "scan_masks": "witness",
     "sweep": "modsearch",
 }
 
@@ -145,13 +145,13 @@ def test_sweep_row_is_a_pair():
 
 
 # In a fresh interpreter: the search path loads none of the modules
-# below, a row that is not doubling loads the profiles, and the
-# certificates and the witness scan load rrseq.verify, and numpy at the
-# Gram check or the scan.  `loaded` prints the ones in sys.modules.
+# below, a row that is not doubling loads the profiles, the certificates
+# load rrseq.verify and no numpy, and the witness scan loads
+# rrseq.witness and numpy.  `loaded` prints the ones in sys.modules.
 LOADED = """
 import sys
 def loaded():
-    print(*[m for m in ("rrseq.verify", "rrseq.correlation", "numpy", "json") if m in sys.modules])
+    print(*[m for m in ("rrseq.verify", "rrseq.correlation", "rrseq.witness", "numpy", "json") if m in sys.modules])
 import rrseq
 """
 
@@ -180,13 +180,13 @@ loaded()
     [
         (
             SEARCH_PATH,
-            ["", "", "rrseq.correlation", "rrseq.verify rrseq.correlation", "rrseq.verify rrseq.correlation numpy"],
+            ["", "", "rrseq.correlation", "rrseq.verify rrseq.correlation", "rrseq.verify rrseq.correlation"],
         ),
-        (WITNESS_SCAN, ["", "rrseq.verify rrseq.correlation numpy"]),
+        (WITNESS_SCAN, ["", "rrseq.witness numpy"]),
     ],
     ids=["search-path", "witness-scan"],
 )
-def test_numpy_loads_only_for_the_gram_check_and_witness_scan(fresh_python, code, lines):
+def test_numpy_loads_only_for_the_witness_scan(fresh_python, code, lines):
     proc = fresh_python("-c", code)
     assert (proc.returncode, proc.stdout) == (0, "".join(line + "\n" for line in lines)), proc.stderr
 

@@ -540,8 +540,8 @@ def test_module_runs_as_a_program(fresh_python):
 
 
 # The modules that only some subcommands load, at first use.
-_LAZY = ("rrseq.verify", "rrseq.correlation", "numpy", "json")
-_CERTIFICATE = {"rrseq.verify", "rrseq.correlation", "numpy"}
+_LAZY = ("rrseq.verify", "rrseq.correlation", "rrseq.witness", "numpy", "json")
+_CERTIFICATE = {"rrseq.verify", "rrseq.correlation"}
 
 
 _LOADS = [
@@ -563,7 +563,7 @@ _LOADS = [
 
 
 @pytest.mark.parametrize("argv, code, loads", _LOADS, ids=[" ".join(argv) for argv, _, _ in _LOADS])
-def test_only_verify_loads_numpy(fresh_python, argv, code, loads):
+def test_no_subcommand_loads_numpy(fresh_python, argv, code, loads):
     # -X importtime reports every module the process imports, on stderr
     proc = fresh_python("-X", "importtime", "-m", "rrseq.cli", *argv)
     assert proc.returncode == code, proc.stderr

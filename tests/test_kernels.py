@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from oracles import oracle_masks, passes
 
-from rrseq import enumerate_binary_ideal, scan_masks, verify
+from rrseq import enumerate_binary_ideal, scan_masks, witness
 
 
 # A numpy popcount filter over all 2**n masks, straight off the definition
@@ -79,10 +79,10 @@ def test_float_length_refused_before_any_work(monkeypatch):
     def no_work(*args):
         raise AssertionError("work started on a float length")
 
-    monkeypatch.setattr(verify, "_unitary_group", no_work)
+    monkeypatch.setattr(witness, "_unitary_group", no_work)
     with pytest.raises(TypeError):
         scan_masks(20.0)
-    monkeypatch.setattr(verify, "scan_masks", no_work)
+    monkeypatch.setattr(witness, "scan_masks", no_work)
     with pytest.raises(TypeError):
         enumerate_binary_ideal(20.0)
 
@@ -137,7 +137,7 @@ def test_counts_match_the_popcount_scan():
 
 @functools.cache
 def group(n):
-    return verify._unitary_group(n)
+    return witness._unitary_group(n)
 
 
 @pytest.mark.parametrize("n", range(2, 33, 2))
@@ -174,7 +174,7 @@ def mul_chain(u, c, size, m):
     were listed before `_orbit`: its oracle."""
     out = [u]
     for _ in range(size - 1):
-        out.append(verify._mul(out[-1], c, m))
+        out.append(witness._mul(out[-1], c, m))
     return out
 
 
@@ -183,12 +183,12 @@ def mul_chain(u, c, size, m):
 def test_table_multiply_matches_mul(data):
     m = data.draw(st.sampled_from(range(1, 32, 2)))
     u, c = (data.draw(st.integers(0, (1 << m) - 1)) for _ in range(2))
-    assert verify._orbit(u, c, 3, m) == mul_chain(u, c, 3, m)
+    assert witness._orbit(u, c, 3, m) == mul_chain(u, c, 3, m)
 
 
 @pytest.mark.parametrize("m", range(1, 24, 2))
 def test_each_component_is_listed_as_the_mul_chain(monkeypatch, m):
-    orbit = verify._orbit
+    orbit = witness._orbit
     listed = []
 
     def recording(u, c, size, m):
@@ -196,12 +196,12 @@ def test_each_component_is_listed_as_the_mul_chain(monkeypatch, m):
         listed.append(((u, c, size, m), out))
         return out
 
-    monkeypatch.setattr(verify, "_orbit", recording)
-    units = verify._odd_units(m)
+    monkeypatch.setattr(witness, "_orbit", recording)
+    units = witness._odd_units(m)
     for (u, c, size, _), out in listed:
         assert out == mul_chain(u, c, size, m)
         # a cyclic group of exactly size elements: c**size is its identity u
-        assert len(set(out)) == size and verify._mul(out[-1], c, m) == u
+        assert len(set(out)) == size and witness._mul(out[-1], c, m) == u
     # the coset {0} gives one unit; every other unit comes from an orbit
     assert math.prod(size for (_, _, size, _), _ in listed) == len(units) == coset_count(m)
 
@@ -217,13 +217,13 @@ MUL_CALLS = {20: 125, 21: 97, 22: 276, 23: 93}
 
 
 def test_mul_calls_of_the_scan(monkeypatch):
-    mul, calls = verify._mul, []
+    mul, calls = witness._mul, []
 
     def counting(*args):
         calls.append(args)
         return mul(*args)
 
-    monkeypatch.setattr(verify, "_mul", counting)
+    monkeypatch.setattr(witness, "_mul", counting)
     got = {}
     for n in MUL_CALLS:
         calls.clear()

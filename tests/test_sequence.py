@@ -16,7 +16,8 @@ from rrseq.sequence import (
     as_elements,
     build_seed,
 )
-from rrseq.verify import check_rr, enumerate_binary_ideal, gram_check, scan_masks
+from rrseq.verify import check_rr, gram_check
+from rrseq.witness import enumerate_binary_ideal, scan_masks
 
 
 @pytest.mark.parametrize(
