@@ -14,8 +14,7 @@ at first use: their public names resolve through the module
 here, so the next lookup is a plain attribute.  The search and the
 sweep take no certificate, no witness, and no profile of a doubling
 row, so `import rrseq` and a search or sweep of doubling rows compile
-none of the three.  The witness scan is the one user of numpy, which
-loads at the first scan.
+none of the three.  The package imports the standard library only.
 """
 
 from importlib import import_module

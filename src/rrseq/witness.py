@@ -7,40 +7,40 @@ directly: the field components of F2[C_m], m odd, give its unitary
 units, and each factor 2 of n = 2**k m doubles the length by one
 square-zero lift through s = x^h + 1, n = 2h.  Each component's units
 form a cyclic group, which `_orbit` lists by byte-table lookups, not by
-one `_mul` per element.  The group is a uint32 array throughout: the
-components join by one broadcast XOR, and each lift multiplies by the
-basis x^i + x^-i of the self-conjugate elements as two rotations of the
-lifted units, doubling every coset at once.  The group is closed under
-bit reversal, so the units, sorted in place, are the sorted masks.  Its
+one `_mul` per element.  The group is a list of int masks throughout:
+the components join by one XOR per pair, and each lift multiplies by
+the basis x^i + x^-i of the self-conjugate elements as two rotations of
+the lifted units, doubling every coset at once.  The group is closed
+under bit reversal, so the units, sorted, are the sorted masks.  Its
 docstring has the theorem and the proofs.  No 2**n-mask pass is made; a
 popcount filter over all 2**n masks is the test oracle.
 
 `enumerate_binary_ideal` checks each listed row against the definition,
-over lags 0..n/2 only, as C(n - k) = C(k): one boolean array, updated in
-place lag by lag.  The bit tuples are the columns of one shift-and-mask
-array zipped together, so no per-row list is built, and `BinaryWitness`
-is a slotted record.  They are built with the cyclic garbage collector
-paused, as they form no cycle that it could free.
+over lags 0..n/2 only, as C(n - k) = C(k), bit-sliced: bit plane i is
+one int holding bit i of every mask, a byte apiece, so each AND and XOR
+checks every mask at once (Biham, "A fast new DES implementation in
+software", FSE 1997).  The same planes, zipped, are the bit tuples, so
+no per-row list is built, and `BinaryWitness` is a slotted record.  They
+are built with the cyclic garbage collector paused, as they form no
+cycle that it could free.
 
-This is the one module of rrseq that uses numpy.  It loads at the first
-use of one of its names through the package (`rrseq/__init__.py`), and
-numpy at the first scan: `import rrseq`, the search, the sweep, the
-certificates and every `rrseq` subcommand load neither.
+The module uses the standard library only.  It loads at the first use
+of one of its names through the package (`rrseq/__init__.py`): `import
+rrseq`, the search, the sweep, the certificates and every `rrseq`
+subcommand leave it unloaded.
 """
 
 from __future__ import annotations
 
 import contextlib
+import functools
 import gc
 import itertools
 import operator
+import struct
 from dataclasses import dataclass
-from typing import TYPE_CHECKING
 
 from .numtheory import factorize
-
-if TYPE_CHECKING:
-    import numpy as np
 
 
 @dataclass(frozen=True, slots=True)
@@ -51,8 +51,12 @@ class BinaryWitness:
     profile_mod2: tuple[int, ...]
 
 
-def _rot(m: np.ndarray, k: int, n: int) -> np.ndarray:
-    """Rotate n-bit masks by k places."""
+# _BIT[j] maps every byte to its bit j, for `bytes.translate`.
+_BIT = [bytes(b >> j & 1 for b in range(256)) for j in range(8)]
+
+
+def _rot(m: int, k: int, n: int) -> int:
+    """Rotate an n-bit mask right by k places."""
     return ((m >> k) | (m << (n - k))) & ((1 << n) - 1)
 
 
@@ -133,12 +137,10 @@ def _orbit(u: int, c: int, size: int, m: int) -> list[int]:
     return out
 
 
-def _odd_units(m: int) -> np.ndarray:
+def _odd_units(m: int) -> list[int]:
     """The unitary group {u : u * conj(u) = 1} of F2[x]/(x^m - 1), m odd,
-    as a uint32 array: the XOR of one element from the unitary group of
-    each class of components under conjugation."""
-    import numpy as np
-
+    as a list of int masks: the XOR of one element from the unitary group
+    of each class of components under conjugation."""
     etas, seen = [], set()
     for r in range(m):
         if r not in seen:
@@ -151,7 +153,7 @@ def _odd_units(m: int) -> np.ndarray:
     for eta in etas:
         atoms = [f for e in atoms for g in [_mul(e, eta, m)] for f in (g, e ^ g) if f]
 
-    units = np.zeros(1, dtype=np.uint32)
+    units = [0]
     for e in atoms:
         ebar = _conj(e, m)
         if ebar < e:
@@ -175,22 +177,20 @@ def _odd_units(m: int) -> np.ndarray:
             order = (1 << d) - 1
             group = _orbit(e ^ ebar, a ^ _power(_conj(a, m), order - 1, ebar, m), order, m)
         # A unit of the direct sum is the sum, an XOR, of one unit per component.
-        units = (units[:, None] ^ np.array(group, dtype=np.uint32)).ravel()
+        units = [u ^ g for u in units for g in group]
     return units
 
 
-def _unitary_group(n: int) -> np.ndarray:
-    """The unitary group of F2[x]/(x^n - 1), n <= 32, as a uint32 array:
-    for even n = 2h, each unit of U_h lifted through s = x^h + 1, s**2 =
-    0 (see `scan_masks`)."""
+def _unitary_group(n: int) -> list[int]:
+    """The unitary group of F2[x]/(x^n - 1) as a list of int masks: for
+    even n = 2h, each unit of U_h lifted through s = x^h + 1, s**2 = 0
+    (see `scan_masks`)."""
     if n % 2:
         return _odd_units(n)
-    import numpy as np
-
     h = n // 2
     low = (1 << (h + 1) // 2) - 2  # exponents 0 < i < h/2
-    lifting, first = [], []
-    for v in _unitary_group(h).tolist():
+    lifting, cosets = [], []
+    for v in _unitary_group(h):
         w = (_mul(v, _conj(v, n), n) ^ 1) & ((1 << h) - 1)  # v conj(v) = 1 + s w
         c0 = w & low
         if w != c0 ^ _conj(c0, h):
@@ -198,21 +198,21 @@ def _unitary_group(n: int) -> np.ndarray:
         # The lifts v + s v c, c in c0 + Sym_h; s t = t + x^h t for deg t < h.
         t = _mul(v, c0, h)
         lifting.append(v)
-        first.append(v ^ t ^ (t << h))
-    vs = np.array(lifting, dtype=np.uint32)
-    cosets = np.array(first, dtype=np.uint32)[:, None]
+        cosets.append(v ^ t ^ (t << h))
     # Each basis element c = x^i + x^-i of Sym_h doubles every coset; v c
-    # is v rotated right by i and by -i places, once where i = -i.
+    # is v rotated right by i and by -i places, once where i = -i.  The
+    # list holds blocks of one lift per v, in the order of `lifting`.
     for i in range(h // 2 + 1):
         j = -i % h
-        t = _rot(vs, i, h) if i == j else _rot(vs, i, h) ^ _rot(vs, j, h)
-        cosets = np.hstack((cosets, cosets ^ (t ^ t << h)[:, None]))
-    return cosets.ravel()
+        ts = [_rot(v, i, h) if i == j else _rot(v, i, h) ^ _rot(v, j, h) for v in lifting]
+        steps = [t ^ t << h for t in ts] * (len(cosets) // len(lifting))
+        cosets += [c ^ d for c, d in zip(cosets, steps)]
+    return cosets
 
 
-def scan_masks(n: int) -> np.ndarray:
+def scan_masks(n: int) -> list[int]:
     """All masks of length n (1 <= n <= 24) passing the mod-2 two-valued
-    test, as an ascending uint32 array.
+    test, as an ascending list of ints.
 
     Bit n-1-i of a mask holds element i of the row, so ascending masks
     are rows in lexicographic order.  Read the row as u = sum a_i x^i in
@@ -231,7 +231,7 @@ def scan_masks(n: int) -> np.ndarray:
     2**(d/2) + 1, generated by a**(2**(d/2) - 1) for a primitive a.  A
     conjugate pair gives the cyclic group of order 2**d - 1 generated by
     a + conj(a)**-1.  U_m is the XOR of one element of each, formed for
-    every choice at once by one broadcast XOR per component.  Each cyclic
+    every choice by one XOR per pair, a component at a time.  Each cyclic
     group is listed by `_orbit`, whose step, a multiplication by the
     generator, is three byte-table lookups.
 
@@ -253,20 +253,17 @@ def scan_masks(n: int) -> np.ndarray:
     x^i + x^-i, 0 <= i <= h/2 (x^i alone where i = -i), and v x^-i is v
     rotated right by i places, so v times a basis element is two
     rotations of v, one where i = -i.  Each basis element doubles the
-    lifts of every v at once, so h // 2 + 1 array doublings list them.
+    lifts of every v at once, so h // 2 + 1 list doublings list them.
 
     Bit n-1-i of a mask holds coefficient i, so the mask of u is the
     element reverse(u) = x^(n-1) conj(u), again in U_n since x^(n-1) and
     conj(u) are.  Reversal therefore permutes U_n, and the sorted
-    elements of U_n are the sorted masks: the group is listed as a uint32
-    array, which numpy sorts in place.
+    elements of U_n are the sorted masks: no element is reversed.
     """
     n = operator.index(n)
     if not 1 <= n <= 24:
         raise ValueError("mask scan supports lengths 1..24")
-    masks = _unitary_group(n)
-    masks.sort()
-    return masks
+    return sorted(_unitary_group(n))
 
 
 @contextlib.contextmanager
@@ -298,12 +295,18 @@ def enumerate_binary_ideal(n: int) -> list[BinaryWitness]:
     parity of popcount(mask & rot_k(mask)), which is C(k) mod 2, is
     checked against the delta (1, 0, ..., 0) over lags 0..n/2: as C(n -
     k) = C(k), the other lags repeat those values (`check_rr` rests on
-    the same identity).  One boolean array collects the failures, updated
-    in place lag by lag; a mask that fails raises RuntimeError, which the
-    theorem in `scan_masks` rules out.  The bits come from one (n, |U|)
-    shift-and-mask array: its n rows, as lists, zipped together are the
-    bit tuples, with no per-row list built.  Every witness then shares
-    one delta tuple as its `profile_mod2`.
+    the same identity).  The check is bit-sliced.  The masks are packed
+    once as 4-byte little-endian words.  Plane i is byte i >> 3 of every
+    word, mapped to its bit i & 7 by `bytes.translate`: bit i of every
+    mask, one byte per mask.  Read as an int, a plane takes every mask
+    through each AND and XOR at once, so the parity of lag k is the XOR
+    over i of plane i AND plane i + k mod n, and a byte that differs
+    from the delta marks a failing mask.  The lowest such byte is the
+    first failing mask, which raises RuntimeError; the theorem in
+    `scan_masks` rules that out.  The same planes, in row
+    order and zipped together, are the bit tuples, with no per-row list
+    built.  Every witness then shares one delta tuple as its
+    `profile_mod2`.
 
     The bit tuples and the records are built with the cyclic garbage
     collector paused, and its earlier state restored, also on an error.
@@ -315,16 +318,19 @@ def enumerate_binary_ideal(n: int) -> list[BinaryWitness]:
     CPython 3.11 that is as the pause ends, still inside this call.
     """
     n = operator.index(n)
-    import numpy as np
-
     masks = scan_masks(n)
+    packed = struct.pack(f"<{len(masks)}I", *masks)
+    # Element i of a row is mask bit n-1-i, so the planes are in row order.
+    planes = [packed[i >> 3 :: 4].translate(_BIT[i & 7]) for i in reversed(range(n))]
+    sliced = [int.from_bytes(p, "little") for p in planes]
+    ones = int.from_bytes(b"\1" * len(masks), "little")
     # C(n - k) = C(k): lags 0..n/2 hold every value of the profile.
-    bad = np.zeros(masks.shape, dtype=bool)
+    bad = 0
     for k in range(n // 2 + 1):
-        bad |= (np.bitwise_count(masks & _rot(masks, k, n)) & 1) != (k == 0)
-    if bad.any():
-        raise RuntimeError(f"length {n}: mask {int(masks[bad.argmax()]):0{n}b} fails the mod-2 two-valued test")
-    # Row i of cols is element i of every row: zip(*cols) gives the rows.
+        odd = functools.reduce(operator.xor, map(operator.and_, sliced, sliced[k:] + sliced[:k]))
+        bad |= odd ^ ones if k == 0 else odd
+    if bad:
+        mask = masks[(bad & -bad).bit_length() // 8]
+        raise RuntimeError(f"length {n}: mask {mask:0{n}b} fails the mod-2 two-valued test")
     with _gc_paused():
-        cols = ((masks >> np.arange(n - 1, -1, -1, dtype=np.uint32)[:, None]) & 1).tolist()
-        return list(map(BinaryWitness, zip(*cols), itertools.repeat((1,) + (0,) * (n - 1))))
+        return list(map(BinaryWitness, zip(*planes), itertools.repeat((1,) + (0,) * (n - 1))))

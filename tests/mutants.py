@@ -170,7 +170,7 @@ MUTANTS = (
             "tests/test_api.py::test_all_is_exactly_the_public_names",
             "tests/test_api.py::test_each_public_name_is_the_object_its_module_defines",
             "tests/test_api.py::test_star_import_binds_every_public_name",
-            "tests/test_api.py::test_numpy_loads_only_for_the_witness_scan[search-path]",
+            "tests/test_api.py::test_no_entry_point_loads_numpy[search-path]",
         ),
     ),
     Mutant(
@@ -468,14 +468,46 @@ MUTANTS = (
         "src/rrseq/witness.py",
         "for k in range(n // 2 + 1):",
         "for k in range(n // 2):",
-        ("tests/test_verify.py::test_enumeration_refuses_a_mask_that_fails_the_profile_check[00111]",),
+        (
+            "tests/test_verify.py::test_enumeration_refuses_a_mask_that_fails_the_profile_check[00111]",
+            "tests/test_verify.py::test_enumeration_refuses_a_mask_that_fails_the_profile_check[101000010]",
+        ),
     ),
     Mutant(
         "witness-check-ignores-the-peak",
         "src/rrseq/witness.py",
-        "& 1) != (k == 0)",
-        "& 1) != 0",
+        "bad |= odd ^ ones if k == 0 else odd",
+        "bad |= odd",
         ("tests/test_verify.py::test_enumeration_refuses_a_mask_that_fails_the_profile_check[1111]",),
+    ),
+    Mutant(
+        "witness-check-without-wraparound",
+        "src/rrseq/witness.py",
+        "sliced[k:] + sliced[:k]",
+        "sliced[k:]",
+        (
+            "tests/test_verify.py::test_witness_counts_match_golden",
+            "tests/test_verify.py::test_enumeration_matches_the_per_row_construction",
+            "tests/test_verify.py::test_enumeration_refuses_a_mask_that_fails_the_profile_check[101000010]",
+        ),
+    ),
+    Mutant(
+        "witness-planes-from-the-wrong-byte",
+        "src/rrseq/witness.py",
+        "packed[i >> 3 :: 4]",
+        "packed[i >> 2 :: 4]",
+        (
+            "tests/test_verify.py::test_enumeration_matches_the_per_row_construction",
+            "tests/test_verify.py::test_witness_bits_and_profile_from_the_mask[9]",
+            "tests/test_verify.py::test_enumeration_refuses_a_mask_that_fails_the_profile_check[101000010]",
+        ),
+    ),
+    Mutant(
+        "witness-reports-the-last-failure",
+        "src/rrseq/witness.py",
+        "(bad & -bad).bit_length()",
+        "bad.bit_length()",
+        ("tests/test_verify.py::test_enumeration_refuses_a_mask_that_fails_the_profile_check[1111 0011]",),
     ),
     Mutant(
         "witness-build-leaves-the-collector-off",

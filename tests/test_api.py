@@ -1,10 +1,12 @@
 """The public surface: `rrseq.__all__`, each of its names described in
-README.md, and every name the benchmark in perfbench/ takes from rrseq,
-so a later cut cannot silently break it."""
+README.md, every name the benchmark in perfbench/ takes from rrseq, so a
+later cut cannot silently break it, and the package's own imports, which
+the standard library alone serves."""
 
 import ast
 import importlib
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -146,8 +148,8 @@ def test_sweep_row_is_a_pair():
 
 # In a fresh interpreter: the search path loads none of the modules
 # below, a row that is not doubling loads the profiles, the certificates
-# load rrseq.verify and no numpy, and the witness scan loads
-# rrseq.witness and numpy.  `loaded` prints the ones in sys.modules.
+# load rrseq.verify, the witness scan loads rrseq.witness, and none loads
+# numpy.  `loaded` prints the ones in sys.modules.
 LOADED = """
 import sys
 def loaded():
@@ -182,13 +184,30 @@ loaded()
             SEARCH_PATH,
             ["", "", "rrseq.correlation", "rrseq.verify rrseq.correlation", "rrseq.verify rrseq.correlation"],
         ),
-        (WITNESS_SCAN, ["", "rrseq.witness numpy"]),
+        (WITNESS_SCAN, ["", "rrseq.witness"]),
     ],
     ids=["search-path", "witness-scan"],
 )
-def test_numpy_loads_only_for_the_witness_scan(fresh_python, code, lines):
+def test_no_entry_point_loads_numpy(fresh_python, code, lines):
     proc = fresh_python("-c", code)
     assert (proc.returncode, proc.stdout) == (0, "".join(line + "\n" for line in lines)), proc.stderr
+
+
+def test_the_package_needs_only_the_standard_library():
+    # ast.walk reaches the imports inside functions and `if TYPE_CHECKING:`
+    tomllib = pytest.importorskip("tomllib")
+    for path in sorted((ROOT / "src" / "rrseq").glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom) and node.level == 0:
+                names = [node.module]
+            else:
+                continue
+            for name in names:
+                assert name.split(".")[0] in sys.stdlib_module_names, (path.name, node.lineno, name)
+    with open(ROOT / "pyproject.toml", "rb") as fh:
+        assert tomllib.load(fh)["project"]["dependencies"] == []
 
 
 STAR_IMPORT = """

@@ -146,7 +146,7 @@ SCALAR_ENTRY_POINTS = [
     pytest.param(lambda m: autocorr_mod(build_seed(3, 128), m), 2**61 - 1, id="autocorr_mod"),
     pytest.param(lambda p: build_seed(p, 48, ROW_POWERS), 3, id="build_seed-p"),
     pytest.param(lambda n: build_seed(3, n), 16, id="build_seed-n"),
-    pytest.param(lambda n: scan_masks(n).tolist(), 20, id="scan_masks"),
+    pytest.param(scan_masks, 20, id="scan_masks"),
     pytest.param(enumerate_binary_ideal, 20, id="enumerate_binary_ideal"),
 ]
 

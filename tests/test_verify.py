@@ -341,7 +341,7 @@ def test_witnesses_in_lexicographic_order():
 def _enumerate_per_row(n):
     """Oracle for `enumerate_binary_ideal`: each witness gets its own
     profile tuple, read from the numpy mod-2 profiles of its mask."""
-    masks = scan_masks(n)
+    masks = np.array(scan_masks(n), dtype=np.uint32)
     lags = [np.bitwise_count(masks & _rot(masks, k, n)) & 1 for k in range(n)]
     bits = (masks[:, None] >> np.arange(n - 1, -1, -1, dtype=np.uint32)) & 1
     return [
@@ -359,7 +359,7 @@ def test_length_one_has_the_single_row():
 def test_witness_bits_and_profile_from_the_mask(n):
     # bit n-1-i of the mask holds element i; the profile is recomputed
     # from the bits by the exact autocorrelation, not read from the masks
-    masks = scan_masks(n).tolist()
+    masks = scan_masks(n)
     witnesses = enumerate_binary_ideal(n)
     assert len(witnesses) == len(masks)
     for w, mask in zip(witnesses, masks):
@@ -373,19 +373,22 @@ def test_enumeration_matches_the_per_row_construction():
 
 
 # Each bad mask fails one of the checked lags 0..n // 2 only: 0011 lag 1
-# (C(1) = 1), 1111 lag 0 (C(0) = 4) and 00111 lag 2 = n // 2 (C(2) = 1).
-# No even n has a mask that fails at lag n / 2 alone: C(n/2) counts each
-# pair twice, so it is always even.
-@pytest.mark.parametrize("bad", ["0011", "1111", "00111"])
+# (C(1) = 1), 1111 lag 0 (C(0) = 4), and 00111 and 101000010 lag n // 2
+# (C(2) = 1 and C(4) = 1).  At length 9 the bit planes come from two
+# bytes of each packed mask.  No even n has a mask that fails at lag n / 2
+# alone: C(n/2) counts each pair twice, so it is always even.  Of two bad
+# masks, the message names the smaller, the first that fails.
+@pytest.mark.parametrize("bad", ["0011", "1111", "00111", "101000010", "1111 0011"])
 def test_enumeration_refuses_a_mask_that_fails_the_profile_check(monkeypatch, bad):
-    n = len(bad)
+    bad = bad.split()
+    n = len(bad[0])
     true_masks = scan_masks(n)
 
-    def with_a_non_witness(n):
-        return np.array(sorted([*true_masks.tolist(), int(bad, 2)]), dtype=np.uint32)
+    def with_non_witnesses(n):
+        return sorted([*true_masks, *(int(b, 2) for b in bad)])
 
-    monkeypatch.setattr(witness, "scan_masks", with_a_non_witness)
-    with pytest.raises(RuntimeError, match=f"length {n}: mask {bad} "):
+    monkeypatch.setattr(witness, "scan_masks", with_non_witnesses)
+    with pytest.raises(RuntimeError, match=f"length {n}: mask {min(bad)} "):
         enumerate_binary_ideal(n)
 
 
