@@ -7,53 +7,48 @@ profiles, finds the prime moduli by factoring the gcd of the off-peak
 values, certifies the result, and sweeps starting primes to regenerate
 the reference tables.
 
-The certificates (`rrseq.verify`), the exact profiles
-(`rrseq.correlation`) and the mod-2 witness scan (`rrseq.witness`) load
-at first use: their public names resolve through the module
-`__getattr__` below, which imports the owning module and binds the name
-here, so the next lookup is a plain attribute.  The search and the
-sweep take no certificate, no witness, and no profile of a doubling
-row, so `import rrseq` and a search or sweep of doubling rows compile
-none of the three.  The package imports the standard library only.
+The loading rule: `import rrseq` loads no submodule, each public name
+loads its module at first use, and each `rrseq` subcommand loads what it
+uses.  `_PUBLIC` maps each public name to the submodule that defines it;
+the module `__getattr__` below imports that submodule at the name's
+first lookup and binds the name here, so the next lookup is a plain
+attribute.  A caller that wants a submodule itself, such as
+`rrseq.numtheory`, imports it.  The package imports the standard library
+only.
 """
 
 from importlib import import_module
 
-from .modsearch import (
-    ModulusSearchOutcome,
-    SearchStatus,
-    SelectionPolicy,
-    SweepRow,
-    find_modulus,
-    sweep,
-)
-from .numtheory import (
-    FactorBudget,
-    Factorization,
-    factorize,
-    gcd_many,
-    is_prime,
-    primes_up_to,
-)
-from .sequence import build_seed
-
-# Each name loaded at first use, and the submodule that defines it.
-_LAZY = {
+# Each public name, in `__all__` order, and the submodule that defines it.
+_PUBLIC = {
     "BinaryWitness": "witness",
+    "CorrProfile": "correlation",
+    "FactorBudget": "numtheory",
+    "Factorization": "numtheory",
+    "ModulusSearchOutcome": "modsearch",
     "RRCertificate": "verify",
+    "SearchStatus": "modsearch",
+    "SelectionPolicy": "modsearch",
+    "SweepRow": "modsearch",
+    "autocorr_mod": "correlation",
+    "build_seed": "sequence",
     "check_rr": "verify",
     "enumerate_binary_ideal": "witness",
+    "factorize": "numtheory",
+    "find_modulus": "modsearch",
+    "gcd_many": "numtheory",
     "gram_check": "verify",
-    "scan_masks": "witness",
-    "CorrProfile": "correlation",
-    "autocorr_mod": "correlation",
+    "is_prime": "numtheory",
     "periodic_autocorr": "correlation",
+    "primes_up_to": "numtheory",
+    "scan_masks": "witness",
+    "sweep": "modsearch",
 }
 
 
 def __getattr__(name: str):
-    """A name of `_LAZY`, from its submodule, imported now (PEP 562)."""
-    module = _LAZY.get(name)
+    """A name of `_PUBLIC`, from its submodule, imported now (PEP 562)."""
+    module = _PUBLIC.get(name)
     if module is None:
         raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
     value = getattr(import_module(f"{__name__}.{module}"), name)
@@ -62,32 +57,9 @@ def __getattr__(name: str):
 
 
 def __dir__() -> list[str]:
-    return sorted({*globals(), *_LAZY})
+    return sorted({*globals(), *_PUBLIC})
 
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BinaryWitness",
-    "CorrProfile",
-    "FactorBudget",
-    "Factorization",
-    "ModulusSearchOutcome",
-    "RRCertificate",
-    "SearchStatus",
-    "SelectionPolicy",
-    "SweepRow",
-    "autocorr_mod",
-    "build_seed",
-    "check_rr",
-    "enumerate_binary_ideal",
-    "factorize",
-    "find_modulus",
-    "gcd_many",
-    "gram_check",
-    "is_prime",
-    "periodic_autocorr",
-    "primes_up_to",
-    "scan_masks",
-    "sweep",
-]
+__all__ = list(_PUBLIC)

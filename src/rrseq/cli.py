@@ -345,8 +345,16 @@ def _build_parser() -> argparse.ArgumentParser:
         f"{SIEVE_LIMIT} (trial division takes its primes from a sieve)",
     )
     row = _row_parser(ROW_DOUBLING)
-    # Three parents, so every usage line lists output, factoring, row.
-    plain, factored = [output, row], [output, factoring, row]
+    # The row source: one row from -p/-n, or every starting prime up to
+    # --primes-up-to at length -n.  Listed last among the parents, so
+    # every usage line lists output, factoring, row, then the source.
+    one = argparse.ArgumentParser(add_help=False)
+    one.add_argument("-p", "--prime", type=int, required=True)
+    one.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
+    many = argparse.ArgumentParser(add_help=False)
+    many.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
+    many.add_argument("--primes-up-to", type=int, default=100, metavar="B", help=_PRIMES_UP_TO_HELP)
+    plain, factored, swept = [output, row, one], [output, factoring, row, one], [output, factoring, row, many]
 
     parser = argparse.ArgumentParser(
         prog="rrseq",
@@ -356,8 +364,6 @@ def _build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_seed = sub.add_parser("seed", parents=plain, help="print a seed row")
-    p_seed.add_argument("-p", "--prime", type=int, required=True)
-    p_seed.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
     p_seed.set_defaults(func=_cmd_seed)
 
     p_auto = sub.add_parser(
@@ -373,30 +379,22 @@ def _build_parser() -> argparse.ArgumentParser:
     p_search = sub.add_parser(
         "search", parents=factored, help="find prime moduli for one starting prime"
     )
-    p_search.add_argument("-p", "--prime", type=int, required=True)
-    p_search.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
     p_search.set_defaults(func=_cmd_search)
 
     p_sweep = sub.add_parser(
-        "sweep", parents=factored, help="search every starting prime up to a bound"
+        "sweep", parents=swept, help="search every starting prime up to a bound"
     )
-    p_sweep.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
-    p_sweep.add_argument("--primes-up-to", type=int, default=100, metavar="B", help=_PRIMES_UP_TO_HELP)
     p_sweep.set_defaults(func=_cmd_sweep)
 
     p_verify = sub.add_parser(
         "verify", parents=plain, help="certify the two-valued property"
     )
-    p_verify.add_argument("-p", "--prime", type=int, required=True)
-    p_verify.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
     p_verify.add_argument("-m", "--modulus", type=int, required=True)
     p_verify.set_defaults(func=_cmd_verify)
 
     p_plot = sub.add_parser(
-        "plotdata", parents=factored, help="(starting prime, modulus) pairs for Found rows"
+        "plotdata", parents=swept, help="(starting prime, modulus) pairs for Found rows"
     )
-    p_plot.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
-    p_plot.add_argument("--primes-up-to", type=int, default=100, metavar="B", help=_PRIMES_UP_TO_HELP)
     p_plot.set_defaults(func=_cmd_plotdata)
 
     return parser

@@ -9,11 +9,6 @@ One kernel forms it.  `residue_profile` takes the profile of residues
 of two big integers, whose one product, made in C, holds every lag as a
 digit.  The certificates and `autocorr_mod` call it on residues mod n;
 `profile_values` calls it on any row, shifted up to nonnegative entries.
-
-This module loads at first use: `import rrseq` does not import it, and
-neither does a search or sweep of doubling rows, whose peak and gcd have
-a closed form (`modsearch`).  The first other row, `rrseq autocorr`, a
-certificate or a name of this module taken from the package load it.
 """
 
 from __future__ import annotations

@@ -20,10 +20,6 @@ The Gram matrix circ(r) circ(r)^T of the residues r is circulant, entry
 row decides it: it is a nonzero scalar times the identity iff C(0) is
 nonzero mod n and every other C(k) is 0 mod n.  The two certificates
 share only `_reduce`, not the product that `check_rr` reads.
-
-This module loads at the first use of one of its names through the
-package (`rrseq/__init__.py`), or at `rrseq verify`: `import rrseq`, the
-modulus search and the sweep do not import it.  It uses no numpy.
 """
 
 from __future__ import annotations

@@ -23,11 +23,6 @@ software", FSE 1997).  The same planes, zipped, are the bit tuples, so
 no per-row list is built, and `BinaryWitness` is a slotted record.  They
 are built with the cyclic garbage collector paused, as they form no
 cycle that it could free.
-
-The module uses the standard library only.  It loads at the first use
-of one of its names through the package (`rrseq/__init__.py`): `import
-rrseq`, the search, the sweep, the certificates and every `rrseq`
-subcommand leave it unloaded.
 """
 
 from __future__ import annotations

@@ -174,6 +174,20 @@ MUTANTS = (
         ),
     ),
     Mutant(
+        "public-name-not-cached",
+        "src/rrseq/__init__.py",
+        "    globals()[name] = value\n",
+        "",
+        ("tests/test_api.py::test_import_loads_no_submodule",),
+    ),
+    Mutant(
+        "eager-import-restored",
+        "src/rrseq/__init__.py",
+        "from importlib import import_module\n",
+        "from importlib import import_module\n\nfrom .modsearch import sweep\n",
+        ("tests/test_api.py::test_import_loads_no_submodule",),
+    ),
+    Mutant(
         "statuses-swapped",
         "src/rrseq/modsearch.py",
         "_NO_VALID_MODULUS if cofactor == 1 else _INCOMPLETE",

@@ -69,3 +69,10 @@ def _naive_primes(bound: int) -> list[int]:
             for m in range(p * p, bound + 1, p):
                 flags[m] = False
     return [i for i, f in enumerate(flags) if f]
+
+
+def oracle_moduli(row, bound: int) -> list[int]:
+    """The primes q <= bound under which the row is two-valued, taken with
+    no gcd: C(0) is nonzero and every other C(k) is zero mod q."""
+    values = oracle_autocorr(row)
+    return [q for q in _naive_primes(bound) if values[0] % q and not any(v % q for v in values[1:])]

@@ -103,7 +103,7 @@ def test_every_public_name_is_described_in_the_readme():
 
 
 def test_each_public_name_is_the_object_its_module_defines():
-    # the names of rrseq.verify and rrseq.correlation resolve at first use
+    # every public name resolves at first use
     for name, module in PUBLIC.items():
         assert getattr(rrseq, name) is getattr(importlib.import_module(f"rrseq.{module}"), name), name
     with pytest.raises(AttributeError, match="no attribute 'nonsense'"):
@@ -190,6 +190,25 @@ loaded()
 )
 def test_no_entry_point_loads_numpy(fresh_python, code, lines):
     proc = fresh_python("-c", code)
+    assert (proc.returncode, proc.stdout) == (0, "".join(line + "\n" for line in lines)), proc.stderr
+
+
+FIRST_USE = """
+import sys
+def loaded():
+    print(*sorted(m for m in sys.modules if m.startswith("rrseq.")))
+import rrseq
+loaded()
+rrseq.find_modulus
+loaded()
+print("find_modulus" in vars(rrseq))
+"""
+
+
+def test_import_loads_no_submodule(fresh_python):
+    # the first find_modulus loads its module, and binds the name in the package
+    proc = fresh_python("-c", FIRST_USE)
+    lines = ["", "rrseq.modsearch rrseq.numtheory rrseq.sequence", "True"]
     assert (proc.returncode, proc.stdout) == (0, "".join(line + "\n" for line in lines)), proc.stderr
 
 

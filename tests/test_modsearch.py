@@ -1,10 +1,11 @@
 """Modulus search pipeline: gcd, factor, peak test, policy, statuses."""
 
 import math
+import random
 
 import numpy as np
 import pytest
-from oracles import oracle_autocorr
+from oracles import oracle_autocorr, oracle_moduli
 
 import rrseq.correlation
 import rrseq.modsearch
@@ -253,6 +254,31 @@ def test_changed_tail_takes_generic_path(n, profile_calls):
     for row in rows:
         assert find_modulus(row, budget=TRIAL_ONLY) == oracle_outcome(row, TRIAL_ONLY), (n, row[:3])
     assert profile_calls == [n] * len(rows)
+
+
+def _oracle_rows():
+    """Doubling and powers rows, doubling rows with one tail entry moved
+    by 1 either way (seeded), and signed rows."""
+    rng = random.Random(0)
+    for n in (2, 3, 15, 16, 24):
+        for p in (2, 3, 5, 101, 50021):
+            moved = list(doubling_row(p, n))
+            moved[rng.randrange(1, n)] += rng.choice((-1, 1))
+            yield from (doubling_row(p, n), build_seed(p, n, ROW_POWERS), moved)
+    yield from ([1, -2, 3], [-3, 2, 4, 8], [5, -2, -4, 8, 16, -32])
+
+
+def test_valid_moduli_match_the_gcd_free_oracle():
+    # every prime up to the bound, tried on the profile itself; the bound
+    # is below the trial bound, so trial division takes out each such q
+    bound = 1000
+    assert bound <= TRIAL_ONLY.trial_bound
+    found = 0
+    for row in _oracle_rows():
+        want = oracle_moduli(row, bound)
+        assert [q for q in find_modulus(row, budget=TRIAL_ONLY).valid_moduli() if q <= bound] == want, row
+        found += len(want)
+    assert found == 64
 
 
 def test_hand_oracle_failure_case():
