@@ -312,14 +312,7 @@ def _cmd_plotdata(args: argparse.Namespace) -> tuple[int, Iterator[str]]:
 
 _PRIMES_UP_TO_HELP = f"search every starting prime up to B, at most {SIEVE_LIMIT}"
 _LENGTH_HELP = f"row length N, 2 <= N <= {MAX_LENGTH}"
-
-
-def _row_parser(default: str | None) -> argparse.ArgumentParser:
-    """The --row option.  autocorr leaves it None, so that it can refuse
-    --row beside --seq and still default to doubling for -p/-n."""
-    row = argparse.ArgumentParser(add_help=False)
-    row.add_argument("--row", choices=ROW_KINDS, default=default, help="seed row construction")
-    return row
+_ROW_HELP = "seed row construction"
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -344,7 +337,8 @@ def _build_parser() -> argparse.ArgumentParser:
         help="largest prime tried by trial division, at most "
         f"{SIEVE_LIMIT} (trial division takes its primes from a sieve)",
     )
-    row = _row_parser(ROW_DOUBLING)
+    row = argparse.ArgumentParser(add_help=False)
+    row.add_argument("--row", choices=ROW_KINDS, default=ROW_DOUBLING, help=_ROW_HELP)
     # The row source: one row from -p/-n, or every starting prime up to
     # --primes-up-to at length -n.  Listed last among the parents, so
     # every usage line lists output, factoring, row, then the source.
@@ -354,7 +348,6 @@ def _build_parser() -> argparse.ArgumentParser:
     many = argparse.ArgumentParser(add_help=False)
     many.add_argument("-n", "--length", type=int, required=True, help=_LENGTH_HELP)
     many.add_argument("--primes-up-to", type=int, default=100, metavar="B", help=_PRIMES_UP_TO_HELP)
-    plain, factored, swept = [output, row, one], [output, factoring, row, one], [output, factoring, row, many]
 
     parser = argparse.ArgumentParser(
         prog="rrseq",
@@ -362,41 +355,23 @@ def _build_parser() -> argparse.ArgumentParser:
         "autocorrelation, prime modulus search, and certification.",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-
-    p_seed = sub.add_parser("seed", parents=plain, help="print a seed row")
-    p_seed.set_defaults(func=_cmd_seed)
-
-    p_auto = sub.add_parser(
-        "autocorr", parents=[output, _row_parser(None)], help="exact periodic autocorrelation profile"
-    )
-    p_auto.add_argument("-p", "--prime", type=int)
-    p_auto.add_argument("-n", "--length", type=int, help=_LENGTH_HELP)
-    p_auto.add_argument(
-        "--seq", help=f"explicit comma-separated row instead of -p/-n, at most {MAX_LENGTH} entries"
-    )
-    p_auto.set_defaults(func=_cmd_autocorr)
-
-    p_search = sub.add_parser(
-        "search", parents=factored, help="find prime moduli for one starting prime"
-    )
-    p_search.set_defaults(func=_cmd_search)
-
-    p_sweep = sub.add_parser(
-        "sweep", parents=swept, help="search every starting prime up to a bound"
-    )
-    p_sweep.set_defaults(func=_cmd_sweep)
-
-    p_verify = sub.add_parser(
-        "verify", parents=plain, help="certify the two-valued property"
-    )
-    p_verify.add_argument("-m", "--modulus", type=int, required=True)
-    p_verify.set_defaults(func=_cmd_verify)
-
-    p_plot = sub.add_parser(
-        "plotdata", parents=swept, help="(starting prime, modulus) pairs for Found rows"
-    )
-    p_plot.set_defaults(func=_cmd_plotdata)
-
+    for name, parents, func, text in (
+        ("seed", [output, row, one], _cmd_seed, "print a seed row"),
+        ("autocorr", [output], _cmd_autocorr, "exact periodic autocorrelation profile"),
+        ("search", [output, factoring, row, one], _cmd_search, "find prime moduli for one starting prime"),
+        ("sweep", [output, factoring, row, many], _cmd_sweep, "search every starting prime up to a bound"),
+        ("verify", [output, row, one], _cmd_verify, "certify the two-valued property"),
+        ("plotdata", [output, factoring, row, many], _cmd_plotdata, "(starting prime, modulus) pairs for Found rows"),
+    ):
+        sub.add_parser(name, parents=parents, help=text).set_defaults(func=func)
+    # autocorr's --row defaults to None, so that it can refuse --row beside
+    # --seq and still default to doubling for -p/-n.
+    auto = sub.choices["autocorr"]
+    auto.add_argument("--row", choices=ROW_KINDS, help=_ROW_HELP)
+    auto.add_argument("-p", "--prime", type=int)
+    auto.add_argument("-n", "--length", type=int, help=_LENGTH_HELP)
+    auto.add_argument("--seq", help=f"explicit comma-separated row instead of -p/-n, at most {MAX_LENGTH} entries")
+    sub.choices["verify"].add_argument("-m", "--modulus", type=int, required=True)
     return parser
 
 

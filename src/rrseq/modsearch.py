@@ -35,9 +35,10 @@ instead of the profile's product of two integers of about 2 N**2 bits.
 The search has one plain core, `_search`, which returns a row's result
 as the tuple (gcd, factors, cofactor, candidates, status, canonical).
 The public records are thin wrappers over it: `find_modulus` and `sweep`
-build a ModulusSearchOutcome, holding a Factorization, from those values
-(and `sweep` a SweepRow around it), while the CLI writes its rows from
-the tuples `_sweep_rows` yields and builds none of the three.
+share `_outcome`, which builds a ModulusSearchOutcome, holding a
+Factorization, from those values (and `sweep` puts a SweepRow around
+it), while the CLI writes its rows from the tuples `_sweep_rows` yields
+and builds none of the three.
 """
 
 from __future__ import annotations
@@ -168,7 +169,11 @@ def find_modulus(
     """
     policy = _policy(policy)
     peak, g = _peak_gcd(as_elements(seq))
-    g, factors, cofactor, candidates, status, canonical = _search(peak, g, policy, budget)
+    return _outcome(*_search(peak, g, policy, budget))
+
+
+def _outcome(g, factors, cofactor, candidates, status, canonical) -> ModulusSearchOutcome:
+    """The ModulusSearchOutcome of the plain values `_search` returns."""
     return ModulusSearchOutcome(g, Factorization(g, factors, cofactor), candidates, status, canonical)
 
 
@@ -254,7 +259,4 @@ def sweep(
     without building these records or holding the list.
     """
     rows = _sweep_rows(n, prime_bound, policy, budget, row_kind)
-    return [
-        SweepRow(p, ModulusSearchOutcome(g, Factorization(g, factors, cofactor), candidates, status, canonical))
-        for p, g, factors, cofactor, candidates, status, canonical in rows
-    ]
+    return [SweepRow(p, _outcome(*values)) for p, *values in rows]

@@ -24,7 +24,9 @@ profile too.
 
 Every length-N doubling row shares the tail ``(2, 4, ..., 2**(N-1))``.
 `build_seed` and the recogniser take it from a cache of the last length
-used, so a sweep builds it once.
+used, so repeated `build_seed` and `find_modulus` calls at one length,
+such as a table of rows (p, N) over many starting primes p, build it
+once.  `sweep` builds no doubling row, so it does not use the cache.
 """
 
 from __future__ import annotations

@@ -90,8 +90,7 @@ def _power(a: int, e: int, one: int, n: int) -> int:
 def _conj(a: int, n: int) -> int:
     """a(x^-1) in F2[x]/(x^n - 1): coefficient i moves to -i mod n, which
     is the n bits reversed (i -> n - 1 - i), then rotated up by one."""
-    r = int(f"{a:0{n}b}"[::-1], 2)
-    return ((r << 1) | (r >> (n - 1))) & ((1 << n) - 1)
+    return _rot(int(f"{a:0{n}b}"[::-1], 2), n - 1, n)
 
 
 def _primitive(e: int, d: int, m: int) -> int:
@@ -118,10 +117,9 @@ def _orbit(u: int, c: int, size: int, m: int) -> list[int]:
     must be below 2**m.
     """
     w = max(8, -(-m // 3))
-    full = (1 << m) - 1
     t0, t1, t2 = tables = [0], [0], [0]
     for k in range(m):
-        r = (c << k | c >> (m - k)) & full  # c x^k
+        r = _rot(c, -k % m, m)  # c x^k
         table = tables[k // w]
         table += [t ^ r for t in table]
     low, w2 = (1 << w) - 1, 2 * w

@@ -275,8 +275,8 @@ MUTANTS = (
     Mutant(
         "orbit-tables-from-right-rotations",
         "src/rrseq/witness.py",
-        "r = (c << k | c >> (m - k)) & full",
-        "r = (c >> k | c << (m - k)) & full",
+        "r = _rot(c, -k % m, m)",
+        "r = _rot(c, k, m)",
         (
             "tests/test_kernels.py::test_scan_matches_brute_force_oracle[15]",
             "tests/test_kernels.py::test_scan_matches_popcount_oracle[10]",
@@ -434,14 +434,43 @@ MUTANTS = (
         ),
     ),
     Mutant(
-        "sweep-wraps-without-cofactor",
+        # find_modulus and sweep share the builder, so comparing the two
+        # cannot see this edit: only tests with their own cofactor oracle name it.
+        "outcome-drops-cofactor",
         "src/rrseq/modsearch.py",
-        "SweepRow(p, ModulusSearchOutcome(g, Factorization(g, factors, cofactor),",
-        "SweepRow(p, ModulusSearchOutcome(g, Factorization(g, factors),",
+        "Factorization(g, factors, cofactor)",
+        "Factorization(g, factors)",
         (
-            "tests/test_modsearch.py::test_sweep_equals_find_modulus_on_built_rows[bare-trial-SelectionPolicy.LARGEST-64-60-doubling]",
-            "tests/test_modsearch.py::test_sweep_equals_find_modulus_on_built_rows[bare-trial-SelectionPolicy.ALL-16-60-powers]",
             "tests/test_modsearch.py::test_bare_trial_rows_keep_a_cofactor[64-60-doubling-SearchStatus.FOUND]",
+            "tests/test_modsearch.py::test_bare_trial_rows_keep_a_cofactor[16-60-powers-SearchStatus.INCOMPLETE_FACTORIZATION]",
+            "tests/test_modsearch.py::test_incomplete_factorization_status",
+        ),
+    ),
+    Mutant(
+        "subcommand-handlers-swapped",
+        "src/rrseq/cli.py",
+        '_cmd_sweep, "search every starting prime up to a bound"),\n'
+        '        ("verify", [output, row, one], _cmd_verify, "certify the two-valued property"),\n'
+        '        ("plotdata", [output, factoring, row, many], _cmd_plotdata,',
+        '_cmd_plotdata, "search every starting prime up to a bound"),\n'
+        '        ("verify", [output, row, one], _cmd_verify, "certify the two-valued property"),\n'
+        '        ("plotdata", [output, factoring, row, many], _cmd_sweep,',
+        (
+            "tests/test_cli.py::test_sweep_row_count_and_membership",
+            "tests/test_cli.py::test_plotdata_pairs",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden[sweep -n 2 --primes-up-to 30 --row doubling --policy smallest --format csv]",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden[plotdata -n 2 --primes-up-to 30 --row doubling --policy smallest --format csv]",
+        ),
+    ),
+    Mutant(
+        "autocorr-row-defaults-to-doubling",
+        "src/rrseq/cli.py",
+        'auto.add_argument("--row", choices=ROW_KINDS, help=_ROW_HELP)',
+        'auto.add_argument("--row", choices=ROW_KINDS, default=ROW_DOUBLING, help=_ROW_HELP)',
+        (
+            "tests/test_cli.py::test_autocorr_explicit_row",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden[autocorr --seq 3,2 --format csv]",
+            "tests/test_cli_golden.py::test_cli_output_matches_golden[autocorr --seq 3,9,27 --format json]",
         ),
     ),
     Mutant(

@@ -178,6 +178,21 @@ def mul_chain(u, c, size, m):
     return out
 
 
+@pytest.mark.parametrize("n", range(1, 13))
+def test_conj_moves_bit_i_to_minus_i(n):
+    for a in range(1 << n):
+        assert witness._conj(a, n) == sum(1 << (-i % n) for i in range(n) if a >> i & 1)
+
+
+@pytest.mark.parametrize("n", range(1, 13))
+def test_rot_is_the_string_rotation(n):
+    for a in range(1 << n):
+        bits = f"{a:0{n}b}"
+        for k in range(n):
+            # right by k: the last k characters, the low k bits, go to the front
+            assert witness._rot(a, k, n) == int(bits[n - k :] + bits[: n - k], 2)
+
+
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(st.data())
 def test_table_multiply_matches_mul(data):

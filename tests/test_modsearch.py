@@ -437,8 +437,8 @@ def test_sweep_equals_find_modulus_on_built_rows(n, bound, row_kind, policy, bud
     [(64, 60, ROW_DOUBLING, SearchStatus.FOUND), (16, 60, ROW_POWERS, SearchStatus.INCOMPLETE_FACTORIZATION)],
 )
 def test_bare_trial_rows_keep_a_cofactor(n, bound, row_kind, status):
-    # The oracle above compares these rows too: a wrapper that dropped the
-    # cofactor, or an outcome that forgot it, would differ there.
+    # find_modulus and sweep build their records through one `_outcome`, so
+    # the oracle above cannot see a cofactor that both drop: this test can.
     rows = sweep(n, bound, budget=BARE_TRIAL, row_kind=row_kind)
     assert any(row.outcome.factorization.cofactor != 1 and row.outcome.status is status for row in rows)
 
